@@ -34,6 +34,7 @@ from .disagreement import (
 )
 from .errors import (
     ConfigInvalidError,
+    DomainError,
     EmptyFileError,
     EmptyInputError,
     EmptySequenceError,

@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigInvalidError, NegativeWeightError, WeightSumError
+from .errors import (
+    ConfigInvalidError,
+    DomainError,
+    NegativeWeightError,
+    WeightSumError,
+)
 from .stability import ZoneLabel
 
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -188,9 +193,12 @@ def classify_drc(
 
     Band boundaries are closed below. A GovernanceFragility zone caps the
     result at EscalatedGovernance (the less favorable of the two wins).
+
+    Raises:
+        DomainError: score outside [0, 1].
     """
     if not 0.0 <= das <= 1.0:
-        raise ValueError(f"score out of range [0, 1]: {das!r}")
+        raise DomainError(f"score out of range [0, 1]: {das!r}")
     if das >= bands.b_deployable:
         state = DeploymentState.DEPLOYABLE
     elif das >= bands.b_restricted:

@@ -38,11 +38,18 @@ from .io import parse_predictions, parse_signals
 from .lifecycle import (
     DEFAULT_INITIAL_STATE,
     build_assessments,
+    csv_writer,
     emit_trace,
     format_real,
     replay,
 )
-from .stability import sensitivity, sweep, tsz_scalar, worst_zone
+from .stability import (
+    check_sweep_range,
+    sensitivity,
+    sweep,
+    tsz_scalar,
+    worst_zone,
+)
 
 FORMATS = ("csv", "json")
 
@@ -79,6 +86,7 @@ def _parse_range(raw: str) -> tuple[float, float, float]:
         t_min, t_max, step = (float(p) for p in parts)
     except ValueError:
         raise EngineError(f"--range must contain numbers, got {raw!r}")
+    check_sweep_range(t_min, t_max, step)
     return t_min, t_max, step
 
 
@@ -89,12 +97,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rates = {group: compute_rates(c) for group, c in confusion.items()}
     gaps = compute_gaps(rates, subgroup_sizes(confusion), config.min_support)
     panel_config = config.panel_config()
-    tolerances = (
-        panel_config.resolved_tolerances()
-        if panel_config.mode == "verdict"
-        else panel_config.tolerances
-    )
-    panel = panel_from_gaps(gaps, panel_config.metrics, tolerances)
+    panel = panel_from_gaps(gaps, panel_config.metrics, panel_config.panel_tolerances())
     fdi = compute_fdi(panel, panel_config.mode)
 
     groups = sorted(confusion)
@@ -128,30 +131,34 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         return 0
 
-    _write("subgroup,n,tp,fp,tn,fn,fpr,fnr,tpr,selection_rate\n")
+    out = csv_writer(sys.stdout)
+    out.writerow(
+        ("subgroup", "n", "tp", "fp", "tn", "fn", "fpr", "fnr", "tpr", "selection_rate")
+    )
     for g in groups:
         c = confusion[g]
         r = rates[g]
-        _write(
-            f"{g},{c.total},{c.tp},{c.fp},{c.tn},{c.fn},"
-            f"{_cell(r.fpr)},{_cell(r.fnr)},{_cell(r.tpr)},{_cell(r.selection_rate)}\n"
+        out.writerow(
+            (g, c.total, c.tp, c.fp, c.tn, c.fn)
+            + tuple(_cell(v) for v in (r.fpr, r.fnr, r.tpr, r.selection_rate))
         )
-    _write("\nmetric,value\n")
-    _write(f"macro_mean_fpr,{_cell(macro_mean(rates, 'fpr'))}\n")
-    _write(f"macro_mean_fnr,{_cell(macro_mean(rates, 'fnr'))}\n")
+    out.writerow(())
+    out.writerow(("metric", "value"))
+    out.writerow(("macro_mean_fpr", _cell(macro_mean(rates, "fpr"))))
+    out.writerow(("macro_mean_fnr", _cell(macro_mean(rates, "fnr"))))
     for metric in GAP_METRICS:
-        _write(f"{metric},{format_real(gaps.value(metric))}\n")
-    _write(f"fdi,{format_real(fdi.value)}\n")
+        out.writerow((metric, format_real(gaps.value(metric))))
+    out.writerow(("fdi", format_real(fdi.value)))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    samples = parse_predictions(args.predictions)
     if args.range is not None:
         t_min, t_max, step = _parse_range(args.range)
     else:
         t_min, t_max, step = config.sweep_t_min, config.sweep_t_max, config.sweep_step
+    samples = parse_predictions(args.predictions)
     profile = sweep(samples, t_min, t_max, step, config.panel_config())
     sens = sensitivity(profile, config.zones)
     scalar = tsz_scalar(sens, config.aggregation, config.s_ref)
@@ -177,23 +184,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 0
 
-    _write("threshold,fdi,sensitivity,zone\n")
+    out = csv_writer(sys.stdout)
+    out.writerow(("threshold", "fdi", "sensitivity", "zone"))
     for point, (_, fdi) in zip(sens.points, profile.points):
-        _write(
-            f"{format_real(point.threshold)},{format_real(fdi)},"
-            f"{format_real(point.s)},{point.zone.value}\n"
-        )
-    _write("\nmetric,value\n")
-    _write(f"tsz_scalar,{format_real(scalar.value)}\n")
-    _write(f"aggregation,{scalar.aggregation}\n")
-    _write(f"s_ref,{format_real(scalar.s_ref)}\n")
-    _write(f"worst_zone,{harshest.value}\n")
+        reals = map(format_real, (point.threshold, fdi, point.s))
+        out.writerow((*reals, point.zone.value))
+    out.writerow(())
+    out.writerow(("metric", "value"))
+    out.writerow(("tsz_scalar", format_real(scalar.value)))
+    out.writerow(("aggregation", scalar.aggregation))
+    out.writerow(("s_ref", format_real(scalar.s_ref)))
+    out.writerow(("worst_zone", harshest.value))
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     rows = parse_signals(args.signals)
+    reals = ("fdi", "delta_fpr", "delta_fnr", "tsz", "das")
     scored = []
     for snapshot_id, signals in rows:
         das = compute_das(signals, config.weights)
@@ -215,24 +223,18 @@ def cmd_score(args: argparse.Namespace) -> int:
             [
                 {
                     **row,
-                    **{
-                        k: _round4(row[k])
-                        for k in ("fdi", "delta_fpr", "delta_fnr", "tsz", "das")
-                    },
+                    **{k: _round4(row[k]) for k in reals},
                 }
                 for row in scored
             ]
         )
         return 0
 
-    _write("snapshot_id,fdi,delta_fpr,delta_fnr,tsz,das,ges,drc\n")
+    out = csv_writer(sys.stdout)
+    out.writerow(("snapshot_id", *reals, "ges", "drc"))
     for row in scored:
-        _write(
-            f"{row['snapshot_id']},{format_real(row['fdi'])},"
-            f"{format_real(row['delta_fpr'])},{format_real(row['delta_fnr'])},"
-            f"{format_real(row['tsz'])},{format_real(row['das'])},"
-            f"{row['ges']},{row['drc']}\n"
-        )
+        cells = (format_real(row[k]) for k in reals)
+        out.writerow((row["snapshot_id"], *cells, row["ges"], row["drc"]))
     return 0
 
 

@@ -27,7 +27,7 @@ from .disagreement import (
     MODES,
     PanelConfig,
 )
-from .errors import ConfigInvalidError, EngineError
+from .errors import ConfigInvalidError, DomainError, EngineError
 from .evaluation import DEFAULT_MIN_SUPPORT, GAP_METRICS
 from .fingerprint import canonical_fingerprint
 from .lifecycle import DEFAULT_HYSTERESIS, RulesConfig
@@ -39,6 +39,7 @@ from .stability import (
     DEFAULT_SWEEP_T_MIN,
     DEFAULT_ZONES,
     ZoneConfig,
+    check_sweep_range,
 )
 
 
@@ -68,17 +69,10 @@ class EngineConfig:
             validate_weights(self.weights)
         except EngineError as exc:
             raise ConfigInvalidError(f"weights: {exc}") from exc
-        if not 0.0 <= self.sweep_t_min < self.sweep_t_max <= 1.0:
-            raise ConfigInvalidError(
-                "sweep: need 0 <= t_min < t_max <= 1, got "
-                f"t_min={self.sweep_t_min!r}, t_max={self.sweep_t_max!r}"
-            )
-        if self.sweep_step <= 0:
-            raise ConfigInvalidError(
-                f"sweep: step must be positive, got {self.sweep_step!r}"
-            )
-        if (self.sweep_t_max - self.sweep_t_min) / self.sweep_step < 2:
-            raise ConfigInvalidError("sweep: range must span at least two steps")
+        try:
+            check_sweep_range(self.sweep_t_min, self.sweep_t_max, self.sweep_step)
+        except DomainError as exc:
+            raise ConfigInvalidError(f"sweep: {exc}") from exc
         if self.fdi_mode not in MODES:
             raise ConfigInvalidError(
                 f"fdi.mode: must be one of {MODES}, got {self.fdi_mode!r}"

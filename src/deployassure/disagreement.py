@@ -47,7 +47,15 @@ class PanelConfig:
     default_tolerance: float = DEFAULT_VERDICT_TOLERANCE
     min_support: int = DEFAULT_MIN_SUPPORT
 
-    def resolved_tolerances(self) -> dict[str, float]:
+    def panel_tolerances(self) -> Mapping[str, float] | None:
+        """Tolerances to score a panel against.
+
+        Verdict mode needs one per metric, so metrics absent from
+        ``tolerances`` get ``default_tolerance``; continuous mode ignores
+        tolerances and gets ``tolerances`` as given.
+        """
+        if self.mode != MODE_VERDICT:
+            return self.tolerances
         supplied = dict(self.tolerances) if self.tolerances else {}
         return {m: supplied.get(m, self.default_tolerance) for m in self.metrics}
 

@@ -12,6 +12,14 @@ class EngineError(Exception):
     """Base class for all validation errors raised by the engine."""
 
 
+class DomainError(EngineError, ValueError):
+    """A scalar argument (threshold, score, or sweep range) is out of domain.
+
+    Also a :class:`ValueError`, the usual type for a bad argument value, so
+    library callers may catch either.
+    """
+
+
 class EmptyInputError(EngineError):
     """An operation received an empty sample set."""
 

@@ -24,7 +24,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence, TextIO
 
 from .assurance import (
     BY_FAVORABILITY,
@@ -293,6 +293,29 @@ def _round4(value: float) -> float:
     return float(format_real(value))
 
 
+class _LineFeedRows:
+    r"""Write target that ends each CSV row in ``\n`` rather than ``\r\n``."""
+
+    def __init__(self, stream: TextIO) -> None:
+        self._stream = stream
+
+    def write(self, row: str) -> int:
+        return self._stream.write(row[:-2] + "\n")
+
+
+def csv_writer(stream: TextIO) -> Any:
+    r"""A ``csv.writer`` onto ``stream`` whose rows end in ``\n``.
+
+    The csv module quotes a field only for the characters of its own line
+    terminator, so a ``lineterminator="\n"`` writer leaves a field holding
+    a lone ``\r`` bare, and readers split the row there. This writer keeps
+    the default ``\r\n`` terminator, so such fields are quoted, and cuts
+    each row's terminator to ``\n`` on the way out; the csv module hands
+    over one whole row per ``write`` call.
+    """
+    return csv.writer(_LineFeedRows(stream))
+
+
 def _transition_cell(record: TransitionRecord | None) -> str:
     if record is None:
         return ""
@@ -308,7 +331,7 @@ def emit_trace(trace: GovernanceTrace, format: str = "csv") -> bytes:
     """
     if format == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv_writer(buffer)
         writer.writerow(TRACE_COLUMNS)
         for entry in trace.entries:
             a = entry.assessment

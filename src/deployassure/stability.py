@@ -15,16 +15,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .disagreement import PanelConfig, compute_fdi, panel_from_gaps
 from .errors import (
     ConfigInvalidError,
+    DomainError,
     InsufficientSubgroupsError,
     SweepDegenerateError,
 )
 from .evaluation import (
+    ConfusionCounts,
     Sample,
+    ScoreIndex,
     compute_confusion,
     compute_gaps,
     compute_rates,
@@ -135,20 +138,37 @@ class TszScalar:
     s_ref: float
 
 
+def _fdi_from_confusion(
+    confusion: Mapping[str, ConfusionCounts], panel_config: PanelConfig
+) -> float:
+    rates = {group: compute_rates(c) for group, c in confusion.items()}
+    gaps = compute_gaps(rates, subgroup_sizes(confusion), panel_config.min_support)
+    panel = panel_from_gaps(gaps, panel_config.metrics, panel_config.panel_tolerances())
+    return compute_fdi(panel, panel_config.mode).value
+
+
 def fdi_at_threshold(
     samples: Sequence[Sample], threshold: float, panel_config: PanelConfig
 ) -> float:
     """Evaluate the configured disagreement index at one threshold."""
-    confusion = compute_confusion(samples, threshold)
-    rates = {group: compute_rates(c) for group, c in confusion.items()}
-    gaps = compute_gaps(rates, subgroup_sizes(confusion), panel_config.min_support)
-    tolerances = (
-        panel_config.resolved_tolerances()
-        if panel_config.mode == "verdict"
-        else panel_config.tolerances
-    )
-    panel = panel_from_gaps(gaps, panel_config.metrics, tolerances)
-    return compute_fdi(panel, panel_config.mode).value
+    return _fdi_from_confusion(compute_confusion(samples, threshold), panel_config)
+
+
+def check_sweep_range(t_min: float, t_max: float, h: float) -> None:
+    """Reject a sweep grid that :func:`sweep` cannot build.
+
+    Raises:
+        DomainError: unless 0 <= t_min < t_max <= 1, h > 0, and the range
+            spans at least two steps (NaN fails every test).
+    """
+    if not (0.0 <= t_min < t_max <= 1.0):
+        raise DomainError(
+            f"need 0 <= t_min < t_max <= 1, got t_min={t_min!r}, t_max={t_max!r}"
+        )
+    if not h > 0:
+        raise DomainError(f"step must be positive, got {h!r}")
+    if not (t_max - t_min) / h >= 2:
+        raise DomainError("range must span at least two steps")
 
 
 def _fill_flagged(
@@ -197,30 +217,30 @@ def sweep(
     neighbours; if more than half the grid is flagged the sweep is
     rejected as degenerate.
 
+    The samples are validated and sorted once into a :class:`ScoreIndex`,
+    so each grid point costs a bisection per subgroup, not a pass over
+    every sample.
+
     Raises:
-        ValueError: bad range/step (requires 0 <= t_min < t_max <= 1,
-            h > 0, and at least two steps across the range).
+        DomainError: bad range/step (see :func:`check_sweep_range`).
+        EmptyInputError: the sample set is empty.
+        MalformedSampleError: a score, label, or subgroup is out of domain.
         SweepDegenerateError: more than 50% of grid points flagged.
     """
     if panel_config is None:
         panel_config = PanelConfig()
-    if not (0.0 <= t_min < t_max <= 1.0):
-        raise ValueError(
-            f"need 0 <= t_min < t_max <= 1, got t_min={t_min!r}, t_max={t_max!r}"
-        )
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h!r}")
-    if (t_max - t_min) / h < 2:
-        raise ValueError("range must span at least two steps")
+    check_sweep_range(t_min, t_max, h)
 
     intervals = int(math.floor((t_max - t_min) / h + _SPACING_TOLERANCE))
-    thresholds = [t_min + i * h for i in range(intervals + 1)]
+    # t_min + i*h can overshoot t_max by an ulp (0.09 + 26*0.035 > 1.0).
+    thresholds = [min(t_min + i * h, t_max) for i in range(intervals + 1)]
 
+    index = ScoreIndex(samples)
     values: list[float | None] = []
     flagged = 0
     for t in thresholds:
         try:
-            values.append(fdi_at_threshold(samples, t, panel_config))
+            values.append(_fdi_from_confusion(index.confusion(t), panel_config))
         except InsufficientSubgroupsError:
             values.append(None)
             flagged += 1

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deployassure import fdi_at_threshold, load_config, parse_predictions
 from deployassure.cli import main
 
 
@@ -109,6 +117,46 @@ class TestEvaluate:
         }
         assert 0.0 <= payload["fdi"] <= 1.0
 
+    def test_verdict_fdi_matches_fdi_at_threshold(
+        self, capsys, tmp_path, predictions_file
+    ):
+        # A partial tolerance map: delta_fpr's own, the default for the rest.
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "min_support": 5,
+                    "fdi": {
+                        "mode": "verdict",
+                        "tolerances": {"delta_fpr": 0.6},
+                        "default_tolerance": 0.05,
+                    },
+                }
+            ),
+            encoding="utf-8",
+        )
+        code, out, _ = run(
+            capsys,
+            "evaluate",
+            "--predictions",
+            predictions_file,
+            "--threshold",
+            "0.5",
+            "--config",
+            str(config),
+            "--format",
+            "json",
+        )
+        assert code == 0
+        expected = fdi_at_threshold(
+            parse_predictions(predictions_file),
+            0.5,
+            load_config(str(config)).panel_config(),
+        )
+        assert json.loads(out)["fdi"] == round(expected, 4)
+        # Only delta_fpr (0.55) clears its tolerance: 1 fair of 4 metrics.
+        assert expected == 0.5
+
 
 class TestSweep:
     def test_table_and_summary(self, capsys, predictions_file):
@@ -139,6 +187,82 @@ class TestSweep:
         )
         assert code == 1
         assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--range", "0.9:0.2:0.05"),
+        ("sweep", "--range", "0:1:0"),
+        ("sweep", "--range", "nan:1:0.1"),
+        ("sweep", "--range", "0.4:0.5:0.1"),
+        ("evaluate", "--threshold", "nan"),
+        ("classify", "--das", "2"),
+    ],
+)
+def test_out_of_domain_value_exits_one_with_one_line(capsys, predictions_file, argv):
+    if argv[0] == "sweep":
+        # A missing file would exit 2: exit 1 shows the range is checked first.
+        argv += ("--predictions", "does-not-exist.csv")
+    elif argv[0] == "evaluate":
+        argv += ("--predictions", predictions_file)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def _emit(argv, path, records):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+    # A byte-backed stdout: lifecycle writes its trace to sys.stdout.buffer.
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    out.flush()
+    return list(csv.reader(io.StringIO(out.buffer.getvalue().decode("utf-8"))))
+
+
+# Any text at all, bar lone surrogates, which no UTF-8 file can hold.
+any_text = st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+class TestCsvRoundTrip:
+    """Subgroup and snapshot strings survive CSV output and re-parsing."""
+
+    @given(st.lists(any_text.filter(bool), min_size=2, max_size=2, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_subgroups(self, groups):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write('{"min_support": 1}')
+            records = [
+                {"sample_id": f"{g}{i}", "score": i / 3, "label": i % 2, "subgroup": g}
+                for g in groups
+                for i in range(4)
+            ]
+            path = os.path.join(tmp, "p.jsonl")
+            argv = ["evaluate", "--predictions", path, "--threshold", "0.5"]
+            rows = _emit(argv + ["--config", config], path, records)
+        assert [row[0] for row in rows[1:3]] == sorted(groups)
+        assert all(len(row) == 10 for row in rows[:3])
+
+    @pytest.mark.parametrize("command,width", [("score", 8), ("lifecycle", 11)])
+    @given(snapshot_ids=st.lists(any_text, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_snapshot_ids(self, command, width, snapshot_ids):
+        signals = {"fdi": 0.1, "delta_fpr": 0.2, "delta_fnr": 0.3, "tsz": 0.4}
+        records = [
+            {"snapshot_id": s, **signals, "remediation_event": 0}
+            for s in snapshot_ids
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.jsonl")
+            rows = _emit([command, "--signals", path], path, records)
+        assert [row[0] for row in rows[1:]] == snapshot_ids
+        assert all(len(row) == width for row in rows)
 
 
 class TestClassify:

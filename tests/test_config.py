@@ -111,6 +111,12 @@ class TestLoading:
         with pytest.raises(ConfigInvalidError):
             load_config(path)
 
+    def test_nan_sweep_step_rejected(self, tmp_path):
+        # json.loads accepts a bare NaN, which fails no <= or < comparison.
+        path = write_config(tmp_path, {"sweep": {"step": float("nan")}})
+        with pytest.raises(ConfigInvalidError, match="^sweep: step"):
+            load_config(path)
+
     def test_panel_needs_two_metrics(self, tmp_path):
         path = write_config(tmp_path, {"panel_metrics": ["delta_fpr"]})
         with pytest.raises(ConfigInvalidError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from deployassure import (
     ConfusionCounts,
+    DomainError,
     EmptyInputError,
     InsufficientSubgroupsError,
     MalformedSampleError,
@@ -22,6 +24,7 @@ from deployassure import (
     macro_mean,
     subgroup_sizes,
 )
+from deployassure.evaluation import ScoreIndex
 
 from conftest import random_samples
 
@@ -55,6 +58,106 @@ def sample_sets(draw, min_size=1, max_size=60, max_groups=4):
         )
         for i in range(n)
     ]
+
+
+# Three-decimal scores, as a model that rounds its outputs would emit:
+# many samples share each score, so ``score >= t`` is tested on exact ties.
+three_decimal_scores = st.integers(0, 1000).map(lambda k: k / 1000)
+
+
+@st.composite
+def tied_sample_sets(draw):
+    pool = draw(st.lists(three_decimal_scores, min_size=1, max_size=6))
+    n_groups = draw(st.integers(1, 4))
+    return [
+        Sample(
+            sample_id=f"s{i}",
+            score=draw(st.sampled_from(pool)),
+            label=draw(st.integers(0, 1)),
+            subgroup=f"g{draw(st.integers(0, n_groups - 1))}",
+        )
+        for i in range(draw(st.integers(1, 80)))
+    ]
+
+
+@st.composite
+def degenerate_subgroup_sets(draw):
+    """Every subgroup has a single member or a single label."""
+    samples = []
+    for g in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("one member", "all positive", "all negative")))
+        if kind == "one member":
+            labels = [draw(st.integers(0, 1))]
+        else:
+            labels = [int(kind == "all positive")] * draw(st.integers(1, 10))
+        for label in labels:
+            samples.append(
+                Sample(f"s{len(samples)}", draw(three_decimal_scores), label, f"g{g}")
+            )
+    return samples
+
+
+def thresholds_at_scores(samples):
+    """Each score, its float neighbours inside [0, 1], and both ends."""
+    out = {0.0, 1.0}
+    for s in samples:
+        for t in (s.score, math.nextafter(s.score, 0.0), math.nextafter(s.score, 1.0)):
+            out.add(t)
+    return sorted(out)
+
+
+def assert_index_matches_oracle(samples, thresholds):
+    index = ScoreIndex(samples)
+    for t in thresholds:
+        # items(), not the dicts: the subgroup order must match as well.
+        assert list(index.confusion(t).items()) == list(
+            compute_confusion(samples, t).items()
+        )
+
+
+class TestScoreIndex:
+    """The sort-once index against the single-pass counter as oracle."""
+
+    @given(sample_sets(), st.lists(st.floats(0, 1), min_size=1, max_size=10))
+    @settings(max_examples=80, deadline=None)
+    def test_random_sets(self, samples, thresholds):
+        assert_index_matches_oracle(samples, thresholds)
+
+    @given(tied_sample_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_tied_scores_at_every_score(self, samples):
+        assert_index_matches_oracle(samples, thresholds_at_scores(samples))
+
+    @given(degenerate_subgroup_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_single_label_and_single_member_subgroups(self, samples):
+        assert_index_matches_oracle(samples, thresholds_at_scores(samples))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(EmptyInputError):
+            ScoreIndex([])
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_threshold_out_of_range(self, threshold):
+        index = ScoreIndex([Sample("s1", 0.5, 1, "A")])
+        with pytest.raises(DomainError):
+            index.confusion(threshold)
+        with pytest.raises(DomainError):
+            compute_confusion([Sample("s1", 0.5, 1, "A")], threshold)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Sample("bad1", 1.5, 1, "A"),
+            Sample("bad2", float("nan"), 0, "A"),
+            Sample("bad3", 0.5, 2, "A"),
+            Sample("bad4", 0.5, 1, ""),
+        ],
+    )
+    def test_malformed_sample_names_offender(self, bad):
+        with pytest.raises(MalformedSampleError) as excinfo:
+            ScoreIndex([Sample("ok", 0.5, 1, "A"), bad, Sample("bad9", 2.0, 1, "A")])
+        assert excinfo.value.sample_id == bad.sample_id
 
 
 class TestComputeConfusion:

@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import deployassure.evaluation
+import deployassure.stability
 from deployassure import (
     ConfigInvalidError,
+    DomainError,
+    EmptyInputError,
     FdiProfile,
+    MalformedSampleError,
     Sample,
     SensitivityPoint,
     SensitivityProfile,
@@ -78,12 +83,64 @@ class TestSweep:
         with pytest.raises(SweepDegenerateError):
             sweep(samples, panel_config=PanelConfig(min_support=1))
 
+    @pytest.mark.parametrize(
+        "t_min,t_max,h",
+        [
+            (0.9, 0.2, 0.05),
+            (0.0, 1.0, 0.0),
+            (float("nan"), 1.0, 0.1),
+            (0.0, float("nan"), 0.1),
+            (0.0, 1.0, float("nan")),
+            (0.0, 1.0, float("inf")),
+            (0.4, 0.5, 0.1),
+        ],
+    )
+    def test_bad_range_rejected_before_samples_are_read(self, t_min, t_max, h):
+        with pytest.raises(DomainError):
+            sweep([], t_min, t_max, h)
+
+    def test_grid_never_passes_t_max(self):
+        # In floating point 0.09 + 26 * 0.035 is 1.0000000000000002.
+        profile = sweep(make_dataset(), 0.09, 1.0, 0.035)
+        assert len(profile.points) == 27
+        assert profile.thresholds[-1] == 1.0
+
     def test_matches_single_threshold_evaluation(self):
         samples = make_dataset()
         config = PanelConfig()
         profile = sweep(samples, panel_config=config)
-        for t, value in profile.points[:4]:
+        for t, value in profile.points:
             assert value == fdi_at_threshold(samples, t, config)
+
+    def test_malformed_sample_named(self):
+        samples = make_dataset() + [Sample("bad7", 1.5, 1, "A")]
+        with pytest.raises(MalformedSampleError) as excinfo:
+            sweep(samples)
+        assert excinfo.value.sample_id == "bad7"
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(EmptyInputError):
+            sweep([])
+
+    def test_no_single_threshold_pass_per_grid_point(self, monkeypatch):
+        # Counts, not timings: a sweep that rescans every sample at each
+        # grid point would call compute_confusion once per point.
+        calls = []
+
+        def counting(samples, threshold):
+            calls.append(threshold)
+            return original(samples, threshold)
+
+        original = deployassure.evaluation.compute_confusion
+        monkeypatch.setattr(deployassure.evaluation, "compute_confusion", counting)
+        monkeypatch.setattr(deployassure.stability, "compute_confusion", counting)
+        samples = make_dataset()
+        profile = sweep(samples, 0.0, 1.0, 0.005)
+        assert len(profile.points) == 201
+        assert calls == []
+        # The patch is live: the single-threshold path goes through it.
+        fdi_at_threshold(samples, 0.5, PanelConfig())
+        assert calls == [0.5]
 
 
 class TestFillFlagged:
