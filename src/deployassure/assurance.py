@@ -122,12 +122,12 @@ def validate_weights(weights: WeightVector) -> None:
     """Check the simplex constraints: non-negative, summing to one.
 
     Raises:
-        NegativeWeightError: any coefficient below zero.
+        NegativeWeightError: any coefficient below zero, or NaN.
         WeightSumError: coefficients do not sum to 1 within 1e-9.
     """
     for name, value in zip(("alpha", "beta", "gamma", "delta"), weights.as_tuple()):
-        if value < 0:
-            raise NegativeWeightError(f"{name} is negative: {value!r}")
+        if not value >= 0:  # NaN fails too
+            raise NegativeWeightError(f"{name} must be >= 0, got {value!r}")
     total = sum(weights.as_tuple())
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise WeightSumError(total)
@@ -209,8 +209,15 @@ def classify_drc(
         state = DeploymentState.ESCALATED_GOVERNANCE
     else:
         state = DeploymentState.BLOCKED_DEPLOYMENT
+    return fragility_cap(state, worst_zone)
+
+
+def fragility_cap(
+    state: DeploymentState, worst_zone: ZoneLabel | None
+) -> DeploymentState:
+    """Cap a state at EscalatedGovernance when the sweep hit GovernanceFragility."""
     if worst_zone is ZoneLabel.GOVERNANCE_FRAGILITY:
-        state = less_favorable(state, DeploymentState.ESCALATED_GOVERNANCE)
+        return less_favorable(state, DeploymentState.ESCALATED_GOVERNANCE)
     return state
 
 
@@ -263,8 +270,15 @@ def compute_ges(
 
 
 def remediation_progression(das_prev: float, das_next: float) -> float:
-    """Assurance-score change across an intervention (next minus previous)."""
-    for name, value in (("das_prev", das_prev), ("das_next", das_next)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} out of range [0, 1]: {value!r}")
+    """Assurance-score change across an intervention (next minus previous).
+
+    This is ``r_p``; a remediation with no explicit ``r_m`` inherits it.
+
+    Raises:
+        DomainError: either score outside [0, 1].
+    """
+    if not 0.0 <= das_prev <= 1.0:
+        raise DomainError(f"das_prev out of range [0, 1]: {das_prev!r}")
+    if not 0.0 <= das_next <= 1.0:
+        raise DomainError(f"das_next out of range [0, 1]: {das_next!r}")
     return das_next - das_prev

@@ -28,6 +28,7 @@ from .disagreement import compute_fdi, panel_from_gaps
 from .errors import EngineError
 from .evaluation import (
     GAP_METRICS,
+    check_threshold,
     compute_confusion,
     compute_gaps,
     compute_rates,
@@ -37,6 +38,7 @@ from .evaluation import (
 from .io import parse_predictions, parse_signals
 from .lifecycle import (
     DEFAULT_INITIAL_STATE,
+    _round4,
     build_assessments,
     csv_writer,
     emit_trace,
@@ -66,10 +68,6 @@ def _cell(value: float | None) -> str:
     return "" if value is None else format_real(value)
 
 
-def _round4(value: float | None) -> float | None:
-    return None if value is None else float(format_real(value))
-
-
 def _write(text: str) -> None:
     sys.stdout.write(text)
 
@@ -92,6 +90,7 @@ def _parse_range(raw: str) -> tuple[float, float, float]:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    check_threshold(args.threshold)
     samples = parse_predictions(args.predictions)
     confusion = compute_confusion(samples, args.threshold)
     rates = {group: compute_rates(c) for group, c in confusion.items()}
@@ -240,18 +239,12 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_lifecycle(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    rows = parse_signals(args.signals)
-    assessments = build_assessments(
-        rows,
-        weights=config.weights,
-        bands=config.bands,
-        ges_thresholds=config.ges_thresholds,
-    )
     rules = config.rules_config()
     if args.gating is not None:
         rules = replace(rules, recovery_gating=args.gating == "on")
-    initial = DeploymentState(args.initial)
-    trace = replay(assessments, initial, rules)
+    rows = parse_signals(args.signals)
+    assessments = build_assessments(rows, rules)
+    trace = replay(assessments, DeploymentState(args.initial), rules)
     sys.stdout.buffer.write(emit_trace(trace, args.format))
     sys.stdout.buffer.flush()
     return 0

@@ -98,7 +98,7 @@ class EngineConfig:
                 raise ConfigInvalidError(f"panel_metrics: unknown metric {metric!r}")
         if len(set(self.panel_metrics)) != len(self.panel_metrics):
             raise ConfigInvalidError("panel_metrics: metrics must be unique")
-        if self.hysteresis < 0:
+        if not self.hysteresis >= 0:  # NaN fails too
             raise ConfigInvalidError(
                 f"hysteresis: must be >= 0, got {self.hysteresis!r}"
             )
@@ -106,7 +106,7 @@ class EngineConfig:
             raise ConfigInvalidError(
                 f"min_support: must be a positive integer, got {self.min_support!r}"
             )
-        if self.s_ref <= 0:
+        if not self.s_ref > 0:
             raise ConfigInvalidError(
                 f"tsz.s_ref: must be positive, got {self.s_ref!r}"
             )
@@ -130,38 +130,13 @@ class EngineConfig:
             bands=self.bands,
             recovery_gating=self.recovery_gating,
             hysteresis=self.hysteresis,
+            weights=self.weights,
+            ges_thresholds=self.ges_thresholds,
         )
 
     def fingerprint(self) -> str:
         """Stable hash of the fully resolved configuration."""
-        return canonical_fingerprint(
-            {
-                "weights": list(self.weights.as_tuple()),
-                "bands": [
-                    self.bands.b_deployable,
-                    self.bands.b_restricted,
-                    self.bands.b_reassessment,
-                    self.bands.b_escalated,
-                ],
-                "zones": [self.zones.z1, self.zones.z2, self.zones.z3],
-                "ges_thresholds": {
-                    "fdi": list(self.ges_thresholds.fdi),
-                    "delta_fpr": list(self.ges_thresholds.delta_fpr),
-                    "delta_fnr": list(self.ges_thresholds.delta_fnr),
-                    "tsz": list(self.ges_thresholds.tsz),
-                },
-                "sweep": [self.sweep_t_min, self.sweep_t_max, self.sweep_step],
-                "fdi_mode": self.fdi_mode,
-                "fdi_tolerances": sorted(self.fdi_tolerances),
-                "default_tolerance": self.default_tolerance,
-                "panel_metrics": list(self.panel_metrics),
-                "recovery_gating": self.recovery_gating,
-                "hysteresis": self.hysteresis,
-                "min_support": self.min_support,
-                "s_ref": self.s_ref,
-                "aggregation": self.aggregation,
-            }
-        )
+        return canonical_fingerprint(self)
 
 
 _TOP_LEVEL_KEYS = {
@@ -302,9 +277,12 @@ def load_config(path: str | None = None) -> EngineConfig:
                 raise ConfigInvalidError(
                     f"fdi.tolerances: expected an object, got {tolerances!r}"
                 )
+            # Sorted, so the key order in the file leaves the fingerprint alone.
             kwargs["fdi_tolerances"] = tuple(
-                (metric, _as_float(tau, f"fdi.tolerances.{metric}"))
-                for metric, tau in tolerances.items()
+                sorted(
+                    (metric, _as_float(tau, f"fdi.tolerances.{metric}"))
+                    for metric, tau in tolerances.items()
+                )
             )
 
     if "panel_metrics" in raw:

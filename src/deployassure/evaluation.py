@@ -107,7 +107,8 @@ def _check_sample(sample: Sample) -> None:
         raise MalformedSampleError(sample.sample_id, "subgroup is empty")
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float) -> None:
+    """Raise :class:`DomainError` for a threshold outside [0, 1] or NaN."""
     if not 0.0 <= threshold <= 1.0:
         raise DomainError(f"threshold must lie in [0, 1], got {threshold!r}")
 
@@ -124,7 +125,7 @@ def compute_confusion(
         MalformedSampleError: a score, label, or subgroup is out of domain.
         DomainError: threshold outside [0, 1].
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     samples = list(samples)
     if not samples:
         raise EmptyInputError("sample set is empty")
@@ -180,7 +181,7 @@ class ScoreIndex:
         Raises:
             DomainError: threshold outside [0, 1].
         """
-        _check_threshold(threshold)
+        check_threshold(threshold)
         out: dict[str, ConfusionCounts] = {}
         for group, (positives, negatives) in self._groups.items():
             fn = bisect_left(positives, threshold)

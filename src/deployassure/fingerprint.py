@@ -1,12 +1,19 @@
-"""Deterministic fingerprints for configuration payloads."""
+"""Deterministic fingerprints for configuration dataclasses."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+from typing import Any
 
 
-def canonical_fingerprint(payload: object) -> str:
-    """Hash a JSON-serialisable payload to a short stable hex string."""
+def canonical_fingerprint(config: Any) -> str:
+    """Hash every field of a config dataclass to a short stable hex string.
+
+    Nested dataclasses and tuples serialise as JSON objects and lists with
+    sorted keys, so a change to any field's value changes the fingerprint.
+    """
+    payload = dataclasses.asdict(config)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

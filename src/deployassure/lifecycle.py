@@ -40,11 +40,12 @@ from .assurance import (
     classify_drc,
     compute_das,
     compute_ges,
+    fragility_cap,
     less_favorable,
+    remediation_progression,
 )
 from .errors import EmptySequenceError
 from .fingerprint import canonical_fingerprint
-from .stability import ZoneLabel
 
 REASON_DAS_BAND = "das_band_change"
 REASON_FRAGILITY = "fragility_override"
@@ -71,29 +72,20 @@ TRACE_COLUMNS = (
 
 @dataclass(frozen=True)
 class RulesConfig:
-    """Active transition rules: bands, recovery gating, hysteresis."""
+    """Scoring and replay inputs: bands, gating, hysteresis, weights, GES cuts."""
 
     bands: DrcBands = DEFAULT_BANDS
     recovery_gating: bool = True
     hysteresis: float = DEFAULT_HYSTERESIS
+    weights: WeightVector = DEFAULT_WEIGHTS
+    ges_thresholds: GesThresholds = DEFAULT_GES_THRESHOLDS
 
     def __post_init__(self) -> None:
-        if self.hysteresis < 0:
+        if not self.hysteresis >= 0:  # NaN fails too
             raise ValueError(f"hysteresis must be >= 0, got {self.hysteresis!r}")
 
     def fingerprint(self) -> str:
-        return canonical_fingerprint(
-            {
-                "bands": [
-                    self.bands.b_deployable,
-                    self.bands.b_restricted,
-                    self.bands.b_reassessment,
-                    self.bands.b_escalated,
-                ],
-                "recovery_gating": self.recovery_gating,
-                "hysteresis": self.hysteresis,
-            }
-        )
+        return canonical_fingerprint(self)
 
 
 @dataclass(frozen=True)
@@ -133,11 +125,16 @@ class GovernanceTrace:
     config_fingerprint: str
 
 
+def _backfill_r_m(signals: AssuranceSignals, r_p: float | None) -> AssuranceSignals:
+    """Give a remediation event with no explicit ``r_m`` its ``r_p``."""
+    if signals.remediation_event and signals.r_m is None and r_p is not None:
+        return replace(signals, r_m=r_p)
+    return signals
+
+
 def build_assessments(
     rows: Iterable[tuple[str, AssuranceSignals]],
-    weights: WeightVector = DEFAULT_WEIGHTS,
-    bands: DrcBands = DEFAULT_BANDS,
-    ges_thresholds: GesThresholds = DEFAULT_GES_THRESHOLDS,
+    rules: RulesConfig = RulesConfig(),
 ) -> list[SnapshotAssessment]:
     """Score an ordered signal sequence into snapshot assessments.
 
@@ -149,30 +146,21 @@ def build_assessments(
     assessments: list[SnapshotAssessment] = []
     prev_das: float | None = None
     for snapshot_id, signals in rows:
-        das = compute_das(signals, weights)
-        r_p = None if prev_das is None else das - prev_das
-        if signals.remediation_event and signals.r_m is None and r_p is not None:
-            signals = replace(signals, r_m=r_p)
+        das = compute_das(signals, rules.weights)
+        r_p = None if prev_das is None else remediation_progression(prev_das, das)
+        signals = _backfill_r_m(signals, r_p)
         assessments.append(
             SnapshotAssessment(
                 snapshot_id=snapshot_id,
                 signals=signals,
                 das=das,
-                stateless_drc=classify_drc(das, bands),
-                ges=compute_ges(signals, ges_thresholds),
+                stateless_drc=classify_drc(das, rules.bands),
+                ges=compute_ges(signals, rules.ges_thresholds),
                 r_p=r_p,
             )
         )
         prev_das = das
     return assessments
-
-
-def _effective_r_m(assessment: SnapshotAssessment) -> float | None:
-    if not assessment.signals.remediation_event:
-        return None
-    if assessment.signals.r_m is not None:
-        return assessment.signals.r_m
-    return assessment.r_p
 
 
 def step(
@@ -184,11 +172,12 @@ def step(
 
     Returns the new state and a transition record, or ``(current, None)``
     when the state holds (same band, or an ungated/unearned recovery).
+    A failed remediation is read from ``signals.r_m`` alone: the ``r_p``
+    backfill of a missing ``r_m`` (see :func:`replay`) happens before
+    ``step`` is called.
     """
     band_state = assessment.stateless_drc
-    target = band_state
-    if assessment.signals.worst_zone is ZoneLabel.GOVERNANCE_FRAGILITY:
-        target = less_favorable(band_state, DeploymentState.ESCALATED_GOVERNANCE)
+    target = fragility_cap(band_state, assessment.signals.worst_zone)
 
     if target.favorability < current.favorability:
         reasons: list[str] = []
@@ -196,7 +185,7 @@ def step(
             reasons.append(REASON_DAS_BAND)
         if target.favorability < band_state.favorability:
             reasons.append(REASON_FRAGILITY)
-        r_m = _effective_r_m(assessment)
+        r_m = assessment.signals.r_m
         if r_m is not None and r_m < 0:
             reasons.append(REASON_FAILED_REMEDIATION)
         record = TransitionRecord(
@@ -263,15 +252,11 @@ def replay(
                 f"{expected.value} under the active bands"
             )
         if assessment.r_p is None and prev_das is not None:
-            assessment = replace(assessment, r_p=assessment.das - prev_das)
-        if (
-            assessment.signals.remediation_event
-            and assessment.signals.r_m is None
-            and assessment.r_p is not None
-        ):
-            assessment = replace(
-                assessment, signals=replace(assessment.signals, r_m=assessment.r_p)
-            )
+            r_p = remediation_progression(prev_das, assessment.das)
+            assessment = replace(assessment, r_p=r_p)
+        signals = _backfill_r_m(assessment.signals, assessment.r_p)
+        if signals is not assessment.signals:
+            assessment = replace(assessment, signals=signals)
         current, record = step(current, assessment, rules)
         entries.append(
             TraceEntry(
@@ -289,8 +274,9 @@ def format_real(value: float) -> str:
     return f"{value:.4f}"
 
 
-def _round4(value: float) -> float:
-    return float(format_real(value))
+def _round4(value: float | None) -> float | None:
+    """:func:`format_real`'s rounding as a float; ``None`` passes through."""
+    return None if value is None else float(format_real(value))
 
 
 class _LineFeedRows:
@@ -371,13 +357,9 @@ def emit_trace(trace: GovernanceTrace, format: str = "csv") -> bytes:
                         "from_state": e.transition.from_state.value,
                         "to_state": e.transition.to_state.value,
                         "trigger_reasons": list(e.transition.trigger_reasons),
-                        "r_p": None
-                        if e.transition.r_p is None
-                        else _round4(e.transition.r_p),
+                        "r_p": _round4(e.transition.r_p),
                     },
-                    "r_p": None
-                    if e.assessment.r_p is None
-                    else _round4(e.assessment.r_p),
+                    "r_p": _round4(e.assessment.r_p),
                 }
                 for e in trace.entries
             ],

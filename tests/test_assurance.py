@@ -84,6 +84,11 @@ class TestValidateWeights:
         with pytest.raises(NegativeWeightError):
             validate_weights(WeightVector(0.5, 0.5, 0.5, -0.5))
 
+    def test_nan_weight_rejected(self):
+        # A NaN sum fails no tolerance test, so the per-weight check must catch it.
+        with pytest.raises(NegativeWeightError, match="delta must be >= 0, got nan"):
+            validate_weights(WeightVector(0.5, 0.25, 0.25, float("nan")))
+
     def test_sum_not_one_reports_actual(self):
         with pytest.raises(WeightSumError) as excinfo:
             validate_weights(WeightVector(0.3, 0.3, 0.3, 0.0))

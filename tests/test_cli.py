@@ -75,6 +75,40 @@ class TestLifecycle:
         assert len(payload["entries"]) == 3
 
 
+def trace_fingerprint(capsys, tmp_path, signals_file, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ("lifecycle", "--signals", signals_file, "--format", "json")
+    code, out, _ = run(capsys, *argv, "--config", str(path))
+    assert code == 0
+    return json.loads(out)["config_fingerprint"]
+
+
+class TestTraceFingerprint:
+    """The trace fingerprint moves exactly when a trace input moves."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"weights": {"alpha": 0.4, "beta": 0.2, "gamma": 0.2, "delta": 0.2}},
+            {"ges_thresholds": {"fdi": [0.1, 0.2, 0.3]}},
+        ],
+        ids=["weights", "ges_thresholds"],
+    )
+    def test_trace_input_changes_it(self, capsys, tmp_path, signals_file, config):
+        default = trace_fingerprint(capsys, tmp_path, signals_file, {})
+        assert trace_fingerprint(capsys, tmp_path, signals_file, config) != default
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"zone_boundaries": [0.2, 0.7, 1.4]}, {"sweep": {"step": 0.1}}],
+        ids=["zone_boundaries", "sweep"],
+    )
+    def test_other_input_leaves_it(self, capsys, tmp_path, signals_file, config):
+        default = trace_fingerprint(capsys, tmp_path, signals_file, {})
+        assert trace_fingerprint(capsys, tmp_path, signals_file, config) == default
+
+
 class TestEvaluate:
     def test_small_dataset_needs_min_support_override(
         self, capsys, tmp_path, predictions_file
@@ -211,6 +245,36 @@ def test_out_of_domain_value_exits_one_with_one_line(capsys, predictions_file, a
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_threshold_checked_before_predictions_are_read(capsys):
+    code, out, err = run(
+        capsys, "evaluate", "--threshold", "nan", "--predictions", "missing.csv"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: threshold must lie in [0, 1], got nan\n"
+
+
+@pytest.mark.parametrize(
+    "config,field",
+    [
+        (
+            {"weights": {"alpha": 0.5, "beta": 0.5, "gamma": 0.0, "delta": "NaN"}},
+            "delta",
+        ),
+        ({"hysteresis": "NaN"}, "hysteresis"),
+        ({"tsz": {"s_ref": "NaN"}}, "tsz.s_ref"),
+    ],
+    ids=["weights", "hysteresis", "s_ref"],
+)
+def test_nan_config_value_exits_one(capsys, tmp_path, config, field):
+    # json.loads reads a bare NaN, which passes any check written as `x < 0`.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"NaN"', "NaN"), encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--das", "0.5", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and field in err and "nan" in err
 
 
 def _emit(argv, path, records):

@@ -155,6 +155,13 @@ class TestFingerprint:
         )
         assert explicit.fingerprint() == EngineConfig().fingerprint()
 
+    def test_tolerance_key_order_does_not_matter(self, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text('{"fdi": {"tolerances": {"delta_fpr": 0.1, "delta_sr": 0.2}}}')
+        b.write_text('{"fdi": {"tolerances": {"delta_sr": 0.2, "delta_fpr": 0.1}}}')
+        assert load_config(str(a)).fingerprint() == load_config(str(b)).fingerprint()
+
     def test_changes_when_a_value_changes(self, tmp_path):
         base = load_config(None)
         other = load_config(write_config(tmp_path, {"hysteresis": 0.04}))

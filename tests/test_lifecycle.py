@@ -11,9 +11,12 @@ from deployassure import (
     AssuranceSignals,
     DeploymentState,
     EmptySequenceError,
+    EscalationLevel,
+    GesThresholds,
     RulesConfig,
     SnapshotAssessment,
     TransitionRecord,
+    WeightVector,
     ZoneLabel,
     build_assessments,
     classify_drc,
@@ -252,3 +255,18 @@ class TestEmitTrace:
         gated = replay(assessments)
         ungated = replay(assessments, rules=RulesConfig(recovery_gating=False))
         assert gated.config_fingerprint != ungated.config_fingerprint
+
+
+class TestRulesConfig:
+    def test_nan_hysteresis_rejected(self):
+        with pytest.raises(ValueError, match="hysteresis"):
+            RulesConfig(hysteresis=float("nan"))
+
+    def test_weights_and_cuts_reach_the_assessments(self):
+        rules = RulesConfig(
+            weights=WeightVector(1.0, 0.0, 0.0, 0.0),
+            ges_thresholds=GesThresholds(fdi=(0.1, 0.2, 0.3)),
+        )
+        first = build_assessments(REFERENCE_ROWS, rules)[0]
+        assert first.das == pytest.approx(1.0 - 0.68)
+        assert first.ges is EscalationLevel.CRITICAL  # High under default cuts
