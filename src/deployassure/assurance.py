@@ -106,16 +106,18 @@ class AssuranceSignals:
 
 @dataclass(frozen=True)
 class WeightVector:
+    """DAS weights; construction checks the simplex (see validate_weights)."""
+
     alpha: float
     beta: float
     gamma: float
     delta: float
 
+    def __post_init__(self) -> None:
+        validate_weights(self)
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta)
-
-
-DEFAULT_WEIGHTS = WeightVector(0.25, 0.25, 0.25, 0.25)
 
 
 def validate_weights(weights: WeightVector) -> None:
@@ -131,6 +133,9 @@ def validate_weights(weights: WeightVector) -> None:
     total = sum(weights.as_tuple())
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise WeightSumError(total)
+
+
+DEFAULT_WEIGHTS = WeightVector(0.25, 0.25, 0.25, 0.25)
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ class DrcBands:
         )
         if not all(hi > lo for hi, lo in zip(ordered, ordered[1:])):
             raise ConfigInvalidError(
-                "bands must satisfy 1 > deployable > restricted > "
+                "bands: must satisfy 1 > deployable > restricted > "
                 f"reassessment > escalated > 0, got {self}"
             )
 
@@ -175,7 +180,6 @@ def compute_das(
     signals: AssuranceSignals, weights: WeightVector = DEFAULT_WEIGHTS
 ) -> float:
     """Weighted aggregate of signal complements; 1 is perfect assurance."""
-    validate_weights(weights)
     return (
         weights.alpha * (1.0 - signals.fdi)
         + weights.beta * (1.0 - signals.delta_fpr)
@@ -235,7 +239,8 @@ class GesThresholds:
             cuts = getattr(self, name)
             if len(cuts) != 3 or not cuts[0] < cuts[1] < cuts[2]:
                 raise ConfigInvalidError(
-                    f"{name} severity cuts must be three ascending values, got {cuts!r}"
+                    f"ges_thresholds.{name}: must be three ascending values, "
+                    f"got {cuts!r}"
                 )
 
 

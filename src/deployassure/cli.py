@@ -89,13 +89,12 @@ def _parse_range(raw: str) -> tuple[float, float, float]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    panel_config = load_config(args.config).panel
     check_threshold(args.threshold)
     samples = parse_predictions(args.predictions)
     confusion = compute_confusion(samples, args.threshold)
     rates = {group: compute_rates(c) for group, c in confusion.items()}
-    gaps = compute_gaps(rates, subgroup_sizes(confusion), config.min_support)
-    panel_config = config.panel_config()
+    gaps = compute_gaps(rates, subgroup_sizes(confusion), panel_config.min_support)
     panel = panel_from_gaps(gaps, panel_config.metrics, panel_config.panel_tolerances())
     fdi = compute_fdi(panel, panel_config.mode)
 
@@ -158,7 +157,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         t_min, t_max, step = config.sweep_t_min, config.sweep_t_max, config.sweep_step
     samples = parse_predictions(args.predictions)
-    profile = sweep(samples, t_min, t_max, step, config.panel_config())
+    profile = sweep(samples, t_min, t_max, step, config.panel)
     sens = sensitivity(profile, config.zones)
     scalar = tsz_scalar(sens, config.aggregation, config.s_ref)
     harshest = worst_zone(sens)
@@ -198,12 +197,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    rules = load_config(args.config).rules
     rows = parse_signals(args.signals)
     reals = ("fdi", "delta_fpr", "delta_fnr", "tsz", "das")
     scored = []
     for snapshot_id, signals in rows:
-        das = compute_das(signals, config.weights)
+        das = compute_das(signals, rules.weights)
         scored.append(
             {
                 "snapshot_id": snapshot_id,
@@ -212,8 +211,8 @@ def cmd_score(args: argparse.Namespace) -> int:
                 "delta_fnr": signals.delta_fnr,
                 "tsz": signals.tsz,
                 "das": das,
-                "ges": compute_ges(signals, config.ges_thresholds).value,
-                "drc": classify_drc(das, config.bands).value,
+                "ges": compute_ges(signals, rules.ges_thresholds).value,
+                "drc": classify_drc(das, rules.bands).value,
             }
         )
 
@@ -238,8 +237,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_lifecycle(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    rules = config.rules_config()
+    rules = load_config(args.config).rules
     if args.gating is not None:
         rules = replace(rules, recovery_gating=args.gating == "on")
     rows = parse_signals(args.signals)
@@ -251,8 +249,7 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    state = classify_drc(args.das, config.bands)
+    state = classify_drc(args.das, load_config(args.config).rules.bands)
     _write(state.value + "\n")
     return 0
 

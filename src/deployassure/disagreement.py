@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InsufficientPanelError, MissingToleranceError
-from .evaluation import DEFAULT_MIN_SUPPORT, DisparityGaps
+from .errors import ConfigInvalidError, InsufficientPanelError, MissingToleranceError
+from .evaluation import DEFAULT_MIN_SUPPORT, GAP_METRICS, DisparityGaps
 
 MODE_CONTINUOUS = "continuous"
 MODE_VERDICT = "verdict"
@@ -39,13 +39,48 @@ class FdiValue:
 
 @dataclass(frozen=True)
 class PanelConfig:
-    """Recipe for evaluating a disagreement index from raw samples."""
+    """Recipe for evaluating a disagreement index from raw samples.
+
+    Errors name the config-file key that sets the field: ``panel_metrics``,
+    ``fdi.mode``, ``fdi.tolerances``, ``fdi.default_tolerance`` and
+    ``min_support``.
+    """
 
     metrics: tuple[str, ...] = DEFAULT_PANEL_METRICS
     mode: str = MODE_CONTINUOUS
     tolerances: Mapping[str, float] | None = None
     default_tolerance: float = DEFAULT_VERDICT_TOLERANCE
     min_support: int = DEFAULT_MIN_SUPPORT
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ConfigInvalidError(
+                f"fdi.mode: must be one of {MODES}, got {self.mode!r}"
+            )
+        if not 0.0 <= self.default_tolerance <= 1.0:
+            raise ConfigInvalidError(
+                "fdi.default_tolerance: out of range [0, 1]: "
+                f"{self.default_tolerance!r}"
+            )
+        for metric, tau in (self.tolerances or {}).items():
+            if metric not in GAP_METRICS:
+                raise ConfigInvalidError(f"fdi.tolerances: unknown metric {metric!r}")
+            if not 0.0 <= tau <= 1.0:
+                raise ConfigInvalidError(
+                    f"fdi.tolerances.{metric}: out of range [0, 1]: {tau!r}"
+                )
+        if len(self.metrics) < 2:
+            raise ConfigInvalidError("panel_metrics: need at least 2 metrics")
+        for metric in self.metrics:
+            if metric not in GAP_METRICS:
+                raise ConfigInvalidError(f"panel_metrics: unknown metric {metric!r}")
+        if len(set(self.metrics)) != len(self.metrics):
+            raise ConfigInvalidError("panel_metrics: metrics must be unique")
+        support = self.min_support
+        if isinstance(support, bool) or not isinstance(support, int) or support < 1:
+            raise ConfigInvalidError(
+                f"min_support: must be a positive integer, got {support!r}"
+            )
 
     def panel_tolerances(self) -> Mapping[str, float] | None:
         """Tolerances to score a panel against.

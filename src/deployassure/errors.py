@@ -70,8 +70,12 @@ class WeightSumError(EngineError):
         )
 
 
-class ConfigInvalidError(EngineError):
-    """A configuration value violates its constraints."""
+class ConfigInvalidError(EngineError, ValueError):
+    """A configuration value violates its constraints.
+
+    Raised by the config type that owns the value, so it is also a
+    :class:`ValueError`, like any other bad constructor argument.
+    """
 
 
 class EmptySequenceError(EngineError):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence, TextIO
 
@@ -44,7 +45,7 @@ from .assurance import (
     less_favorable,
     remediation_progression,
 )
-from .errors import EmptySequenceError
+from .errors import ConfigInvalidError, EmptySequenceError
 from .fingerprint import canonical_fingerprint
 
 REASON_DAS_BAND = "das_band_change"
@@ -81,8 +82,10 @@ class RulesConfig:
     ges_thresholds: GesThresholds = DEFAULT_GES_THRESHOLDS
 
     def __post_init__(self) -> None:
-        if not self.hysteresis >= 0:  # NaN fails too
-            raise ValueError(f"hysteresis must be >= 0, got {self.hysteresis!r}")
+        if not 0 <= self.hysteresis < math.inf:  # NaN fails too
+            raise ConfigInvalidError(
+                f"hysteresis: must be finite and >= 0, got {self.hysteresis!r}"
+            )
 
     def fingerprint(self) -> str:
         return canonical_fingerprint(self)

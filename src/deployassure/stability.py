@@ -77,7 +77,7 @@ class ZoneConfig:
     def __post_init__(self) -> None:
         if not 0 < self.z1 < self.z2 < self.z3:
             raise ConfigInvalidError(
-                "zone boundaries must satisfy 0 < z1 < z2 < z3, "
+                "zone_boundaries: must satisfy 0 < z1 < z2 < z3, "
                 f"got ({self.z1!r}, {self.z2!r}, {self.z3!r})"
             )
 

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from deployassure import fdi_at_threshold, load_config, parse_predictions
 from deployassure.cli import main
 
+from conftest import SIGNALS_CSV
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -185,7 +187,7 @@ class TestEvaluate:
         expected = fdi_at_threshold(
             parse_predictions(predictions_file),
             0.5,
-            load_config(str(config)).panel_config(),
+            load_config(str(config)).panel,
         )
         assert json.loads(out)["fdi"] == round(expected, 4)
         # Only delta_fpr (0.55) clears its tolerance: 1 fair of 4 metrics.
@@ -264,17 +266,45 @@ def test_threshold_checked_before_predictions_are_read(capsys):
         ),
         ({"hysteresis": "NaN"}, "hysteresis"),
         ({"tsz": {"s_ref": "NaN"}}, "tsz.s_ref"),
+        ({"hysteresis": "Infinity"}, "hysteresis"),
+        ({"tsz": {"s_ref": "Infinity"}}, "tsz.s_ref"),
     ],
-    ids=["weights", "hysteresis", "s_ref"],
+    ids=["weights", "hysteresis", "s_ref", "hysteresis-inf", "s_ref-inf"],
 )
 def test_nan_config_value_exits_one(capsys, tmp_path, config, field):
-    # json.loads reads a bare NaN, which passes any check written as `x < 0`.
+    # json.loads reads a bare NaN, which passes any check written as `x < 0`,
+    # and a bare Infinity, which passes any check written as `x > 0`.
+    bad = "NaN" if "NaN" in json.dumps(config) else "Infinity"
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config).replace('"NaN"', "NaN"), encoding="utf-8")
+    path.write_text(json.dumps(config).replace(f'"{bad}"', bad), encoding="utf-8")
     code, out, err = run(capsys, "classify", "--das", "0.5", "--config", str(path))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and field in err and "nan" in err
+    assert err.startswith("error: ") and field in err and repr(float(bad)) in err
+
+
+def test_duplicate_ids_are_kept(capsys, tmp_path):
+    # An id only labels error messages: every row counts, in file order.
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text(
+        "sample_id,score,label,subgroup\ns1,0.9,1,A\ns1,0.2,0,A\n"
+        "s2,0.8,1,B\ns3,0.3,0,B\n",
+        encoding="utf-8",
+    )
+    config = tmp_path / "config.json"
+    config.write_text('{"min_support": 1}', encoding="utf-8")
+    argv = ("--predictions", str(predictions), "--threshold", "0.5")
+    code, out, _ = run(
+        capsys, "evaluate", *argv, "--config", str(config), "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["subgroups"]["A"]["n"] == 2
+    signals = tmp_path / "signals.csv"
+    signals.write_text(SIGNALS_CSV.replace("mitigation_a", "baseline"), encoding="utf-8")
+    code, out, _ = run(capsys, "lifecycle", "--signals", str(signals))
+    assert code == 0
+    ids = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert ids == ["baseline", "baseline", "mitigation_b"]
 
 
 def _emit(argv, path, records):

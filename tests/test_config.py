@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from deployassure import ConfigInvalidError, EngineConfig, load_config
+from deployassure import (
+    ConfigInvalidError,
+    EngineConfig,
+    PanelConfig,
+    RulesConfig,
+    load_config,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, payload):
@@ -18,12 +27,12 @@ def write_config(tmp_path, payload):
 class TestDefaults:
     def test_no_file_gives_documented_defaults(self):
         config = load_config(None)
-        assert config.weights.as_tuple() == (0.25, 0.25, 0.25, 0.25)
+        assert config.rules.weights.as_tuple() == (0.25, 0.25, 0.25, 0.25)
         assert (
-            config.bands.b_deployable,
-            config.bands.b_restricted,
-            config.bands.b_reassessment,
-            config.bands.b_escalated,
+            config.rules.bands.b_deployable,
+            config.rules.bands.b_restricted,
+            config.rules.bands.b_reassessment,
+            config.rules.bands.b_escalated,
         ) == (0.85, 0.65, 0.50, 0.30)
         assert (config.zones.z1, config.zones.z2, config.zones.z3) == (0.25, 0.75, 1.5)
         assert (config.sweep_t_min, config.sweep_t_max, config.sweep_step) == (
@@ -31,17 +40,17 @@ class TestDefaults:
             0.90,
             0.05,
         )
-        assert config.fdi_mode == "continuous"
-        assert config.min_support == 30
-        assert config.recovery_gating is True
-        assert config.hysteresis == 0.02
+        assert config.panel.mode == "continuous"
+        assert config.panel.min_support == 30
+        assert config.rules.recovery_gating is True
+        assert config.rules.hysteresis == 0.02
         assert config.s_ref == 2.0
         assert config.aggregation == "mean"
 
     def test_helper_configs_wired(self):
         config = EngineConfig()
-        assert config.panel_config().min_support == config.min_support
-        assert config.rules_config().bands is config.bands
+        assert config.panel == PanelConfig()
+        assert config.rules == RulesConfig()
 
 
 class TestLoading:
@@ -57,12 +66,12 @@ class TestLoading:
             },
         )
         config = load_config(path)
-        assert config.hysteresis == 0.05
-        assert config.min_support == 10
-        assert config.recovery_gating is False
+        assert config.rules.hysteresis == 0.05
+        assert config.panel.min_support == 10
+        assert config.rules.recovery_gating is False
         assert config.aggregation == "max"
-        assert config.fdi_mode == "verdict"
-        assert config.default_tolerance == 0.2
+        assert config.panel.mode == "verdict"
+        assert config.panel.default_tolerance == 0.2
 
     def test_weights_not_summing_to_one_rejected(self, tmp_path):
         path = write_config(
@@ -154,6 +163,12 @@ class TestFingerprint:
             )
         )
         assert explicit.fingerprint() == EngineConfig().fingerprint()
+        # Every default of the README config block, each routed to its owner.
+        block = README.read_text(encoding="utf-8").split("```jsonc\n")[1]
+        payload = json.loads(block.split("```")[0])
+        spelled_out = load_config(write_config(tmp_path, payload))
+        assert spelled_out == EngineConfig()
+        assert spelled_out.fingerprint() == EngineConfig().fingerprint()
 
     def test_tolerance_key_order_does_not_matter(self, tmp_path):
         a = tmp_path / "a.json"

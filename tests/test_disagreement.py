@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deployassure import (
+    ConfigInvalidError,
     DisparityPanel,
     InsufficientPanelError,
     MissingToleranceError,
+    PanelConfig,
     compute_fdi,
     panel_from_gaps,
 )
@@ -146,6 +148,23 @@ class TestPanelValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             compute_fdi(make_panel([0.1, 0.2]), "fuzzy")
+
+
+@pytest.mark.parametrize(
+    "kwargs,key",
+    [
+        ({"mode": "fuzzy"}, "fdi.mode"),
+        ({"default_tolerance": float("nan")}, "fdi.default_tolerance"),
+        ({"tolerances": {"delta_fpr": 1.5}}, "fdi.tolerances.delta_fpr"),
+        ({"tolerances": {"delta_xyz": 0.1}}, "fdi.tolerances"),
+        ({"metrics": ("delta_fpr",)}, "panel_metrics"),
+        ({"metrics": ("delta_fpr", "delta_fpr")}, "panel_metrics"),
+        ({"min_support": True}, "min_support"),
+    ],
+)
+def test_invalid_panel_config_cannot_be_built(kwargs, key):
+    with pytest.raises(ConfigInvalidError, match=f"^{key}: "):
+        PanelConfig(**kwargs)
 
 
 def test_panel_from_gaps_uses_default_metrics():

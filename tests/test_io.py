@@ -104,6 +104,35 @@ class TestParsePredictions:
             parse_predictions(path)
 
 
+@pytest.mark.parametrize(
+    "name,body",
+    [
+        ("p.csv", "sample_id,score,label,subgroup\ns1,0.9,1,A\ns2,2.0,1,A\n"),
+        (
+            "p.jsonl",
+            '{"sample_id": "s1", "score": 0.9, "label": 1, "subgroup": "A"}\n'
+            '{"sample_id": "s2", "score": 2.0, "label": 1, "subgroup": "A"}\n',
+        ),
+    ],
+    ids=["csv", "jsonl"],
+)
+def test_leading_blank_lines_keep_physical_rows(monkeypatch, tmp_path, name, body):
+    path = write(tmp_path, name, "\n  \n" + body)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr("deployassure.io.open", counting_open, raising=False)
+    with pytest.raises(MalformedRowError) as excinfo:
+        parse_predictions(path)
+    assert excinfo.value.row == 2 + len(body.splitlines())  # the last line
+    assert opened == [path]
+    good = write(tmp_path, "good-" + name, "\n  \n" + body.replace("2.0", "0.2"))
+    assert [s.score for s in parse_predictions(good)] == [0.9, 0.2]
+
+
 class TestParseSignals:
     def test_reference_row(self, signals_file):
         rows = parse_signals(signals_file)

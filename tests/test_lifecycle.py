@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
 
 from deployassure import (
     AssuranceSignals,
+    ConfigInvalidError,
     DeploymentState,
     EmptySequenceError,
     EscalationLevel,
@@ -261,6 +263,10 @@ class TestRulesConfig:
     def test_nan_hysteresis_rejected(self):
         with pytest.raises(ValueError, match="hysteresis"):
             RulesConfig(hysteresis=float("nan"))
+
+    def test_infinite_hysteresis_rejected(self):
+        with pytest.raises(ConfigInvalidError, match="hysteresis"):
+            RulesConfig(hysteresis=math.inf)
 
     def test_weights_and_cuts_reach_the_assessments(self):
         rules = RulesConfig(
