@@ -52,6 +52,7 @@ from .errors import (
 from .evaluation import (
     ConfusionCounts,
     DisparityGaps,
+    Predictions,
     RatePanel,
     Sample,
     compute_confusion,

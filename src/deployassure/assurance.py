@@ -11,6 +11,7 @@ one step after a failed remediation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -237,10 +238,12 @@ class GesThresholds:
     def __post_init__(self) -> None:
         for name in ("fdi", "delta_fpr", "delta_fnr", "tsz"):
             cuts = getattr(self, name)
-            if len(cuts) != 3 or not cuts[0] < cuts[1] < cuts[2]:
+            # Finite cuts: an infinite one would switch a level off.
+            ascending = len(cuts) == 3 and cuts[0] < cuts[1] < cuts[2]
+            if not (ascending and -math.inf < cuts[0] and cuts[2] < math.inf):
                 raise ConfigInvalidError(
-                    f"ges_thresholds.{name}: must be three ascending values, "
-                    f"got {cuts!r}"
+                    f"ges_thresholds.{name}: must be three ascending finite "
+                    f"values, got {cuts!r}"
                 )
 
 

@@ -91,8 +91,8 @@ def _parse_range(raw: str) -> tuple[float, float, float]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     panel_config = load_config(args.config).panel
     check_threshold(args.threshold)
-    samples = parse_predictions(args.predictions)
-    confusion = compute_confusion(samples, args.threshold)
+    predictions = parse_predictions(args.predictions)
+    confusion = compute_confusion(predictions, args.threshold)
     rates = {group: compute_rates(c) for group, c in confusion.items()}
     gaps = compute_gaps(rates, subgroup_sizes(confusion), panel_config.min_support)
     panel = panel_from_gaps(gaps, panel_config.metrics, panel_config.panel_tolerances())
@@ -156,8 +156,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         t_min, t_max, step = _parse_range(args.range)
     else:
         t_min, t_max, step = config.sweep_t_min, config.sweep_t_max, config.sweep_step
-    samples = parse_predictions(args.predictions)
-    profile = sweep(samples, t_min, t_max, step, config.panel)
+    predictions = parse_predictions(args.predictions)
+    profile = sweep(predictions, t_min, t_max, step, config.panel)
     sens = sensitivity(profile, config.zones)
     scalar = tsz_scalar(sens, config.aggregation, config.s_ref)
     harshest = worst_zone(sens)

@@ -10,7 +10,6 @@ unknown keys are rejected, and each value is checked by its owning type.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -20,7 +19,6 @@ from .errors import ConfigInvalidError, DomainError, EngineError
 from .fingerprint import canonical_fingerprint
 from .lifecycle import RulesConfig
 from .stability import (
-    AGGREGATIONS,
     DEFAULT_S_REF,
     DEFAULT_SWEEP_STEP,
     DEFAULT_SWEEP_T_MAX,
@@ -28,6 +26,7 @@ from .stability import (
     DEFAULT_ZONES,
     ZoneConfig,
     check_sweep_range,
+    check_tsz,
 )
 
 
@@ -53,15 +52,10 @@ class EngineConfig:
             check_sweep_range(self.sweep_t_min, self.sweep_t_max, self.sweep_step)
         except DomainError as exc:
             raise ConfigInvalidError(f"sweep: {exc}") from exc
-        if not 0 < self.s_ref < math.inf:  # NaN fails too
-            raise ConfigInvalidError(
-                f"tsz.s_ref: must be positive and finite, got {self.s_ref!r}"
-            )
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigInvalidError(
-                f"tsz.aggregation: must be one of {AGGREGATIONS}, "
-                f"got {self.aggregation!r}"
-            )
+        try:
+            check_tsz(self.aggregation, self.s_ref)
+        except DomainError as exc:
+            raise ConfigInvalidError(str(exc)) from exc
 
     def fingerprint(self) -> str:
         """Stable hash of the fully resolved configuration."""

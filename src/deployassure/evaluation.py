@@ -7,9 +7,11 @@ everything. All functions here are pure; none touch shared state.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     DomainError,
@@ -107,18 +109,70 @@ def _check_sample(sample: Sample) -> None:
         raise MalformedSampleError(sample.sample_id, "subgroup is empty")
 
 
+class Predictions:
+    """Validated predictions held in columns, in input order.
+
+    :func:`deployassure.io.parse_predictions` fills the columns as it
+    checks each row, and :meth:`from_samples` checks each :class:`Sample`
+    as it copies it in; nothing downstream checks a row again. Iterating
+    yields the rows as :class:`Sample` values.
+    """
+
+    __slots__ = ("sample_ids", "scores", "labels", "subgroups")
+
+    def __init__(self) -> None:
+        self.sample_ids: list[str] = []
+        self.scores = array("d")
+        self.labels = bytearray()
+        self.subgroups: list[str] = []
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self) -> Iterator[Sample]:
+        columns = (self.sample_ids, self.scores, self.labels, self.subgroups)
+        for sample_id, score, label, subgroup in zip(*columns):
+            yield Sample(sample_id, score, label, subgroup)
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[Sample]) -> Predictions:
+        """Check each sample once and store it; a ``Predictions`` passes as is.
+
+        Raises:
+            MalformedSampleError: a score, label, or subgroup is out of
+                domain (the first such sample, in input order).
+        """
+        if isinstance(samples, Predictions):
+            return samples
+        out = cls()
+        for sample in samples:
+            _check_sample(sample)
+            out.sample_ids.append(sample.sample_id)
+            out.scores.append(sample.score)
+            out.labels.append(sample.label == 1)
+            out.subgroups.append(sample.subgroup)
+        return out
+
+
 def check_threshold(threshold: float) -> None:
     """Raise :class:`DomainError` for a threshold outside [0, 1] or NaN."""
     if not 0.0 <= threshold <= 1.0:
         raise DomainError(f"threshold must lie in [0, 1], got {threshold!r}")
 
 
+# (label, predicted) -> index of the cell in [tp, fp, tn, fn]
+_CELL = {(1, True): 0, (0, True): 1, (0, False): 2, (1, False): 3}
+
+
 def compute_confusion(
-    samples: Iterable[Sample], threshold: float
+    samples: Predictions | Iterable[Sample], threshold: float
 ) -> dict[str, ConfusionCounts]:
     """Count tp/fp/tn/fn per subgroup at the given decision threshold.
 
-    Every sample lands in exactly one cell of its subgroup's matrix.
+    Every sample lands in exactly one cell of its subgroup's matrix;
+    subgroups appear in first-seen order. A :class:`Predictions` is
+    counted as it is; other samples pass through
+    :meth:`Predictions.from_samples` first.
 
     Raises:
         EmptyInputError: the sample set is empty.
@@ -126,19 +180,16 @@ def compute_confusion(
         DomainError: threshold outside [0, 1].
     """
     check_threshold(threshold)
-    samples = list(samples)
-    if not samples:
+    predictions = Predictions.from_samples(samples)
+    if not predictions:
         raise EmptyInputError("sample set is empty")
 
+    # float.__le__ so that an int threshold compares too: t <= score.
+    predicted = map(float(threshold).__le__, predictions.scores)
+    tally = Counter(zip(predictions.subgroups, predictions.labels, predicted))
     cells: dict[str, list[int]] = {}
-    for sample in samples:
-        _check_sample(sample)
-        counts = cells.setdefault(sample.subgroup, [0, 0, 0, 0])
-        predicted = sample.score >= threshold
-        if predicted:
-            counts[0 if sample.label == 1 else 1] += 1
-        else:
-            counts[3 if sample.label == 1 else 2] += 1
+    for (group, label, positive), n in tally.items():
+        cells.setdefault(group, [0, 0, 0, 0])[_CELL[label, positive]] += n
     return {
         group: ConfusionCounts(tp=c[0], fp=c[1], tn=c[2], fn=c[3])
         for group, c in cells.items()
@@ -148,29 +199,34 @@ def compute_confusion(
 class ScoreIndex:
     """Per-subgroup sorted scores, for confusion counts at many thresholds.
 
-    Building the index validates every sample once and sorts each
-    subgroup's positive and negative scores once. :meth:`confusion` then
-    counts a subgroup's cells by bisection: ``bisect_left`` counts the
-    scores below ``t``, which are exactly the samples that ``score >= t``
-    predicts negative. A T-point sweep over N samples in G subgroups so
-    costs O(N log N + T*G*log N) rather than T passes over every sample.
+    Building the index sorts each subgroup's negative and positive scores
+    once. :meth:`confusion` then counts a subgroup's cells by bisection:
+    ``bisect_left`` counts the scores below ``t``, which are exactly the
+    samples that ``score >= t`` predicts negative. A T-point sweep over N
+    samples in G subgroups so costs O(N log N + T*G*log N) rather than T
+    passes over every sample. Samples that are not a :class:`Predictions`
+    pass through :meth:`Predictions.from_samples` first.
 
     Raises:
         EmptyInputError: the sample set is empty.
         MalformedSampleError: a score, label, or subgroup is out of domain.
     """
 
-    def __init__(self, samples: Iterable[Sample]) -> None:
+    def __init__(self, samples: Predictions | Iterable[Sample]) -> None:
+        predictions = Predictions.from_samples(samples)
+        # subgroup -> (negative scores, positive scores), indexed by label
         groups: dict[str, tuple[list[float], list[float]]] = {}
-        for sample in samples:
-            _check_sample(sample)
-            positives, negatives = groups.setdefault(sample.subgroup, ([], []))
-            (positives if sample.label == 1 else negatives).append(sample.score)
+        columns = (predictions.subgroups, predictions.labels, predictions.scores)
+        for group, label, score in zip(*columns):
+            by_label = groups.get(group)
+            if by_label is None:
+                by_label = groups[group] = ([], [])
+            by_label[label].append(score)
         if not groups:
             raise EmptyInputError("sample set is empty")
-        for positives, negatives in groups.values():
-            positives.sort()
+        for negatives, positives in groups.values():
             negatives.sort()
+            positives.sort()
         self._groups = groups
 
     def confusion(self, threshold: float) -> dict[str, ConfusionCounts]:
@@ -183,7 +239,7 @@ class ScoreIndex:
         """
         check_threshold(threshold)
         out: dict[str, ConfusionCounts] = {}
-        for group, (positives, negatives) in self._groups.items():
+        for group, (negatives, positives) in self._groups.items():
             fn = bisect_left(positives, threshold)
             tn = bisect_left(negatives, threshold)
             out[group] = ConfusionCounts(

@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from typing import Any, Iterator
+import math
+import operator
+from typing import Any, Iterator, Sequence
 
 from .assurance import AssuranceSignals
 from .errors import (
@@ -21,7 +23,7 @@ from .errors import (
     MalformedRowError,
     MissingColumnError,
 )
-from .evaluation import Sample
+from .evaluation import Predictions
 
 PREDICTIONS_COLUMNS = ("sample_id", "score", "label", "subgroup")
 SIGNALS_COLUMNS = (
@@ -34,8 +36,16 @@ SIGNALS_COLUMNS = (
 )
 
 
-def _iter_records(path: str, required: tuple[str, ...]) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield each record with its 1-based physical row number.
+def _iter_records(
+    path: str, columns: tuple[str, ...], required: int
+) -> Iterator[tuple[int, Sequence[Any]]]:
+    """Yield each record's ``columns`` values with its 1-based physical row.
+
+    The first ``required`` columns must be in the header (CSV) or in the
+    first record (JSON-lines). An absent value reads as ``None``. CSV is
+    read as ``csv.DictReader`` reads it: blank lines are skipped, a short
+    row's missing cells are ``None``, and of two header cells with the
+    same name the last one counts.
 
     The format is read from the first non-blank line, which is then
     parsed from the same handle. Both formats are read in this one
@@ -53,13 +63,30 @@ def _iter_records(path: str, required: tuple[str, ...]) -> Iterator[tuple[int, d
         lines = itertools.chain((line,), fh)
 
         if not line.lstrip().startswith("{"):
-            reader = csv.DictReader(lines)
-            missing = [c for c in required if c not in reader.fieldnames]
-            if missing:
-                raise MissingColumnError(path, missing)
+            reader = csv.reader(lines)
             offset = row - 1
-            for record in reader:
-                yield offset + reader.line_num, record
+            try:
+                header = {name: i for i, name in enumerate(next(reader))}
+                missing = [c for c in columns[:required] if c not in header]
+                if missing:
+                    raise MissingColumnError(path, missing)
+                positions = [header.get(c) for c in columns]
+                # The fast path needs every column in the header and the row.
+                if None in positions:
+                    width, pick = math.inf, None
+                else:
+                    width, pick = 1 + max(positions), operator.itemgetter(*positions)
+                for cells in reader:
+                    if len(cells) >= width:
+                        yield offset + reader.line_num, pick(cells)
+                    elif cells:
+                        n = len(cells)
+                        yield offset + reader.line_num, [
+                            None if i is None or i >= n else cells[i] for i in positions
+                        ]
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                row = offset + reader.line_num
+                raise MalformedRowError(path, row, f"invalid CSV: {exc}") from exc
             return
 
         first = True
@@ -73,49 +100,60 @@ def _iter_records(path: str, required: tuple[str, ...]) -> Iterator[tuple[int, d
             if not isinstance(record, dict):
                 raise MalformedRowError(path, line_num, "record is not an object")
             if first:
-                missing = [c for c in required if c not in record]
+                missing = [c for c in columns[:required] if c not in record]
                 if missing:
                     raise MissingColumnError(path, missing)
                 first = False
-            yield line_num, record
+            yield line_num, tuple(map(record.get, columns))
 
 
-def _field(record: dict[str, Any], name: str, path: str, row: int) -> Any:
-    if name not in record or record[name] is None:
-        raise MalformedRowError(path, row, f"missing value for {name!r}")
-    return record[name]
+class _BadValue(Exception):
+    """A field broke its rule; the reader adds the file and the row."""
 
 
-def _as_string(value: Any, name: str, path: str, row: int) -> str:
-    if not isinstance(value, str):
-        raise MalformedRowError(path, row, f"{name} must be a string, got {value!r}")
-    return value
+def _bad(value: Any, name: str, message: str) -> _BadValue:
+    if value is None:
+        return _BadValue(f"missing value for {name!r}")
+    return _BadValue(message)
 
 
-def _parse_unit_interval(value: Any, name: str, path: str, row: int) -> float:
-    if isinstance(value, bool):
-        raise MalformedRowError(path, row, f"{name} is not a number: {value!r}")
+def _as_string(value: Any, name: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise _bad(value, name, f"{name} must be a string, got {value!r}")
+
+
+def _parse_unit_interval(value: Any, name: str) -> float:
+    if value is None or isinstance(value, bool):
+        raise _bad(value, name, f"{name} is not a number: {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise MalformedRowError(path, row, f"{name} is not a number: {value!r}")
+    except (TypeError, ValueError, OverflowError):
+        raise _BadValue(f"{name} is not a number: {value!r}") from None
     if not 0.0 <= number <= 1.0:
-        raise MalformedRowError(path, row, f"{name} out of range [0, 1]: {value!r}")
+        raise _BadValue(f"{name} out of range [0, 1]: {value!r}")
     return number
 
 
-def _parse_binary(value: Any, name: str, path: str, row: int) -> int:
-    if isinstance(value, bool):
+def _parse_binary(value: Any, name: str) -> int:
+    # Strings first: that is every CSV cell.
+    if isinstance(value, str):
+        text = value.strip()
+        if text == "1":
+            return 1
+        if text == "0":
+            return 0
+    elif isinstance(value, bool):
         return int(value)
-    if isinstance(value, int) and value in (0, 1):
+    elif isinstance(value, int) and value in (0, 1):
         return value
-    if isinstance(value, str) and value.strip() in ("0", "1"):
-        return int(value.strip())
-    raise MalformedRowError(path, row, f"{name} must be 0 or 1, got {value!r}")
+    raise _bad(value, name, f"{name} must be 0 or 1, got {value!r}")
 
 
-def parse_predictions(path: str) -> list[Sample]:
-    """Read and validate a predictions file into samples.
+def parse_predictions(path: str) -> Predictions:
+    """Read and validate a predictions file into columns, in file order.
+
+    Each row is checked once, here; the result is counted as it is.
 
     Raises:
         MissingColumnError: a required column/key is absent.
@@ -124,26 +162,26 @@ def parse_predictions(path: str) -> list[Sample]:
         EmptyFileError: no data rows.
         OSError: unreadable path.
     """
-    samples: list[Sample] = []
-    for row, record in _iter_records(path, PREDICTIONS_COLUMNS):
-        sample_id = _as_string(
-            _field(record, "sample_id", path, row), "sample_id", path, row
-        )
-        score = _parse_unit_interval(
-            _field(record, "score", path, row), "score", path, row
-        )
-        label = _parse_binary(_field(record, "label", path, row), "label", path, row)
-        subgroup = _as_string(
-            _field(record, "subgroup", path, row), "subgroup", path, row
-        )
-        if not subgroup:
-            raise MalformedRowError(path, row, "subgroup is empty")
-        samples.append(
-            Sample(sample_id=sample_id, score=score, label=label, subgroup=subgroup)
-        )
-    if not samples:
+    out = Predictions()
+    add_id, add_score = out.sample_ids.append, out.scores.append
+    add_label, add_subgroup = out.labels.append, out.subgroups.append
+    # One string object per distinct subgroup, not one per row.
+    subgroups: dict[str, str] = {}
+    records = _iter_records(path, PREDICTIONS_COLUMNS, len(PREDICTIONS_COLUMNS))
+    try:
+        for row, (sample_id, score, label, subgroup) in records:
+            add_id(_as_string(sample_id, "sample_id"))
+            add_score(_parse_unit_interval(score, "score"))
+            add_label(_parse_binary(label, "label"))
+            subgroup = _as_string(subgroup, "subgroup")
+            if not subgroup:
+                raise _BadValue("subgroup is empty")
+            add_subgroup(subgroups.setdefault(subgroup, subgroup))
+    except _BadValue as exc:
+        raise MalformedRowError(path, row, str(exc)) from None
+    if not out:
         raise EmptyFileError(path)
-    return samples
+    return out
 
 
 def parse_signals(path: str) -> list[tuple[str, AssuranceSignals]]:
@@ -153,52 +191,43 @@ def parse_signals(path: str) -> list[tuple[str, AssuranceSignals]]:
     ``remediation_event`` is 1. Any das/drc columns present are ignored.
     """
     rows: list[tuple[str, AssuranceSignals]] = []
-    for row, record in _iter_records(path, SIGNALS_COLUMNS):
-        snapshot_id = _as_string(
-            _field(record, "snapshot_id", path, row), "snapshot_id", path, row
-        )
-        values = {
-            name: _parse_unit_interval(_field(record, name, path, row), name, path, row)
-            for name in ("fdi", "delta_fpr", "delta_fnr", "tsz")
-        }
-        remediation = bool(
-            _parse_binary(
-                _field(record, "remediation_event", path, row),
-                "remediation_event",
-                path,
-                row,
-            )
-        )
-        r_m: float | None = None
-        raw_r_m = record.get("r_m")
-        if raw_r_m is not None and raw_r_m != "":
-            if isinstance(raw_r_m, bool):
-                raise MalformedRowError(path, row, f"r_m is not a number: {raw_r_m!r}")
-            try:
-                r_m = float(raw_r_m)
-            except (TypeError, ValueError):
-                raise MalformedRowError(path, row, f"r_m is not a number: {raw_r_m!r}")
-            if not -1.0 <= r_m <= 1.0:
-                raise MalformedRowError(
-                    path, row, f"r_m out of range [-1, 1]: {raw_r_m!r}"
+    records = _iter_records(path, SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS))
+    try:
+        for row, values in records:
+            snapshot_id, fdi, delta_fpr, delta_fnr, tsz, event, raw_r_m = values
+            snapshot_id = _as_string(snapshot_id, "snapshot_id")
+            fdi = _parse_unit_interval(fdi, "fdi")
+            delta_fpr = _parse_unit_interval(delta_fpr, "delta_fpr")
+            delta_fnr = _parse_unit_interval(delta_fnr, "delta_fnr")
+            tsz = _parse_unit_interval(tsz, "tsz")
+            remediation = bool(_parse_binary(event, "remediation_event"))
+            r_m: float | None = None
+            if raw_r_m is not None and raw_r_m != "":
+                if isinstance(raw_r_m, bool):
+                    raise _BadValue(f"r_m is not a number: {raw_r_m!r}")
+                try:
+                    r_m = float(raw_r_m)
+                except (TypeError, ValueError, OverflowError):
+                    raise _BadValue(f"r_m is not a number: {raw_r_m!r}") from None
+                if not -1.0 <= r_m <= 1.0:
+                    raise _BadValue(f"r_m out of range [-1, 1]: {raw_r_m!r}")
+                if not remediation:
+                    raise _BadValue("r_m present but remediation_event is 0")
+            rows.append(
+                (
+                    snapshot_id,
+                    AssuranceSignals(
+                        fdi=fdi,
+                        delta_fpr=delta_fpr,
+                        delta_fnr=delta_fnr,
+                        tsz=tsz,
+                        remediation_event=remediation,
+                        r_m=r_m,
+                    ),
                 )
-            if not remediation:
-                raise MalformedRowError(
-                    path, row, "r_m present but remediation_event is 0"
-                )
-        rows.append(
-            (
-                snapshot_id,
-                AssuranceSignals(
-                    fdi=values["fdi"],
-                    delta_fpr=values["delta_fpr"],
-                    delta_fnr=values["delta_fnr"],
-                    tsz=values["tsz"],
-                    remediation_event=remediation,
-                    r_m=r_m,
-                ),
             )
-        )
+    except _BadValue as exc:
+        raise MalformedRowError(path, row, str(exc)) from None
     if not rows:
         raise EmptyFileError(path)
     return rows

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .disagreement import PanelConfig, compute_fdi, panel_from_gaps
 from .errors import (
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .evaluation import (
     ConfusionCounts,
+    Predictions,
     Sample,
     ScoreIndex,
     compute_confusion,
@@ -75,9 +76,10 @@ class ZoneConfig:
     z3: float = 1.5
 
     def __post_init__(self) -> None:
-        if not 0 < self.z1 < self.z2 < self.z3:
+        # A finite z3: an infinite one would switch GovernanceFragility off.
+        if not 0 < self.z1 < self.z2 < self.z3 < math.inf:
             raise ConfigInvalidError(
-                "zone_boundaries: must satisfy 0 < z1 < z2 < z3, "
+                "zone_boundaries: must satisfy 0 < z1 < z2 < z3 < inf, "
                 f"got ({self.z1!r}, {self.z2!r}, {self.z3!r})"
             )
 
@@ -148,7 +150,9 @@ def _fdi_from_confusion(
 
 
 def fdi_at_threshold(
-    samples: Sequence[Sample], threshold: float, panel_config: PanelConfig
+    samples: Predictions | Iterable[Sample],
+    threshold: float,
+    panel_config: PanelConfig,
 ) -> float:
     """Evaluate the configured disagreement index at one threshold."""
     return _fdi_from_confusion(compute_confusion(samples, threshold), panel_config)
@@ -204,7 +208,7 @@ def _fill_flagged(
 
 
 def sweep(
-    samples: Sequence[Sample],
+    samples: Predictions | Iterable[Sample],
     t_min: float = DEFAULT_SWEEP_T_MIN,
     t_max: float = DEFAULT_SWEEP_T_MAX,
     h: float = DEFAULT_SWEEP_STEP,
@@ -217,9 +221,10 @@ def sweep(
     neighbours; if more than half the grid is flagged the sweep is
     rejected as degenerate.
 
-    The samples are validated and sorted once into a :class:`ScoreIndex`,
-    so each grid point costs a bisection per subgroup, not a pass over
-    every sample.
+    The samples are sorted once into a :class:`ScoreIndex` (samples that
+    are not a :class:`Predictions` are checked on the way in), so each
+    grid point costs a bisection per subgroup, not a pass over every
+    sample.
 
     Raises:
         DomainError: bad range/step (see :func:`check_sweep_range`).
@@ -296,18 +301,32 @@ def worst_zone(sens: SensitivityProfile) -> ZoneLabel:
     return max((p.zone for p in sens.points), key=lambda z: z.severity)
 
 
+def check_tsz(aggregation: str, s_ref: float) -> None:
+    """Reject TSZ settings that :func:`tsz_scalar` cannot use.
+
+    Raises:
+        DomainError: ``s_ref`` is not positive and finite (NaN fails), or
+            ``aggregation`` is not one of :data:`AGGREGATIONS`.
+    """
+    if not 0 < s_ref < math.inf:
+        raise DomainError(f"tsz.s_ref: must be positive and finite, got {s_ref!r}")
+    if aggregation not in AGGREGATIONS:
+        raise DomainError(
+            f"tsz.aggregation: must be one of {AGGREGATIONS}, got {aggregation!r}"
+        )
+
+
 def tsz_scalar(
     sens: SensitivityProfile,
     aggregation: str = DEFAULT_AGGREGATION,
     s_ref: float = DEFAULT_S_REF,
 ) -> TszScalar:
-    """Summarise a sensitivity profile to clip(aggregate(s) / s_ref, 0, 1)."""
-    if s_ref <= 0:
-        raise ValueError(f"s_ref must be positive, got {s_ref!r}")
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(
-            f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}"
-        )
+    """Summarise a sensitivity profile to clip(aggregate(s) / s_ref, 0, 1).
+
+    Raises:
+        DomainError: bad ``aggregation`` or ``s_ref`` (see :func:`check_tsz`).
+    """
+    check_tsz(aggregation, s_ref)
     values = [p.s for p in sens.points]
     aggregate = sum(values) / len(values) if aggregation == "mean" else max(values)
     return TszScalar(

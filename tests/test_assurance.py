@@ -184,6 +184,20 @@ class TestComputeGes:
         with pytest.raises(ConfigInvalidError):
             GesThresholds(fdi=(0.5, 0.4, 0.9))
 
+    @pytest.mark.parametrize(
+        "cuts",
+        [
+            (0.25, 0.5, float("inf")),
+            (float("-inf"), 0.5, 0.75),
+            (0.25, 0.5, float("nan")),
+        ],
+        ids=["inf", "-inf", "nan"],
+    )
+    def test_non_finite_thresholds_rejected(self, cuts):
+        # An infinite last cut would switch Critical off.
+        with pytest.raises(ConfigInvalidError, match="ges_thresholds.tsz"):
+            GesThresholds(tsz=cuts)
+
     @given(unit, unit, unit, unit, st.integers(0, 3), st.floats(0.01, 0.3))
     @settings(max_examples=80)
     def test_monotone_in_every_signal(self, a, b, c, d, which, bump):

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deployassure import fdi_at_threshold, load_config, parse_predictions
+import deployassure.evaluation
+import deployassure.io
+from deployassure import (
+    Sample,
+    compute_confusion,
+    fdi_at_threshold,
+    load_config,
+    parse_predictions,
+)
 from deployassure.cli import main
 
 from conftest import SIGNALS_CSV
@@ -268,8 +276,18 @@ def test_threshold_checked_before_predictions_are_read(capsys):
         ({"tsz": {"s_ref": "NaN"}}, "tsz.s_ref"),
         ({"hysteresis": "Infinity"}, "hysteresis"),
         ({"tsz": {"s_ref": "Infinity"}}, "tsz.s_ref"),
+        ({"ges_thresholds": {"fdi": [0.25, 0.5, "Infinity"]}}, "ges_thresholds.fdi"),
+        ({"zone_boundaries": [0.25, 0.75, "Infinity"]}, "zone_boundaries"),
     ],
-    ids=["weights", "hysteresis", "s_ref", "hysteresis-inf", "s_ref-inf"],
+    ids=[
+        "weights",
+        "hysteresis",
+        "s_ref",
+        "hysteresis-inf",
+        "s_ref-inf",
+        "ges_thresholds-inf",
+        "zone_boundaries-inf",
+    ],
 )
 def test_nan_config_value_exits_one(capsys, tmp_path, config, field):
     # json.loads reads a bare NaN, which passes any check written as `x < 0`,
@@ -305,6 +323,45 @@ def test_duplicate_ids_are_kept(capsys, tmp_path):
     assert code == 0
     ids = [line.split(",")[0] for line in out.splitlines()[1:]]
     assert ids == ["baseline", "baseline", "mitigation_b"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("evaluate", "--threshold", "0.5"), ("sweep",)], ids=["evaluate", "sweep"]
+)
+def test_predictions_checked_once_and_never_built_as_samples(
+    monkeypatch, capsys, predictions_file, argv
+):
+    # Counts, not timings: the CLI reads predictions into columns, checking
+    # each row once as it is parsed, and counts them without a second check.
+    built, checked, scores_parsed = [], [], []
+    real_init = Sample.__init__
+    real_check = deployassure.evaluation._check_sample
+    real_parse = deployassure.io._parse_unit_interval
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_check(sample):
+        checked.append(sample)
+        real_check(sample)
+
+    def counting_parse(value, name):
+        scores_parsed.append(value)
+        return real_parse(value, name)
+
+    monkeypatch.setattr(Sample, "__init__", counting_init)
+    monkeypatch.setattr(deployassure.evaluation, "_check_sample", counting_check)
+    monkeypatch.setattr(deployassure.io, "_parse_unit_interval", counting_parse)
+    code, out, _ = run(capsys, *argv, "--predictions", predictions_file)
+    assert code == 0 and out
+    with open(predictions_file, encoding="utf-8") as fh:
+        rows = len(fh.read().splitlines()) - 1
+    assert (len(built), len(checked), len(scores_parsed)) == (0, 0, rows)
+    # The patches are live: a list of samples is built and checked per sample.
+    samples = list(parse_predictions(predictions_file))
+    compute_confusion(samples, 0.5)
+    assert (len(built), len(checked)) == (rows, rows)
 
 
 def _emit(argv, path, records):

@@ -14,6 +14,7 @@ from deployassure import (
     ConfusionCounts,
     DomainError,
     EmptyInputError,
+    EngineError,
     InsufficientSubgroupsError,
     MalformedSampleError,
     RatePanel,
@@ -24,9 +25,10 @@ from deployassure import (
     macro_mean,
     subgroup_sizes,
 )
-from deployassure.evaluation import ScoreIndex
+from deployassure.evaluation import Predictions, ScoreIndex
 
 from conftest import random_samples
+from oracles import naive_confusion
 
 
 def brute_force_confusion(samples, threshold):
@@ -158,6 +160,57 @@ class TestScoreIndex:
         with pytest.raises(MalformedSampleError) as excinfo:
             ScoreIndex([Sample("ok", 0.5, 1, "A"), bad, Sample("bad9", 2.0, 1, "A")])
         assert excinfo.value.sample_id == bad.sample_id
+
+
+class TestPredictions:
+    """Columnar counting against the naive per-sample loop as oracle."""
+
+    @given(tied_sample_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_naive_loop_on_ties(self, samples):
+        predictions = Predictions.from_samples(samples)
+        index = ScoreIndex(predictions)
+        for t in thresholds_at_scores(samples):
+            expected = list(naive_confusion(samples, t).items())
+            # items(), not the dicts: the subgroup order must match as well.
+            assert list(compute_confusion(predictions, t).items()) == expected
+            assert list(index.confusion(t).items()) == expected
+
+    @given(sample_sets(), st.integers(0, 1000).map(lambda k: k / 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_and_samples_path(self, samples, threshold):
+        predictions = Predictions.from_samples(samples)
+        assert list(predictions) == samples and len(predictions) == len(samples)
+        assert Predictions.from_samples(predictions) is predictions
+        assert list(compute_confusion(samples, threshold).items()) == list(
+            naive_confusion(samples, threshold).items()
+        )
+
+    @given(
+        st.lists(
+            st.builds(
+                Sample,
+                st.sampled_from(("s1", "s2", "s3")),
+                st.sampled_from((0.0, 0.5, 1, 1.5, -0.1, float("nan"))),
+                st.sampled_from((0, 1, True, 1.0, 2, -1)),
+                st.sampled_from(("A", "B", "")),
+            ),
+            max_size=6,
+        ),
+        st.sampled_from((0, 0.5, 1.0, 1.5)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_first_error_as_naive_loop(self, samples, threshold):
+        def outcome(count):
+            try:
+                return "ok", list(count(samples, threshold).items())
+            except EngineError as exc:
+                return type(exc), str(exc), getattr(exc, "sample_id", None)
+
+        expected = outcome(naive_confusion)
+        assert outcome(compute_confusion) == expected
+        if threshold <= 1.0:  # the index is built, and checked, before any threshold
+            assert outcome(lambda s, t: ScoreIndex(s).confusion(t)) == expected
 
 
 class TestComputeConfusion:

@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from deployassure import (
     EmptyFileError,
+    EngineError,
     MalformedRowError,
     MissingColumnError,
     Sample,
     parse_predictions,
     parse_signals,
 )
+from deployassure.io import PREDICTIONS_COLUMNS
 from deployassure.lifecycle import format_real
+
+from oracles import dictreader_parse_predictions
 
 
 def write(tmp_path, name, text):
@@ -26,7 +36,7 @@ class TestParsePredictions:
         path = write(
             tmp_path, "p.csv", "sample_id,score,label,subgroup\ns1,0.9,1,A\n"
         )
-        assert parse_predictions(path) == [Sample("s1", 0.9, 1, "A")]
+        assert list(parse_predictions(path)) == [Sample("s1", 0.9, 1, "A")]
 
     def test_score_out_of_range_reports_row_two(self, tmp_path):
         path = write(
@@ -74,7 +84,7 @@ class TestParsePredictions:
             "p.csv",
             "sample_id,score,label,subgroup,note\ns1,0.9,1,A,keep\n",
         )
-        assert parse_predictions(path) == [Sample("s1", 0.9, 1, "A")]
+        assert list(parse_predictions(path)) == [Sample("s1", 0.9, 1, "A")]
 
     def test_jsonl_round(self, tmp_path):
         path = write(
@@ -83,7 +93,7 @@ class TestParsePredictions:
             '{"sample_id": "s1", "score": 0.9, "label": 1, "subgroup": "A"}\n'
             '{"sample_id": "s2", "score": 0.1, "label": 0, "subgroup": "B"}\n',
         )
-        samples = parse_predictions(path)
+        samples = list(parse_predictions(path))
         assert [s.sample_id for s in samples] == ["s1", "s2"]
         assert samples[1].subgroup == "B"
 
@@ -225,3 +235,167 @@ class TestParseSignals:
             assert format_real(signals.delta_fpr) == row[2]
             assert format_real(signals.delta_fnr) == row[3]
             assert format_real(signals.tsz) == row[4]
+
+
+# --- The columnar parser against the DictReader + Sample oracle ---------
+
+def _mostly(valid, invalid):
+    """``valid``, and one time in twenty ``invalid``."""
+    return st.integers(0, 19).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+three_decimals = st.integers(0, 1000).map(lambda k: k / 1000)
+CSV_CELLS = {
+    "sample_id": st.sampled_from(("s1", "s,2", 's"3', "s\n4", "")),
+    "score": _mostly(
+        st.sampled_from(("1", "0", "1e0", " 0.3 ")) | three_decimals.map(str),
+        st.sampled_from(("nan", "inf", "1.5", "-0.1", "", "x")),
+    ),
+    "label": _mostly(
+        st.sampled_from(("0", "1", " 1", "1 ")), st.sampled_from(("2", "", "true"))
+    ),
+    "subgroup": _mostly(
+        st.sampled_from(("A", "B", "a,b", 'q"x', "two\nlines", "cr\rlf", " ")),
+        st.just(""),
+    ),
+    "note": st.text("ab,\"\n ", max_size=3),
+}
+JSON_VALUES = {
+    "sample_id": _mostly(
+        st.sampled_from(("s1", "s,2", "")), st.sampled_from((5, None))
+    ),
+    "score": _mostly(
+        st.sampled_from((1, 0, "0.5", "1e0")) | three_decimals,
+        st.sampled_from((1.5, -0.1, float("nan"), True, None, [1], "x")),
+    ),
+    "label": _mostly(
+        st.sampled_from((0, 1, True, False, "1", " 1")),
+        st.sampled_from((2, 1.0, None, "x")),
+    ),
+    "subgroup": _mostly(
+        st.sampled_from(("A", "B", "a,b")), st.sampled_from(("", 3, None))
+    ),
+}
+BLANK_LINES = ("\n", "\r\n", "  \n")
+
+
+def _outcome(parse, path):
+    try:
+        return "ok", list(parse(path))
+    except EngineError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+def assert_same_as_oracle(tmp_path_factory, name, text):
+    path = tmp_path_factory.mktemp("oracle") / name
+    path.write_text(text, encoding="utf-8", newline="")
+    outcome = _outcome(parse_predictions, str(path))
+    assert outcome == _outcome(dictreader_parse_predictions, str(path))
+    return f"{len(outcome[1])} rows" if outcome[0] == "ok" else outcome[0].__name__
+
+
+@st.composite
+def csv_texts(draw):
+    header = list(draw(st.permutations(PREDICTIONS_COLUMNS)))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, 4)), "note")
+    if draw(st.integers(0, 4)) == 0:  # DictReader's last-wins duplicate
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(header)))
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(PREDICTIONS_COLUMNS)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(("\n", "\r\n"))))
+    out.write("".join(draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))))
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(CSV_CELLS[column]) for column in header]
+        shape = draw(st.integers(0, 9))
+        if shape == 0:  # short row
+            row = row[: draw(st.integers(1, len(row)))]
+        elif shape == 1:  # extra cells
+            row += ["extra"] * draw(st.integers(1, 2))
+        elif shape == 2:
+            out.write(draw(st.sampled_from(BLANK_LINES)))
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@st.composite
+def jsonl_texts(draw):
+    lines = draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(("[1]\n", "{bad\n"))))
+        else:
+            record = {
+                column: draw(values)
+                for column, values in JSON_VALUES.items()
+                if draw(st.integers(0, 49))  # now and then a key is missing
+            }
+            lines.append(json.dumps(record) + "\n")
+    return "".join(lines)
+
+
+class TestParserOracle:
+    """Same samples in the same order, or the same first error and row."""
+
+    @given(csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_csv(self, tmp_path_factory, text):
+        event(assert_same_as_oracle(tmp_path_factory, "p.csv", text))
+
+    @given(jsonl_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_jsonl(self, tmp_path_factory, text):
+        event(assert_same_as_oracle(tmp_path_factory, "p.jsonl", text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sample_id,score,label,subgroup,score\ns1,0.9,1,A,0.2\n",
+            "sample_id,score,label,subgroup,score\ns1,0.9,1,A\n",
+            "sample_id,score,label,subgroup\n\ns1,0.9, 1,\"a,\nb\"\n\ns2,1e0,0,B\n",
+            "sample_id,score,label,subgroup\ns1,0.9\n",
+            "sample_id,score,label,subgroup\ns1,nan,1,A\n",
+            "sample_id,score,label,subgroup\n  \n",
+        ],
+        ids=["duplicate-column", "duplicate-column-short", "quoted-blank-padded",
+             "short-row", "nan-score", "whitespace-line"],
+    )
+    def test_csv_examples(self, tmp_path_factory, text):
+        assert_same_as_oracle(tmp_path_factory, "p.csv", text)
+
+    def test_valid_examples_parse(self, tmp_path):
+        path = write(
+            tmp_path,
+            "p.csv",
+            "sample_id,score,label,subgroup,score\n\ns1,x,1 ,\"a,\nb\",1e0\n",
+        )
+        assert list(parse_predictions(path)) == [Sample("s1", 1.0, 1, "a,\nb")]
+
+
+def test_huge_json_integer_is_a_row_error(tmp_path):
+    # float() overflows on an integer past the double range.
+    path = write(
+        tmp_path,
+        "p.jsonl",
+        '{"sample_id": "s1", "score": 1'
+        + "0" * 400
+        + ', "label": 1, "subgroup": "A"}\n',
+    )
+    with pytest.raises(MalformedRowError, match="score is not a number") as excinfo:
+        parse_predictions(path)
+    assert excinfo.value.row == 1
+
+
+def test_csv_reader_error_is_a_row_error(tmp_path):
+    # The csv module raises csv.Error for a field over its size limit.
+    big = "A" * (csv.field_size_limit() + 1)
+    text = f"sample_id,score,label,subgroup\ns1,0.5,1,A\ns2,0.5,1,{big}\n"
+    path = write(tmp_path, "p.csv", text)
+    with pytest.raises(MalformedRowError, match="invalid CSV") as excinfo:
+        parse_predictions(path)
+    assert excinfo.value.row == 3

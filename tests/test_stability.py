@@ -247,6 +247,11 @@ class TestClassifyZone:
         with pytest.raises(ConfigInvalidError):
             ZoneConfig(z1=0.5, z2=0.5, z3=1.0)
 
+    def test_infinite_boundary_rejected(self):
+        # z3 = inf would switch GovernanceFragility off.
+        with pytest.raises(ConfigInvalidError, match="zone_boundaries"):
+            ZoneConfig(z1=0.25, z2=0.75, z3=float("inf"))
+
     @given(st.floats(0, 5), st.floats(0, 5))
     def test_monotone_in_sensitivity(self, a, b):
         lo, hi = min(a, b), max(a, b)
@@ -281,6 +286,13 @@ class TestTszScalar:
     def test_unknown_aggregation_rejected(self):
         with pytest.raises(ValueError):
             tsz_scalar(self.sens([0.1, 0.1, 0.1]), aggregation="median")
+
+    @pytest.mark.parametrize("s_ref", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_s_ref_rejected(self, s_ref):
+        # Either would pass an `s_ref <= 0` check and score the most stable TSZ.
+        profile = sensitivity(sweep(make_dataset()))
+        with pytest.raises(DomainError, match="s_ref"):
+            tsz_scalar(profile, "mean", s_ref)
 
     def test_worst_zone_picks_harshest(self):
         assert worst_zone(self.sens([0.1, 2.0, 0.1])) is ZoneLabel.GOVERNANCE_FRAGILITY
