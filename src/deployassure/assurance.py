@@ -12,6 +12,7 @@ one step after a failed remediation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -181,12 +182,26 @@ def compute_das(
     signals: AssuranceSignals, weights: WeightVector = DEFAULT_WEIGHTS
 ) -> float:
     """Weighted aggregate of signal complements; 1 is perfect assurance."""
-    return (
-        weights.alpha * (1.0 - signals.fdi)
-        + weights.beta * (1.0 - signals.delta_fpr)
-        + weights.gamma * (1.0 - signals.delta_fnr)
-        + weights.delta * (1.0 - signals.tsz)
+    s = signals
+    return das_of(s.fdi, s.delta_fpr, s.delta_fnr, s.tsz, weights)
+
+
+def das_of(
+    fdi: float, delta_fpr: float, delta_fnr: float, tsz: float, weights: WeightVector
+) -> float:
+    """:func:`compute_das` on plain signal values in [0, 1].
+
+    Weights sum to 1 only within 1e-9, so the float sum for a perfect
+    snapshot can land a rounding step above 1; it is clamped back. Every
+    term is non-negative, so the sum cannot fall below 0.
+    """
+    score = (
+        weights.alpha * (1.0 - fdi)
+        + weights.beta * (1.0 - delta_fpr)
+        + weights.gamma * (1.0 - delta_fnr)
+        + weights.delta * (1.0 - tsz)
     )
+    return score if score <= 1.0 else 1.0
 
 
 def classify_drc(
@@ -204,17 +219,20 @@ def classify_drc(
     """
     if not 0.0 <= das <= 1.0:
         raise DomainError(f"score out of range [0, 1]: {das!r}")
+    return fragility_cap(band_of(das, bands), worst_zone)
+
+
+def band_of(das: float, bands: DrcBands) -> DeploymentState:
+    """The band holding a score already known to lie in [0, 1]."""
     if das >= bands.b_deployable:
-        state = DeploymentState.DEPLOYABLE
-    elif das >= bands.b_restricted:
-        state = DeploymentState.RESTRICTED
-    elif das >= bands.b_reassessment:
-        state = DeploymentState.REASSESSMENT_REQUIRED
-    elif das >= bands.b_escalated:
-        state = DeploymentState.ESCALATED_GOVERNANCE
-    else:
-        state = DeploymentState.BLOCKED_DEPLOYMENT
-    return fragility_cap(state, worst_zone)
+        return DeploymentState.DEPLOYABLE
+    if das >= bands.b_restricted:
+        return DeploymentState.RESTRICTED
+    if das >= bands.b_reassessment:
+        return DeploymentState.REASSESSMENT_REQUIRED
+    if das >= bands.b_escalated:
+        return DeploymentState.ESCALATED_GOVERNANCE
+    return DeploymentState.BLOCKED_DEPLOYMENT
 
 
 def fragility_cap(
@@ -250,13 +268,6 @@ class GesThresholds:
 DEFAULT_GES_THRESHOLDS = GesThresholds()
 
 
-def _severity(value: float, cuts: tuple[float, float, float]) -> int:
-    for rank, cut in enumerate(cuts):
-        if value < cut:
-            return rank
-    return 3
-
-
 def compute_ges(
     signals: AssuranceSignals,
     thresholds: GesThresholds = DEFAULT_GES_THRESHOLDS,
@@ -266,14 +277,30 @@ def compute_ges(
     A remediation event whose effectiveness is negative raises the level
     one step, capped at Critical.
     """
+    s = signals
+    return ges_of(s.fdi, s.delta_fpr, s.delta_fnr, s.tsz, s.r_m, thresholds)
+
+
+def ges_of(
+    fdi: float,
+    delta_fpr: float,
+    delta_fnr: float,
+    tsz: float,
+    r_m: float | None,
+    thresholds: GesThresholds,
+) -> EscalationLevel:
+    """:func:`compute_ges` on plain values; ``r_m`` is set only on an event.
+
+    A signal's severity is the number of its cuts at or below it.
+    """
     severity = max(
-        _severity(signals.fdi, thresholds.fdi),
-        _severity(signals.delta_fpr, thresholds.delta_fpr),
-        _severity(signals.delta_fnr, thresholds.delta_fnr),
-        _severity(signals.tsz, thresholds.tsz),
+        bisect_right(thresholds.fdi, fdi),
+        bisect_right(thresholds.delta_fpr, delta_fpr),
+        bisect_right(thresholds.delta_fnr, delta_fnr),
+        bisect_right(thresholds.tsz, tsz),
     )
-    if signals.remediation_event and signals.r_m is not None and signals.r_m < 0:
-        severity = min(severity + 1, 3)
+    if r_m is not None and r_m < 0 and severity < 3:
+        severity += 1
     return _LEVEL_BY_SEVERITY[severity]
 
 

@@ -35,13 +35,17 @@ from .evaluation import (
     macro_mean,
     subgroup_sizes,
 )
-from .io import parse_predictions, parse_signals
+from .io import iter_signals, parse_predictions, parse_signals
+
+# cmd_lifecycle runs fold_trace; build_assessments, replay and emit_trace
+# are not called here, but bench/tracing.py wraps them by these names.
 from .lifecycle import (
     DEFAULT_INITIAL_STATE,
     _round4,
     build_assessments,
     csv_writer,
     emit_trace,
+    fold_trace,
     format_real,
     replay,
 )
@@ -240,10 +244,9 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
     rules = load_config(args.config).rules
     if args.gating is not None:
         rules = replace(rules, recovery_gating=args.gating == "on")
-    rows = parse_signals(args.signals)
-    assessments = build_assessments(rows, rules)
-    trace = replay(assessments, DeploymentState(args.initial), rules)
-    sys.stdout.buffer.write(emit_trace(trace, args.format))
+    records = iter_signals(args.signals)
+    trace = fold_trace(records, DeploymentState(args.initial), rules, args.format)
+    sys.stdout.buffer.write(trace)
     sys.stdout.buffer.flush()
     return 0
 

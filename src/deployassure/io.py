@@ -184,13 +184,24 @@ def parse_predictions(path: str) -> Predictions:
     return out
 
 
-def parse_signals(path: str) -> list[tuple[str, AssuranceSignals]]:
-    """Read and validate a signals file, preserving row order.
+def iter_signals(
+    path: str,
+) -> Iterator[tuple[str, float, float, float, float, bool, float | None]]:
+    """Read and validate a signals file, one row at a time, in row order.
 
-    The optional ``r_m`` column may only carry a value on rows whose
+    Yields ``(snapshot_id, fdi, delta_fpr, delta_fnr, tsz,
+    remediation_event, r_m)``, with ``r_m`` ``None`` where the row has
+    none. The optional ``r_m`` column may only carry a value on rows whose
     ``remediation_event`` is 1. Any das/drc columns present are ignored.
+
+    Raises:
+        MissingColumnError: a required column/key is absent.
+        MalformedRowError: a row fails validation, with its 1-based
+            physical row number; the rows before it have been yielded.
+        EmptyFileError: no data rows.
+        OSError: unreadable path.
     """
-    rows: list[tuple[str, AssuranceSignals]] = []
+    row = None
     records = _iter_records(path, SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS))
     try:
         for row, values in records:
@@ -213,21 +224,16 @@ def parse_signals(path: str) -> list[tuple[str, AssuranceSignals]]:
                     raise _BadValue(f"r_m out of range [-1, 1]: {raw_r_m!r}")
                 if not remediation:
                     raise _BadValue("r_m present but remediation_event is 0")
-            rows.append(
-                (
-                    snapshot_id,
-                    AssuranceSignals(
-                        fdi=fdi,
-                        delta_fpr=delta_fpr,
-                        delta_fnr=delta_fnr,
-                        tsz=tsz,
-                        remediation_event=remediation,
-                        r_m=r_m,
-                    ),
-                )
-            )
+            yield snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m
     except _BadValue as exc:
         raise MalformedRowError(path, row, str(exc)) from None
-    if not rows:
+    if row is None:
         raise EmptyFileError(path)
-    return rows
+
+
+def parse_signals(path: str) -> list[tuple[str, AssuranceSignals]]:
+    """The rows of :func:`iter_signals` as ``(snapshot_id, signals)``."""
+    return [
+        (sid, AssuranceSignals(*values, remediation_event=event, r_m=r_m))
+        for sid, *values, event, r_m in iter_signals(path)
+    ]

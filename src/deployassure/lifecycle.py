@@ -16,6 +16,8 @@ Transition semantics:
 Replays fold these rules over a snapshot sequence, fill in the
 assurance-score delta between consecutive snapshots, and serialise to a
 fixed-column CSV or JSON trace whose bytes are reproducible.
+:func:`fold_trace` applies the same rules to validated signal rows in one
+pass, with no per-snapshot objects, and gives the same bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .assurance import (
     BY_FAVORABILITY,
@@ -38,15 +40,18 @@ from .assurance import (
     EscalationLevel,
     GesThresholds,
     WeightVector,
+    band_of,
     classify_drc,
     compute_das,
     compute_ges,
+    das_of,
     fragility_cap,
-    less_favorable,
+    ges_of,
     remediation_progression,
 )
 from .errors import ConfigInvalidError, EmptySequenceError
 from .fingerprint import canonical_fingerprint
+from .stability import ZoneLabel
 
 REASON_DAS_BAND = "das_band_change"
 REASON_FRAGILITY = "fragility_override"
@@ -128,11 +133,16 @@ class GovernanceTrace:
     config_fingerprint: str
 
 
+def _backfilled_r_m(
+    remediation_event: bool, r_m: float | None, r_p: float | None
+) -> float | None:
+    """A remediation event with no explicit ``r_m`` takes its ``r_p``."""
+    return r_p if remediation_event and r_m is None else r_m
+
+
 def _backfill_r_m(signals: AssuranceSignals, r_p: float | None) -> AssuranceSignals:
-    """Give a remediation event with no explicit ``r_m`` its ``r_p``."""
-    if signals.remediation_event and signals.r_m is None and r_p is not None:
-        return replace(signals, r_m=r_p)
-    return signals
+    r_m = _backfilled_r_m(signals.remediation_event, signals.r_m, r_p)
+    return signals if r_m is signals.r_m else replace(signals, r_m=r_m)
 
 
 def build_assessments(
@@ -166,6 +176,47 @@ def build_assessments(
     return assessments
 
 
+def _advance(
+    current: DeploymentState,
+    band_state: DeploymentState,
+    worst_zone: ZoneLabel | None,
+    remediation_event: bool,
+    r_m: float | None,
+    das: float,
+    rules: RulesConfig,
+) -> tuple[DeploymentState, tuple[str, ...]]:
+    """The transition rule on plain values: the new state and its reasons.
+
+    The reasons are empty exactly when the state holds.
+    """
+    target = fragility_cap(band_state, worst_zone)
+    if target is current:
+        return current, ()
+
+    if target.favorability < current.favorability:
+        reasons: tuple[str, ...] = ()
+        if band_state.favorability < current.favorability:
+            reasons += (REASON_DAS_BAND,)
+        if target is not band_state:
+            reasons += (REASON_FRAGILITY,)
+        if r_m is not None and r_m < 0:
+            reasons += (REASON_FAILED_REMEDIATION,)
+        return target, reasons
+
+    if not remediation_event:
+        return current, ()
+    # One level up from BlockedDeployment is EscalatedGovernance, so a gated
+    # first move out of it stays below ReassessmentRequired too.
+    destination = target
+    if rules.recovery_gating:
+        destination = BY_FAVORABILITY[current.favorability + 1]
+    if das < rules.bands.floor(destination) + rules.hysteresis:
+        return current, ()
+    if rules.recovery_gating:
+        return destination, (REASON_RECOVERY_GATED,)
+    return destination, (REASON_DAS_BAND,)
+
+
 def step(
     current: DeploymentState,
     assessment: SnapshotAssessment,
@@ -179,48 +230,13 @@ def step(
     backfill of a missing ``r_m`` (see :func:`replay`) happens before
     ``step`` is called.
     """
-    band_state = assessment.stateless_drc
-    target = fragility_cap(band_state, assessment.signals.worst_zone)
-
-    if target.favorability < current.favorability:
-        reasons: list[str] = []
-        if band_state.favorability < current.favorability:
-            reasons.append(REASON_DAS_BAND)
-        if target.favorability < band_state.favorability:
-            reasons.append(REASON_FRAGILITY)
-        r_m = assessment.signals.r_m
-        if r_m is not None and r_m < 0:
-            reasons.append(REASON_FAILED_REMEDIATION)
-        record = TransitionRecord(
-            from_state=current,
-            to_state=target,
-            trigger_reasons=tuple(reasons),
-            r_p=assessment.r_p,
-        )
-        return target, record
-
-    if target.favorability > current.favorability:
-        if not assessment.signals.remediation_event:
-            return current, None
-        destination = target
-        if rules.recovery_gating:
-            destination = BY_FAVORABILITY[current.favorability + 1]
-            if current is DeploymentState.BLOCKED_DEPLOYMENT:
-                destination = less_favorable(
-                    destination, DeploymentState.REASSESSMENT_REQUIRED
-                )
-        if assessment.das < rules.bands.floor(destination) + rules.hysteresis:
-            return current, None
-        reason = REASON_RECOVERY_GATED if rules.recovery_gating else REASON_DAS_BAND
-        record = TransitionRecord(
-            from_state=current,
-            to_state=destination,
-            trigger_reasons=(reason,),
-            r_p=assessment.r_p,
-        )
-        return destination, record
-
-    return current, None
+    a, s = assessment, assessment.signals
+    new, reasons = _advance(
+        current, a.stateless_drc, s.worst_zone, s.remediation_event, s.r_m, a.das, rules
+    )
+    if not reasons:
+        return current, None
+    return new, TransitionRecord(current, new, reasons, a.r_p)
 
 
 def replay(
@@ -305,11 +321,84 @@ def csv_writer(stream: TextIO) -> Any:
     return csv.writer(_LineFeedRows(stream))
 
 
-def _transition_cell(record: TransitionRecord | None) -> str:
-    if record is None:
+def _transition_cell(transition: tuple | None) -> str:
+    if transition is None:
         return ""
-    reasons = "|".join(record.trigger_reasons)
-    return f"{record.from_state.value}->{record.to_state.value}[{reasons}]"
+    from_state, to_state, reasons, _ = transition
+    return f"{from_state.value}->{to_state.value}[{'|'.join(reasons)}]"
+
+
+def _entry_row(entry: TraceEntry) -> tuple:
+    a, signals, t = entry.assessment, entry.assessment.signals, entry.transition
+    return (
+        a.snapshot_id,
+        signals.fdi,
+        signals.delta_fpr,
+        signals.delta_fnr,
+        signals.tsz,
+        a.das,
+        a.ges,
+        a.stateless_drc,
+        entry.governed_state,
+        None if t is None else (t.from_state, t.to_state, t.trigger_reasons, t.r_p),
+        a.r_p,
+    )
+
+
+def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
+    """Trace rows to CSV or JSON bytes; every row is read before any byte is out.
+
+    A trace row holds the TRACE_COLUMNS values unformatted, in that order;
+    its transition is None or (from_state, to_state, trigger_reasons, r_p).
+    """
+    if format == "csv":
+        buffer = io.StringIO()
+        writer = csv_writer(buffer)
+        writer.writerow(TRACE_COLUMNS)
+        for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows:
+            writer.writerow(
+                (
+                    sid,
+                    format_real(fdi),
+                    format_real(dfpr),
+                    format_real(dfnr),
+                    format_real(tsz),
+                    format_real(das),
+                    ges.value,
+                    drc.value,
+                    state.value,
+                    _transition_cell(t),
+                    "" if r_p is None else format_real(r_p),
+                )
+            )
+        return buffer.getvalue().encode("utf-8")
+    if format == "json":
+        entries = [
+            {
+                "snapshot_id": sid,
+                "fdi": _round4(fdi),
+                "delta_fpr": _round4(dfpr),
+                "delta_fnr": _round4(dfnr),
+                "tsz": _round4(tsz),
+                "das": _round4(das),
+                "ges": ges.value,
+                "stateless_drc": drc.value,
+                "governed_state": state.value,
+                "transition": None
+                if t is None
+                else {
+                    "from_state": t[0].value,
+                    "to_state": t[1].value,
+                    "trigger_reasons": list(t[2]),
+                    "r_p": _round4(t[3]),
+                },
+                "r_p": _round4(r_p),
+            }
+            for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows
+        ]
+        payload = {"config_fingerprint": fingerprint, "entries": entries}
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
 def emit_trace(trace: GovernanceTrace, format: str = "csv") -> bytes:
@@ -318,54 +407,54 @@ def emit_trace(trace: GovernanceTrace, format: str = "csv") -> bytes:
     The CSV column order is fixed; reals carry 4 decimal places. Repeated
     serialisation of the same trace is byte-identical.
     """
-    if format == "csv":
-        buffer = io.StringIO()
-        writer = csv_writer(buffer)
-        writer.writerow(TRACE_COLUMNS)
-        for entry in trace.entries:
-            a = entry.assessment
-            writer.writerow(
-                [
-                    a.snapshot_id,
-                    format_real(a.signals.fdi),
-                    format_real(a.signals.delta_fpr),
-                    format_real(a.signals.delta_fnr),
-                    format_real(a.signals.tsz),
-                    format_real(a.das),
-                    a.ges.value,
-                    a.stateless_drc.value,
-                    entry.governed_state.value,
-                    _transition_cell(entry.transition),
-                    "" if a.r_p is None else format_real(a.r_p),
-                ]
-            )
-        return buffer.getvalue().encode("utf-8")
-    if format == "json":
-        payload = {
-            "config_fingerprint": trace.config_fingerprint,
-            "entries": [
-                {
-                    "snapshot_id": e.assessment.snapshot_id,
-                    "fdi": _round4(e.assessment.signals.fdi),
-                    "delta_fpr": _round4(e.assessment.signals.delta_fpr),
-                    "delta_fnr": _round4(e.assessment.signals.delta_fnr),
-                    "tsz": _round4(e.assessment.signals.tsz),
-                    "das": _round4(e.assessment.das),
-                    "ges": e.assessment.ges.value,
-                    "stateless_drc": e.assessment.stateless_drc.value,
-                    "governed_state": e.governed_state.value,
-                    "transition": None
-                    if e.transition is None
-                    else {
-                        "from_state": e.transition.from_state.value,
-                        "to_state": e.transition.to_state.value,
-                        "trigger_reasons": list(e.transition.trigger_reasons),
-                        "r_p": _round4(e.transition.r_p),
-                    },
-                    "r_p": _round4(e.assessment.r_p),
-                }
-                for e in trace.entries
-            ],
-        }
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    return _serialise(map(_entry_row, trace.entries), format, trace.config_fingerprint)
+
+
+def _fold(
+    records: Iterable[tuple], initial_state: DeploymentState, rules: RulesConfig
+) -> Iterator[tuple]:
+    """Validated signal rows to trace rows in one pass.
+
+    Per row: DAS, the stateless DRC, ``r_p`` and the ``r_m`` backfill,
+    GES, then the transition; the same rules :func:`build_assessments`
+    and :func:`replay` apply, with no dataclass built per row. A file has
+    no ``worst_zone``, so no fragility cap applies.
+    """
+    weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
+    current = initial_state
+    prev_das: float | None = None
+    for snapshot_id, fdi, dfpr, dfnr, tsz, event, r_m in records:
+        das = das_of(fdi, dfpr, dfnr, tsz, weights)
+        r_p = None if prev_das is None else remediation_progression(prev_das, das)
+        r_m = _backfilled_r_m(event, r_m, r_p)
+        drc = band_of(das, bands)
+        new, reasons = _advance(current, drc, None, event, r_m, das, rules)
+        yield (
+            snapshot_id,
+            fdi,
+            dfpr,
+            dfnr,
+            tsz,
+            das,
+            ges_of(fdi, dfpr, dfnr, tsz, r_m, cuts),
+            drc,
+            new,
+            (current, new, reasons, r_p) if reasons else None,
+            r_p,
+        )
+        current, prev_das = new, das
+
+
+def fold_trace(
+    records: Iterable[tuple],
+    initial_state: DeploymentState,
+    rules: RulesConfig,
+    format: str,
+) -> bytes:
+    """Trace bytes for validated signal rows, as :func:`emit_trace` writes them.
+
+    ``records`` are ``io.iter_signals`` rows. The result equals the staged
+    ``emit_trace(replay(build_assessments(...)))`` path; a row error
+    surfaces before any byte is returned.
+    """
+    return _serialise(_fold(records, initial_state, rules), format, rules.fingerprint())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deployassure import (
@@ -51,6 +51,20 @@ class TestComputeDas:
     @given(unit, unit, unit, unit)
     def test_bounded(self, a, b, c, d):
         assert 0.0 <= compute_das(equal_signals(a, b, c, d)) <= 1.0
+
+    def test_float_sum_above_one_is_clamped(self):
+        weights = WeightVector(0.2, 0.4, 0.3, 0.1)
+        assert sum(weights.as_tuple()) > 1.0  # within the 1e-9 tolerance
+        assert compute_das(equal_signals(0, 0, 0, 0), weights) == 1.0
+
+    @given(st.lists(st.integers(0, 10**6), min_size=4, max_size=4), unit, unit)
+    @example([2, 4, 3, 1], 0.0, 0.0)  # 0.2, 0.4, 0.3, 0.1
+    @settings(max_examples=200)
+    def test_bounded_under_any_simplex_weights(self, parts, a, b):
+        parts = parts if sum(parts) else [1, 0, 0, 0]
+        weights = WeightVector(*(part / sum(parts) for part in parts))
+        assert 1.0 - 1e-9 <= compute_das(equal_signals(0, 0, 0, 0), weights) <= 1.0
+        assert 0.0 <= compute_das(equal_signals(a, b, a, b), weights) <= 1.0
 
     @given(unit, unit, unit, unit, st.floats(0.01, 0.5))
     @settings(max_examples=80)

@@ -52,3 +52,16 @@ def test_row_counters_count_rows(capsys, tracing, predictions_file, argv, scanne
     assert metrics["io.parse_predictions.rows"] == rows
     # A sweep counts by bisection, so it scans no rows.
     assert metrics.get("evaluation.compute_confusion.rows_scanned", 0) == scanned * rows
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_traced_lifecycle_writes_the_same_bytes(
+    capsysbinary, tracing, signals_file, output
+):
+    # The bench's traced run checks each traced call's stdout digest.
+    argv = ["lifecycle", "--signals", signals_file, "--format", output]
+    assert cli.main(argv) == 0
+    plain = capsysbinary.readouterr().out
+    with tracing.installed(tracing.Tracer()):
+        assert cli.main(argv) == 0
+    assert plain and capsysbinary.readouterr().out == plain

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,14 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deployassure.cli
 import deployassure.evaluation
 import deployassure.io
+import deployassure.lifecycle
 from deployassure import (
+    AssuranceSignals,
     Sample,
+    SnapshotAssessment,
+    TraceEntry,
+    TransitionRecord,
+    build_assessments,
     compute_confusion,
     fdi_at_threshold,
     load_config,
     parse_predictions,
+    parse_signals,
+    replay,
 )
 from deployassure.cli import main
 
@@ -362,6 +372,98 @@ def test_predictions_checked_once_and_never_built_as_samples(
     samples = list(parse_predictions(predictions_file))
     compute_confusion(samples, 0.5)
     assert (len(built), len(checked)) == (rows, rows)
+
+
+@pytest.mark.parametrize("command", ["score", "lifecycle"])
+def test_perfect_snapshot_under_simplex_weights(capsys, tmp_path, command):
+    # 0.2 + 0.4 + 0.3 + 0.1 is 1.0000000000000002 in floats, within the
+    # 1e-9 weight tolerance; the DAS of a perfect snapshot is still 1.
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"weights": {"alpha": 0.2, "beta": 0.4, "gamma": 0.3, "delta": 0.1}}',
+        encoding="utf-8",
+    )
+    signals = tmp_path / "signals.csv"
+    signals.write_text(
+        "snapshot_id,fdi,delta_fpr,delta_fnr,tsz,remediation_event\nok,0,0,0,0,0\n",
+        encoding="utf-8",
+    )
+    argv = ("--signals", str(signals), "--config", str(config))
+    code, out, err = run(capsys, command, *argv)
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split(",")
+    assert row[5:8] == ["1.0000", "Low", "Deployable"]
+
+
+def _signals_with_bad_last_row(path, rows, jsonl):
+    records = [
+        {
+            "snapshot_id": f"s{i}",
+            "fdi": 0.1,
+            "delta_fpr": 0.2,
+            "delta_fnr": 0.3,
+            "tsz": 0.4,
+            "remediation_event": int(i % 3 == 0),
+        }
+        for i in range(rows)
+    ]
+    records[-1]["tsz"] = 1.5
+    with open(path, "w", encoding="utf-8") as fh:
+        if jsonl:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+        else:
+            fh.write(",".join(records[0]) + "\n")
+            fh.writelines(",".join(map(str, r.values())) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("jsonl", [False, True], ids=["csv-input", "jsonl-input"])
+def test_error_in_last_row_leaves_stdout_empty(capsys, tmp_path, jsonl, output):
+    # The trace is built in one pass, but no byte of it is written until
+    # the last row has been read and checked.
+    rows = 5000
+    path = tmp_path / ("signals.jsonl" if jsonl else "signals.csv")
+    _signals_with_bad_last_row(path, rows, jsonl)
+    argv = ("lifecycle", "--signals", str(path), "--format", output)
+    code, out, err = run(capsys, *argv)
+    # JSON holds a number; a CSV cell is a string, and the CSV header is row 1.
+    row, bad = (rows, "1.5") if jsonl else (rows + 1, "'1.5'")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: row {row}: tsz out of range [0, 1]: {bad}\n"
+
+
+def test_lifecycle_builds_no_per_row_objects(monkeypatch, capsys, signals_file):
+    # Counts, not timings: the CLI folds signal rows straight to trace rows.
+    built = []
+    for cls in (AssuranceSignals, SnapshotAssessment, TraceEntry, TransitionRecord):
+        real_init = cls.__init__
+
+        def counting_init(self, *args, _real=real_init, **kwargs):
+            built.append(type(self).__name__)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    replaced = []
+
+    def counting_replace(obj, **changes):
+        replaced.append(type(obj).__name__)
+        return dataclasses.replace(obj, **changes)
+
+    for module in (deployassure.cli, deployassure.lifecycle):
+        monkeypatch.setattr(module, "replace", counting_replace)
+    code, out, _ = run(capsys, "lifecycle", "--signals", signals_file)
+    assert code == 0 and len(out.splitlines()) == 4
+    assert (built, replaced) == ([], [])
+    # The patches are live: the staged path builds every kind of object,
+    # and backfills r_m with replace.
+    replay(build_assessments(parse_signals(signals_file)))
+    assert set(built) == {
+        "AssuranceSignals",
+        "SnapshotAssessment",
+        "TraceEntry",
+        "TransitionRecord",
+    }
+    assert replaced
 
 
 def _emit(argv, path, records):

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import dataclasses
+import io
 import json
 import math
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deployassure import (
     AssuranceSignals,
@@ -24,10 +32,13 @@ from deployassure import (
     classify_drc,
     compute_ges,
     emit_trace,
+    load_config,
     replay,
     step,
 )
+from deployassure.cli import main
 
+import oracles
 from conftest import REFERENCE_ROWS
 
 D = DeploymentState
@@ -276,3 +287,173 @@ class TestRulesConfig:
         first = build_assessments(REFERENCE_ROWS, rules)[0]
         assert first.das == pytest.approx(1.0 - 0.68)
         assert first.ges is EscalationLevel.CRITICAL  # High under default cuts
+
+
+# --- The one-pass fold against the staged oracle --------------------------
+
+# Signal values for one file: spread out, or low enough that most
+# snapshots score in the favorable bands, where gating and caps act.
+signal_values = st.sampled_from(
+    [
+        st.one_of(st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.85, 1.0]), st.floats(0, 1)),
+        st.floats(0, 0.25),
+    ]
+)
+
+
+@st.composite
+def signal_records(draw, bad_values=True):
+    """A signals file's records: explicit and backfilled r_m, id edge cases."""
+    values = draw(signal_values)
+    records = []
+    for i in range(draw(st.integers(1, 25))):
+        record = {
+            "snapshot_id": draw(st.sampled_from([f"s{i}", "", 'a,"b"', "x\ry"])),
+            "fdi": draw(values),
+            "delta_fpr": draw(values),
+            "delta_fnr": draw(values),
+            "tsz": draw(values),
+            "remediation_event": draw(st.sampled_from([0, 1])),
+        }
+        if record["remediation_event"] and draw(st.booleans()):
+            record["r_m"] = draw(st.floats(-1, 1))
+        records.append(record)
+    if bad_values and draw(st.booleans()):
+        # One bad value: both paths must stop at the same row, same message.
+        bad = draw(st.sampled_from(records))
+        field, value = draw(
+            st.sampled_from(
+                [("tsz", 1.5), ("fdi", -0.1), ("delta_fnr", "x"), ("r_m", 2.0)]
+            )
+        )
+        bad[field] = value
+        if field == "r_m":
+            bad["remediation_event"] = draw(st.sampled_from([0, 1]))
+    return records
+
+
+# A sweep's worst zone; only GovernanceFragility caps, so it is drawn most.
+zones = st.one_of(
+    st.just(ZoneLabel.GOVERNANCE_FRAGILITY), st.sampled_from([None, *ZoneLabel])
+)
+
+
+@st.composite
+def rule_configs(draw):
+    parts = draw(st.lists(st.integers(0, 1000), min_size=4, max_size=4))
+    parts = parts if sum(parts) else [1, 1, 1, 1]
+    weights = (part / sum(parts) for part in parts)
+    config = {
+        "weights": dict(zip(("alpha", "beta", "gamma", "delta"), weights)),
+        "hysteresis": draw(st.sampled_from([0.0, 0.02, 0.1])),
+        "recovery_gating": draw(st.booleans()),
+    }
+    bands = draw(
+        st.sampled_from(
+            [
+                None,
+                dict(deployable=0.9, restricted=0.7, reassessment=0.55, escalated=0.25),
+                dict(deployable=0.6, restricted=0.45, reassessment=0.3, escalated=0.1),
+            ]
+        )
+    )
+    if bands is not None:
+        config["bands"] = bands
+    if draw(st.booleans()):
+        config["ges_thresholds"] = {"fdi": [0.1, 0.3, 0.6], "tsz": [0.05, 0.2, 0.5]}
+    return config
+
+
+def _write_inputs(tmp, records, config, jsonl):
+    """Write a signals file and a config file; return their paths."""
+    path = os.path.join(tmp, "signals.jsonl" if jsonl else "signals.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if jsonl:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
+        else:
+            columns = [*oracles.SIGNALS_COLUMNS, "r_m"]
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows([r.get(c, "") for c in columns] for r in records)
+    config_path = os.path.join(tmp, "config.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    return path, config_path
+
+
+def _run_cli(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+class TestFoldMatchesStaged:
+    """The CLI's one-pass fold gives the staged path's bytes and errors."""
+
+    @given(
+        records=signal_records(),
+        config=rule_configs(),
+        gating=st.sampled_from([None, "on", "off"]),
+        initial=st.sampled_from(list(D)),
+        jsonl=st.booleans(),
+        output=st.sampled_from(["csv", "json"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cli_trace(self, records, config, gating, initial, jsonl, output):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, config_path = _write_inputs(tmp, records, config, jsonl)
+            argv = ["lifecycle", "--signals", path, "--config", config_path]
+            argv += ["--initial", initial.value, "--format", output]
+            if gating is not None:
+                argv += ["--gating", gating]
+            code, out, err = _run_cli(argv)
+
+            rules = load_config(config_path).rules
+            if gating is not None:
+                rules = dataclasses.replace(rules, recovery_gating=gating == "on")
+            try:
+                rows = oracles.staged_parse_signals(path)
+            except oracles.MalformedRowError as exc:
+                assert (code, out, err) == (1, b"", f"error: {exc}\n")
+                return
+        assert (code, err) == (0, "")
+        assert out == oracles.staged_trace(rows, initial, rules, output)
+
+    @given(
+        records=signal_records(bad_values=False),
+        zones=st.lists(zones, min_size=25, max_size=25),
+        config=rule_configs(),
+        initial=st.sampled_from(list(D)),
+        output=st.sampled_from(["csv", "json"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_library_path(self, records, zones, config, initial, output):
+        # worst_zone reaches step only through the library path.
+        rows = [
+            (
+                r["snapshot_id"],
+                AssuranceSignals(
+                    *(r[k] for k in ("fdi", "delta_fpr", "delta_fnr", "tsz")),
+                    worst_zone=zone,
+                    remediation_event=bool(r["remediation_event"]),
+                    r_m=r.get("r_m"),
+                ),
+            )
+            for r, zone in zip(records, zones)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            rules = load_config(_write_inputs(tmp, records, config, True)[1]).rules
+        expected = oracles.staged_trace(rows, initial, rules, output)
+        assessments = build_assessments(rows, rules)
+        trace = replay(assessments, initial, rules)
+        assert emit_trace(trace, output) == expected
+        # replay fills r_p and backfills r_m itself when they are missing.
+        bare = [
+            dataclasses.replace(a, signals=signals, r_p=None)
+            for a, (_, signals) in zip(assessments, rows)
+        ]
+        staged = oracles.staged_replay(bare, initial, rules)
+        assert replay(bare, initial, rules) == staged
