@@ -11,12 +11,14 @@ Commands:
 * ``lifecycle``: governed state trace over a signals file.
 * ``classify``:  readiness state for a single assurance score.
 
-Exit codes: 0 success, 1 validation error (including usage), 2 I/O error.
+Exit codes: 0 success, 1 validation error (including usage, and a value
+the csv module cannot write), 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -322,6 +324,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except csv.Error as exc:  # input errors are MalformedRowError by now
+        print(f"error: cannot write CSV output: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

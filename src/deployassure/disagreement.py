@@ -134,6 +134,10 @@ def compute_fdi(panel: DisparityPanel, mode: str = MODE_CONTINUOUS) -> FdiValue:
         ordered = sorted(d for _, d in panel.entries)
         total = math.fsum(d * (2 * i - (k - 1)) for i, d in enumerate(ordered))
         value = total / pairs
+        if total > 0:
+            # A subnormal total can round to 0 over the pair count; 0 is
+            # kept for a panel that fully agrees.
+            value = max(value, math.ulp(0.0))
     else:
         tolerances = panel.tolerances or {}
         fair = 0

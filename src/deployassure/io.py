@@ -36,6 +36,12 @@ SIGNALS_COLUMNS = (
 )
 
 
+# The C scanner behind json.loads, and what may follow the value it scans
+# for a line to hold just that value.
+_scan_json = json.JSONDecoder().scan_once
+_LINE_ENDS = ("\n", "", "\r\n", "\r")
+
+
 def _iter_records(
     path: str, columns: tuple[str, ...], required: int
 ) -> Iterator[tuple[int, Sequence[Any]]]:
@@ -51,6 +57,13 @@ def _iter_records(
     parsed from the same handle. Both formats are read in this one
     generator: delegating each row to a nested generator cost about a
     tenth of the CSV read time.
+
+    A JSON-lines record is read with the JSON decoder's C scanner, and is
+    taken when the scanned value ends the line. Any other line (blank,
+    padded, BOM-led, trailing data, a scan error) falls back to
+    ``json.loads``, which skips blank lines and gives every error its
+    message. A value the decoder refuses (nested too deep for it, or an
+    integer past the int digit limit) is invalid JSON too.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         row = 0
@@ -91,12 +104,19 @@ def _iter_records(
 
         first = True
         for line_num, line in enumerate(lines, start=row):
-            if not line.strip():
-                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRowError(path, line_num, f"invalid JSON: {exc}") from exc
+                record, end = _scan_json(line, 0)
+                whole_line = line[end:] in _LINE_ENDS
+            except (StopIteration, ValueError, RecursionError):
+                whole_line = False
+            if not whole_line:
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    message = f"invalid JSON: {exc}"
+                    raise MalformedRowError(path, line_num, message) from exc
             if not isinstance(record, dict):
                 raise MalformedRowError(path, line_num, "record is not an object")
             if first:

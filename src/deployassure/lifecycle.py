@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
@@ -288,9 +289,19 @@ def replay(
     )
 
 
+_REAL = "%.4f"
+# A CSV trace row after its snapshot id: five reals, then the three enum
+# values, the transition cell and the r_p cell. None of these cells holds a
+# character the csv module quotes.
+_TRACE_CELLS = ",".join([_REAL] * 5 + ["%s"] * 5)
+# The characters for which the csv module quotes a cell, and NUL, which
+# Python 3.10's csv module refuses to write.
+_CSV_TRIGGERS = re.compile(r'[,"\r\n\x00]')
+
+
 def format_real(value: float) -> str:
     """Render a real with 4 decimal places, ties to even."""
-    return f"{value:.4f}"
+    return _REAL % value
 
 
 def _round4(value: float | None) -> float | None:
@@ -325,7 +336,7 @@ def _transition_cell(transition: tuple | None) -> str:
     if transition is None:
         return ""
     from_state, to_state, reasons, _ = transition
-    return f"{from_state.value}->{to_state.value}[{'|'.join(reasons)}]"
+    return f"{from_state._value_}->{to_state._value_}[{'|'.join(reasons)}]"
 
 
 def _entry_row(entry: TraceEntry) -> tuple:
@@ -350,27 +361,36 @@ def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
 
     A trace row holds the TRACE_COLUMNS values unformatted, in that order;
     its transition is None or (from_state, to_state, trigger_reasons, r_p).
+
+    A CSV row is one ``%`` template over the cells after the snapshot id,
+    written straight into the buffer. The id is the only free-text cell:
+    when it holds a character the csv module quotes (or NUL), the whole row
+    goes through :func:`csv_writer`, so the csv module decides its quoting
+    on every Python version. Enum values are read from ``_value_``; the
+    ``value`` property costs ten times as much per read.
     """
     if format == "csv":
         buffer = io.StringIO()
         writer = csv_writer(buffer)
         writer.writerow(TRACE_COLUMNS)
+        write, needs_quoting = buffer.write, _CSV_TRIGGERS.search
         for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows:
-            writer.writerow(
-                (
-                    sid,
-                    format_real(fdi),
-                    format_real(dfpr),
-                    format_real(dfnr),
-                    format_real(tsz),
-                    format_real(das),
-                    ges.value,
-                    drc.value,
-                    state.value,
-                    _transition_cell(t),
-                    "" if r_p is None else format_real(r_p),
-                )
+            cells = _TRACE_CELLS % (
+                fdi,
+                dfpr,
+                dfnr,
+                tsz,
+                das,
+                ges._value_,
+                drc._value_,
+                state._value_,
+                _transition_cell(t),
+                "" if r_p is None else _REAL % r_p,
             )
+            if needs_quoting(sid) is None:
+                write(f"{sid},{cells}\n")
+            else:
+                writer.writerow((sid, *cells.split(",")))
         return buffer.getvalue().encode("utf-8")
     if format == "json":
         entries = [

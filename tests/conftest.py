@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
@@ -16,6 +18,18 @@ REFERENCE_ROWS = (
     ("mitigation_b", AssuranceSignals(0.62, 0.304, 0.701, 0.39, remediation_event=True)),
 )
 REFERENCE_DAS = (0.48, 0.71, 0.52)
+
+
+def _csv_writes_nul() -> bool:
+    try:
+        csv.writer(io.StringIO()).writerow(["\0"])
+    except csv.Error:
+        return False
+    return True
+
+
+# Python 3.10's csv module refuses to write a NUL; later versions write it.
+CSV_WRITES_NUL = _csv_writes_nul()
 
 SIGNALS_CSV = (
     "snapshot_id,fdi,delta_fpr,delta_fnr,tsz,remediation_event,r_m\n"

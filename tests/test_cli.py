@@ -34,7 +34,7 @@ from deployassure import (
 )
 from deployassure.cli import main
 
-from conftest import SIGNALS_CSV
+from conftest import CSV_WRITES_NUL, SIGNALS_CSV
 
 
 def run(capsys, *argv):
@@ -466,6 +466,110 @@ def test_lifecycle_builds_no_per_row_objects(monkeypatch, capsys, signals_file):
     assert replaced
 
 
+def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
+    monkeypatch, capsys, tmp_path
+):
+    # Counts, not timings: the csv writer writes the header and the rows
+    # whose id it must quote; json.loads reads only lines the scanner skips.
+    written, loaded = [], []
+    real_write, real_loads = deployassure.lifecycle._LineFeedRows.write, json.loads
+
+    def counting_write(self, row):
+        written.append(row)
+        return real_write(self, row)
+
+    def counting_loads(text, *args, **kwargs):
+        loaded.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(deployassure.lifecycle._LineFeedRows, "write", counting_write)
+    monkeypatch.setattr(json, "loads", counting_loads)
+    signals = {"fdi": 0.1, "delta_fpr": 0.2, "delta_fnr": 0.3, "tsz": 0.4}
+    path = tmp_path / "signals.jsonl"
+
+    def lifecycle(snapshot_ids, padding=""):
+        records = (
+            {"snapshot_id": s, **signals, "remediation_event": 0} for s in snapshot_ids
+        )
+        lines = (padding + json.dumps(r) + "\n" for r in records)
+        path.write_text("".join(lines), encoding="utf-8")
+        written.clear()
+        loaded.clear()
+        code, out, err = run(capsys, "lifecycle", "--signals", str(path))
+        assert (code, err) == (0, "")
+        assert len(list(csv.reader(io.StringIO(out)))) == 1 + len(snapshot_ids)
+
+    lifecycle(["s0", "s1", "s2"])
+    assert (len(written), loaded) == (1, [])
+    # The patches are live: quoted ids go through the csv writer, and
+    # padded lines through json.loads.
+    lifecycle(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], padding=" ")
+    assert (len(written), len(loaded)) == (5, 6)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "score", "lifecycle"])
+@pytest.mark.parametrize(
+    "line",
+    ['{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"a": 1' + "0" * 5000 + "}"],
+    ids=["deeply-nested", "over-int-digit-limit"],
+)
+def test_json_the_decoder_refuses_is_a_row_error(capsys, tmp_path, command, line):
+    # The decoder raises RecursionError, or ValueError past the int digit
+    # limit, on lines like these; both are invalid JSON in row 2.
+    if command == "evaluate":
+        first = {"sample_id": "s1", "score": 0.5, "label": 1, "subgroup": "A"}
+        flags = ("--threshold", "0.5", "--predictions")
+    else:
+        first = {"snapshot_id": "s1", "fdi": 0.1, "delta_fpr": 0.2, "delta_fnr": 0.3}
+        first.update(tsz=0.4, remediation_event=0)
+        flags = ("--signals",)
+    path = tmp_path / "input.jsonl"
+    path.write_text(json.dumps(first) + "\n" + line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, command, *flags, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: row 2: invalid JSON: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "score", "lifecycle"])
+def test_csv_write_error_exits_one(
+    monkeypatch, capsys, tmp_path, predictions_file, signals_file, command
+):
+    # Python 3.10's csv module refuses to write a NUL in a cell.
+    class RefusingWriter:
+        def writerow(self, row):
+            raise csv.Error("need to escape, but no escapechar set")
+
+    for module in (deployassure.cli, deployassure.lifecycle):
+        monkeypatch.setattr(module, "csv_writer", lambda stream: RefusingWriter())
+    config = tmp_path / "config.json"
+    config.write_text('{"min_support": 5}', encoding="utf-8")
+    if command in ("evaluate", "sweep"):
+        argv = ["--predictions", predictions_file, "--config", str(config)]
+        argv += ["--threshold", "0.5"] if command == "evaluate" else []
+    else:
+        argv = ["--signals", signals_file]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (1, "")
+    message = "cannot write CSV output: need to escape, but no escapechar set"
+    assert err == f"error: {message}\n"
+
+
+def test_nul_in_a_snapshot_id(capsys, tmp_path):
+    record = {"snapshot_id": "a\0b", "fdi": 0.1, "delta_fpr": 0.2, "delta_fnr": 0.3}
+    path = tmp_path / "signals.jsonl"
+    record.update(tsz=0.4, remediation_event=0)
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "lifecycle", "--signals", str(path))
+    if CSV_WRITES_NUL:
+        assert (code, err) == (0, "")
+        assert list(csv.reader(io.StringIO(out)))[1][0] == "a\0b"
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write CSV output: ")
+        assert len(err.splitlines()) == 1
+
+
 def _emit(argv, path, records):
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in records)
@@ -477,8 +581,14 @@ def _emit(argv, path, records):
     return list(csv.reader(io.StringIO(out.buffer.getvalue().decode("utf-8"))))
 
 
-# Any text at all, bar lone surrogates, which no UTF-8 file can hold.
-any_text = st.text(st.characters(blacklist_categories=("Cs",)))
+# Any text at all, bar lone surrogates, which no UTF-8 file can hold, and
+# NUL where the csv module cannot write it (see test_nul_in_a_snapshot_id).
+any_text = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="" if CSV_WRITES_NUL else "\0",
+    )
+)
 
 
 class TestCsvRoundTrip:

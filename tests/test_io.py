@@ -266,7 +266,9 @@ JSON_VALUES = {
     ),
     "score": _mostly(
         st.sampled_from((1, 0, "0.5", "1e0")) | three_decimals,
-        st.sampled_from((1.5, -0.1, float("nan"), True, None, [1], "x")),
+        st.sampled_from(
+            (1.5, -0.1, float("nan"), float("inf"), -float("inf"), True, None, [1], "x")
+        ),
     ),
     "label": _mostly(
         st.sampled_from((0, 1, True, False, "1", " 1")),
@@ -277,6 +279,11 @@ JSON_VALUES = {
     ),
 }
 BLANK_LINES = ("\n", "\r\n", "  \n")
+# Around a JSON record: whitespace JSON skips, characters it does not
+# (a BOM, \x0b, \x0c, a no-break space), and trailing data.
+JSON_PADDING = ("", " ", "\t", "\ufeff", "\x0b", "\x0c", "\u00a0")
+JSON_TRAILERS = ("", " ", "\t", "\x0b", "\u00a0", " x", "{}")
+JSON_LINE_ENDS = ("\n", "\r\n", "\r")
 
 
 def _outcome(parse, path):
@@ -335,7 +342,15 @@ def jsonl_texts(draw):
                 for column, values in JSON_VALUES.items()
                 if draw(st.integers(0, 49))  # now and then a key is missing
             }
-            lines.append(json.dumps(record) + "\n")
+            text = json.dumps(record)
+            lead = draw(_mostly(st.just(""), st.sampled_from(JSON_PADDING)))
+            trail = draw(_mostly(st.just(""), st.sampled_from(JSON_TRAILERS)))
+            if trail == "{}":
+                trail = text
+            ending = draw(_mostly(st.just("\n"), st.sampled_from(JSON_LINE_ENDS)))
+            lines.append(lead + text + trail + ending)
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no newline at the end
     return "".join(lines)
 
 

@@ -39,7 +39,7 @@ from deployassure import (
 from deployassure.cli import main
 
 import oracles
-from conftest import REFERENCE_ROWS
+from conftest import CSV_WRITES_NUL, REFERENCE_ROWS
 
 D = DeploymentState
 
@@ -301,6 +301,12 @@ signal_values = st.sampled_from(
 )
 
 
+# Ids holding each character a CSV cell is quoted for, padding, non-ASCII
+# and, where the csv module can write it, NUL.
+SNAPSHOT_IDS = ["", "a,b", 'a,"b"', '"', "x\ry", "x\ny", "x\r\ny", " lead", "é"]
+SNAPSHOT_IDS += ["a\x00b"] if CSV_WRITES_NUL else []
+
+
 @st.composite
 def signal_records(draw, bad_values=True):
     """A signals file's records: explicit and backfilled r_m, id edge cases."""
@@ -308,7 +314,7 @@ def signal_records(draw, bad_values=True):
     records = []
     for i in range(draw(st.integers(1, 25))):
         record = {
-            "snapshot_id": draw(st.sampled_from([f"s{i}", "", 'a,"b"', "x\ry"])),
+            "snapshot_id": draw(st.sampled_from(SNAPSHOT_IDS + [f"s{i}"])),
             "fdi": draw(values),
             "delta_fpr": draw(values),
             "delta_fnr": draw(values),
