@@ -11,6 +11,10 @@ Commands:
 * ``lifecycle``: governed state trace over a signals file.
 * ``classify``:  readiness state for a single assurance score.
 
+Each command returns its whole output as UTF-8 bytes, and :func:`main`
+alone writes them to stdout, so nothing reaches stdout unless the
+command succeeds, and the bytes do not depend on the locale.
+
 Exit codes: 0 success, 1 validation error (including usage, and a value
 the csv module cannot write), 2 I/O error.
 """
@@ -19,45 +23,42 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import io
+import itertools
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .assurance import DeploymentState, classify_drc, compute_das, compute_ges
+from .assurance import DeploymentState, band_of, classify_drc, das_of, ges_of
 from .config import load_config
-from .disagreement import compute_fdi, panel_from_gaps
 from .errors import EngineError
-from .evaluation import (
-    GAP_METRICS,
-    check_threshold,
-    compute_confusion,
-    compute_gaps,
-    compute_rates,
-    macro_mean,
-    subgroup_sizes,
-)
-from .io import iter_signals, parse_predictions, parse_signals
-
-# cmd_lifecycle runs fold_trace; build_assessments, replay and emit_trace
-# are not called here, but bench/tracing.py wraps them by these names.
+from .evaluation import GAP_METRICS, check_threshold, compute_confusion, macro_mean
+from .io import iter_signals, parse_predictions
 from .lifecycle import (
     DEFAULT_INITIAL_STATE,
+    RulesConfig,
     _round4,
-    build_assessments,
     csv_writer,
-    emit_trace,
     fold_trace,
     format_real,
-    replay,
+    json_bytes,
 )
 from .stability import (
+    assess_at_threshold,
     check_sweep_range,
     sensitivity,
     sweep,
     tsz_scalar,
     worst_zone,
 )
+
+# Not called here: bench/tracing.py times the engine by wrapping these
+# names in this module, so they stay importable from it.
+from .assurance import compute_das, compute_ges
+from .disagreement import compute_fdi
+from .evaluation import compute_gaps
+from .io import parse_signals
+from .lifecycle import build_assessments, emit_trace, replay
 
 FORMATS = ("csv", "json")
 
@@ -74,12 +75,13 @@ def _cell(value: float | None) -> str:
     return "" if value is None else format_real(value)
 
 
-def _write(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _emit_json(payload: object) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _csv_bytes(rows: Iterable[Sequence]) -> bytes:
+    """CSV rows as UTF-8 bytes, every row written before any byte is out."""
+    buffer = io.StringIO()
+    out = csv_writer(buffer)
+    for row in rows:
+        out.writerow(row)
+    return buffer.getvalue().encode("utf-8")
 
 
 def _parse_range(raw: str) -> tuple[float, float, float]:
@@ -94,19 +96,16 @@ def _parse_range(raw: str) -> tuple[float, float, float]:
     return t_min, t_max, step
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> bytes:
     panel_config = load_config(args.config).panel
     check_threshold(args.threshold)
     predictions = parse_predictions(args.predictions)
     confusion = compute_confusion(predictions, args.threshold)
-    rates = {group: compute_rates(c) for group, c in confusion.items()}
-    gaps = compute_gaps(rates, subgroup_sizes(confusion), panel_config.min_support)
-    panel = panel_from_gaps(gaps, panel_config.metrics, panel_config.panel_tolerances())
-    fdi = compute_fdi(panel, panel_config.mode)
+    rates, gaps, fdi = assess_at_threshold(confusion, panel_config)
 
     groups = sorted(confusion)
     if args.format == "json":
-        _emit_json(
+        return json_bytes(
             {
                 "threshold": args.threshold,
                 "subgroups": {
@@ -133,30 +132,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "fdi_mode": fdi.mode,
             }
         )
-        return 0
 
-    out = csv_writer(sys.stdout)
-    out.writerow(
+    rows = [
         ("subgroup", "n", "tp", "fp", "tn", "fn", "fpr", "fnr", "tpr", "selection_rate")
-    )
+    ]
     for g in groups:
-        c = confusion[g]
-        r = rates[g]
-        out.writerow(
-            (g, c.total, c.tp, c.fp, c.tn, c.fn)
-            + tuple(_cell(v) for v in (r.fpr, r.fnr, r.tpr, r.selection_rate))
-        )
-    out.writerow(())
-    out.writerow(("metric", "value"))
-    out.writerow(("macro_mean_fpr", _cell(macro_mean(rates, "fpr"))))
-    out.writerow(("macro_mean_fnr", _cell(macro_mean(rates, "fnr"))))
-    for metric in GAP_METRICS:
-        out.writerow((metric, format_real(gaps.value(metric))))
-    out.writerow(("fdi", format_real(fdi.value)))
-    return 0
+        c, r = confusion[g], rates[g]
+        cells = (_cell(v) for v in (r.fpr, r.fnr, r.tpr, r.selection_rate))
+        rows.append((g, c.total, c.tp, c.fp, c.tn, c.fn, *cells))
+    rows += [
+        (),
+        ("metric", "value"),
+        ("macro_mean_fpr", _cell(macro_mean(rates, "fpr"))),
+        ("macro_mean_fnr", _cell(macro_mean(rates, "fnr"))),
+        *((metric, format_real(gaps.value(metric))) for metric in GAP_METRICS),
+        ("fdi", format_real(fdi.value)),
+    ]
+    return _csv_bytes(rows)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> bytes:
     config = load_config(args.config)
     if args.range is not None:
         t_min, t_max, step = _parse_range(args.range)
@@ -169,7 +164,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     harshest = worst_zone(sens)
 
     if args.format == "json":
-        _emit_json(
+        return json_bytes(
             {
                 "points": [
                     {
@@ -186,77 +181,58 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "worst_zone": harshest.value,
             }
         )
-        return 0
 
-    out = csv_writer(sys.stdout)
-    out.writerow(("threshold", "fdi", "sensitivity", "zone"))
-    for point, (_, fdi) in zip(sens.points, profile.points):
-        reals = map(format_real, (point.threshold, fdi, point.s))
-        out.writerow((*reals, point.zone.value))
-    out.writerow(())
-    out.writerow(("metric", "value"))
-    out.writerow(("tsz_scalar", format_real(scalar.value)))
-    out.writerow(("aggregation", scalar.aggregation))
-    out.writerow(("s_ref", format_real(scalar.s_ref)))
-    out.writerow(("worst_zone", harshest.value))
-    return 0
+    rows = [("threshold", "fdi", "sensitivity", "zone")]
+    rows += (
+        (*map(format_real, (point.threshold, fdi, point.s)), point.zone.value)
+        for point, (_, fdi) in zip(sens.points, profile.points)
+    )
+    rows += [
+        (),
+        ("metric", "value"),
+        ("tsz_scalar", format_real(scalar.value)),
+        ("aggregation", scalar.aggregation),
+        ("s_ref", format_real(scalar.s_ref)),
+        ("worst_zone", harshest.value),
+    ]
+    return _csv_bytes(rows)
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    rules = load_config(args.config).rules
-    rows = parse_signals(args.signals)
+def _scored(path: str, rules: RulesConfig) -> Iterator[tuple]:
+    """Score each signals row on its own: GES reads r_m, never backfilled."""
+    weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
+    for snapshot_id, *signals, _, r_m in iter_signals(path):
+        das = das_of(*signals, weights)
+        ges = ges_of(*signals, r_m, cuts).value
+        yield snapshot_id, (*signals, das), ges, band_of(das, bands).value
+
+
+def cmd_score(args: argparse.Namespace) -> bytes:
+    scored = _scored(args.signals, load_config(args.config).rules)
     reals = ("fdi", "delta_fpr", "delta_fnr", "tsz", "das")
-    scored = []
-    for snapshot_id, signals in rows:
-        das = compute_das(signals, rules.weights)
-        scored.append(
-            {
-                "snapshot_id": snapshot_id,
-                "fdi": signals.fdi,
-                "delta_fpr": signals.delta_fpr,
-                "delta_fnr": signals.delta_fnr,
-                "tsz": signals.tsz,
-                "das": das,
-                "ges": compute_ges(signals, rules.ges_thresholds).value,
-                "drc": classify_drc(das, rules.bands).value,
-            }
-        )
-
+    columns = ("snapshot_id", *reals, "ges", "drc")
     if args.format == "json":
-        _emit_json(
+        return json_bytes(
             [
-                {
-                    **row,
-                    **{k: _round4(row[k]) for k in reals},
-                }
-                for row in scored
+                dict(zip(columns, (sid, *map(_round4, values), ges, drc)))
+                for sid, values, ges, drc in scored
             ]
         )
-        return 0
-
-    out = csv_writer(sys.stdout)
-    out.writerow(("snapshot_id", *reals, "ges", "drc"))
-    for row in scored:
-        cells = (format_real(row[k]) for k in reals)
-        out.writerow((row["snapshot_id"], *cells, row["ges"], row["drc"]))
-    return 0
+    rows = ((s, *map(format_real, values), ges, drc) for s, values, ges, drc in scored)
+    return _csv_bytes(itertools.chain([columns], rows))
 
 
-def cmd_lifecycle(args: argparse.Namespace) -> int:
+def cmd_lifecycle(args: argparse.Namespace) -> bytes:
     rules = load_config(args.config).rules
     if args.gating is not None:
         rules = replace(rules, recovery_gating=args.gating == "on")
     records = iter_signals(args.signals)
-    trace = fold_trace(records, DeploymentState(args.initial), rules, args.format)
-    sys.stdout.buffer.write(trace)
-    sys.stdout.buffer.flush()
-    return 0
+    return fold_trace(records, DeploymentState(args.initial), rules, args.format)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> bytes:
     state = classify_drc(args.das, load_config(args.config).rules.bands)
-    _write(state.value + "\n")
-    return 0
+    return f"{state.value}\n".encode("utf-8")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -321,7 +297,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        sys.stdout.buffer.write(args.handler(args))
+        sys.stdout.buffer.flush()
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -331,6 +308,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -108,17 +108,18 @@ def load_config(path: str | None = None) -> EngineConfig:
     key as the file spells it.
 
     Raises:
-        ConfigInvalidError: unparseable file, unknown field, or any value
-            violating its owning type's constraints.
+        ConfigInvalidError: a file that is not UTF-8, JSON the decoder
+            refuses (nested too deep, an integer past the int digit limit),
+            an unknown field, or a value breaking its owning type's rules.
         OSError: unreadable path.
     """
     if path is None:
         return EngineConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
         raise ConfigInvalidError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalidError(f"{path}: top level must be an object")

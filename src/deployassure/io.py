@@ -4,8 +4,8 @@ Both readers accept CSV (with a header row) or JSON-lines (one object
 per line, same keys as the CSV columns); the format is detected from the
 first non-blank line. Extra columns are ignored; in particular, score
 and classification columns on a signals file are recomputed, never
-trusted. All diagnostics carry the file name and the 1-based physical
-row number.
+trusted. All diagnostics carry the file name, and all but a decoding
+error (the file is not UTF-8) the 1-based physical row number.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Any, Iterator, Sequence
 from .assurance import AssuranceSignals
 from .errors import (
     EmptyFileError,
+    EngineError,
     MalformedRowError,
     MissingColumnError,
 )
@@ -64,67 +65,75 @@ def _iter_records(
     ``json.loads``, which skips blank lines and gives every error its
     message. A value the decoder refuses (nested too deep for it, or an
     integer past the int digit limit) is invalid JSON too.
+
+    A file that is not UTF-8 raises :class:`EngineError` with the file name
+    and no row: the file is decoded in chunks, so no row is known.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        row = 0
-        for line in fh:
-            row += 1
-            if line.strip():
-                break
-        else:
-            raise EmptyFileError(path)
-        lines = itertools.chain((line,), fh)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            row = 0
+            for line in fh:
+                row += 1
+                if line.strip():
+                    break
+            else:
+                raise EmptyFileError(path)
+            lines = itertools.chain((line,), fh)
 
-        if not line.lstrip().startswith("{"):
-            reader = csv.reader(lines)
-            offset = row - 1
-            try:
-                header = {name: i for i, name in enumerate(next(reader))}
-                missing = [c for c in columns[:required] if c not in header]
-                if missing:
-                    raise MissingColumnError(path, missing)
-                positions = [header.get(c) for c in columns]
-                # The fast path needs every column in the header and the row.
-                if None in positions:
-                    width, pick = math.inf, None
-                else:
-                    width, pick = 1 + max(positions), operator.itemgetter(*positions)
-                for cells in reader:
-                    if len(cells) >= width:
-                        yield offset + reader.line_num, pick(cells)
-                    elif cells:
-                        n = len(cells)
-                        yield offset + reader.line_num, [
-                            None if i is None or i >= n else cells[i] for i in positions
-                        ]
-            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-                row = offset + reader.line_num
-                raise MalformedRowError(path, row, f"invalid CSV: {exc}") from exc
-            return
-
-        first = True
-        for line_num, line in enumerate(lines, start=row):
-            try:
-                record, end = _scan_json(line, 0)
-                whole_line = line[end:] in _LINE_ENDS
-            except (StopIteration, ValueError, RecursionError):
-                whole_line = False
-            if not whole_line:
-                if not line.strip():
-                    continue
+            if not line.lstrip().startswith("{"):
+                reader = csv.reader(lines)
+                offset = row - 1
                 try:
-                    record = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    message = f"invalid JSON: {exc}"
-                    raise MalformedRowError(path, line_num, message) from exc
-            if not isinstance(record, dict):
-                raise MalformedRowError(path, line_num, "record is not an object")
-            if first:
-                missing = [c for c in columns[:required] if c not in record]
-                if missing:
-                    raise MissingColumnError(path, missing)
-                first = False
-            yield line_num, tuple(map(record.get, columns))
+                    header = {name: i for i, name in enumerate(next(reader))}
+                    missing = [c for c in columns[:required] if c not in header]
+                    if missing:
+                        raise MissingColumnError(path, missing)
+                    positions = [header.get(c) for c in columns]
+                    # The fast path needs every column in the header and the row.
+                    if None in positions:
+                        width, pick = math.inf, None
+                    else:
+                        width = 1 + max(positions)
+                        pick = operator.itemgetter(*positions)
+                    for cells in reader:
+                        if len(cells) >= width:
+                            yield offset + reader.line_num, pick(cells)
+                        elif cells:
+                            n = len(cells)
+                            yield offset + reader.line_num, [
+                                None if i is None or i >= n else cells[i]
+                                for i in positions
+                            ]
+                except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                    row = offset + reader.line_num
+                    raise MalformedRowError(path, row, f"invalid CSV: {exc}") from exc
+                return
+
+            first = True
+            for line_num, line in enumerate(lines, start=row):
+                try:
+                    record, end = _scan_json(line, 0)
+                    whole_line = line[end:] in _LINE_ENDS
+                except (StopIteration, ValueError, RecursionError):
+                    whole_line = False
+                if not whole_line:
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        message = f"invalid JSON: {exc}"
+                        raise MalformedRowError(path, line_num, message) from exc
+                if not isinstance(record, dict):
+                    raise MalformedRowError(path, line_num, "record is not an object")
+                if first:
+                    missing = [c for c in columns[:required] if c not in record]
+                    if missing:
+                        raise MissingColumnError(path, missing)
+                    first = False
+                yield line_num, tuple(map(record.get, columns))
+    except UnicodeDecodeError as exc:
+        raise EngineError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
 class _BadValue(Exception):

@@ -309,6 +309,11 @@ def _round4(value: float | None) -> float | None:
     return None if value is None else float(format_real(value))
 
 
+def json_bytes(payload: object) -> bytes:
+    """The engine's JSON output: sorted keys, 2-space indent, a final newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 class _LineFeedRows:
     r"""Write target that ends each CSV row in ``\n`` rather than ``\r\n``."""
 
@@ -416,8 +421,7 @@ def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
             }
             for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows
         ]
-        payload = {"config_fingerprint": fingerprint, "entries": entries}
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        return json_bytes({"config_fingerprint": fingerprint, "entries": entries})
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 

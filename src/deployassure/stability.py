@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .disagreement import PanelConfig, compute_fdi, panel_from_gaps
+from .disagreement import FdiValue, PanelConfig, compute_fdi, panel_from_gaps
 from .errors import (
     ConfigInvalidError,
     DomainError,
@@ -26,7 +26,9 @@ from .errors import (
 )
 from .evaluation import (
     ConfusionCounts,
+    DisparityGaps,
     Predictions,
+    RatePanel,
     Sample,
     ScoreIndex,
     compute_confusion,
@@ -140,13 +142,14 @@ class TszScalar:
     s_ref: float
 
 
-def _fdi_from_confusion(
+def assess_at_threshold(
     confusion: Mapping[str, ConfusionCounts], panel_config: PanelConfig
-) -> float:
+) -> tuple[dict[str, RatePanel], DisparityGaps, FdiValue]:
+    """Subgroup rates, disparity gaps and disagreement index of one confusion."""
     rates = {group: compute_rates(c) for group, c in confusion.items()}
     gaps = compute_gaps(rates, subgroup_sizes(confusion), panel_config.min_support)
     panel = panel_from_gaps(gaps, panel_config.metrics, panel_config.panel_tolerances())
-    return compute_fdi(panel, panel_config.mode).value
+    return rates, gaps, compute_fdi(panel, panel_config.mode)
 
 
 def fdi_at_threshold(
@@ -155,7 +158,8 @@ def fdi_at_threshold(
     panel_config: PanelConfig,
 ) -> float:
     """Evaluate the configured disagreement index at one threshold."""
-    return _fdi_from_confusion(compute_confusion(samples, threshold), panel_config)
+    confusion = compute_confusion(samples, threshold)
+    return assess_at_threshold(confusion, panel_config)[2].value
 
 
 def check_sweep_range(t_min: float, t_max: float, h: float) -> None:
@@ -245,7 +249,8 @@ def sweep(
     flagged = 0
     for t in thresholds:
         try:
-            values.append(_fdi_from_confusion(index.confusion(t), panel_config))
+            _, _, fdi = assess_at_threshold(index.confusion(t), panel_config)
+            values.append(fdi.value)
         except InsufficientSubgroupsError:
             values.append(None)
             flagged += 1

@@ -10,7 +10,8 @@ and errors.
 the one-pass fold: ``AssuranceSignals`` per row, then assessments, replay
 and emission, with its own DAS, DRC and GES rules. Its one change is the
 DAS clamp, which fixed a perfect snapshot exiting 1 under simplex weights
-whose float sum exceeds 1.
+whose float sum exceeds 1. ``staged_score`` is ``score``'s output built
+from the same staged rules, each row on its own.
 """
 
 from __future__ import annotations
@@ -501,3 +502,34 @@ def staged_trace(
     """Signal rows to trace bytes the staged way."""
     assessments = staged_build_assessments(rows, rules)
     return staged_emit_trace(staged_replay(assessments, initial_state, rules), format)
+
+
+def staged_score(
+    rows: Sequence[tuple[str, AssuranceSignals]], rules: RulesConfig, format: str
+) -> bytes:
+    """Signal rows to ``score`` bytes; GES reads each row's own ``r_m``."""
+    reals = ("fdi", "delta_fpr", "delta_fnr", "tsz", "das")
+    scored = []
+    for snapshot_id, s in rows:
+        das = staged_compute_das(s, rules.weights)
+        scored.append(
+            (
+                snapshot_id,
+                (s.fdi, s.delta_fpr, s.delta_fnr, s.tsz, das),
+                staged_compute_ges(s, rules.ges_thresholds).value,
+                staged_classify_drc(das, rules.bands).value,
+            )
+        )
+    if format == "csv":
+        buffer = io.StringIO()
+        writer = csv_writer(buffer)
+        writer.writerow(["snapshot_id", *reals, "ges", "drc"])
+        for snapshot_id, values, ges, drc in scored:
+            writer.writerow([snapshot_id, *map(_format_real, values), ges, drc])
+        return buffer.getvalue().encode("utf-8")
+    payload = [
+        {"snapshot_id": snapshot_id, "ges": ges, "drc": drc}
+        | {k: _round4(v) for k, v in zip(reals, values)}
+        for snapshot_id, values, ges, drc in scored
+    ]
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")

@@ -8,6 +8,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -32,9 +34,9 @@ from deployassure import (
     parse_signals,
     replay,
 )
-from deployassure.cli import main
+from deployassure.cli import FORMATS, main
 
-from conftest import CSV_WRITES_NUL, SIGNALS_CSV
+from conftest import CSV_WRITES_NUL, SIGNALS_CSV, make_dataset
 
 
 def run(capsys, *argv):
@@ -311,6 +313,26 @@ def test_nan_config_value_exits_one(capsys, tmp_path, config, field):
     assert err.startswith("error: ") and field in err and repr(float(bad)) in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"hysteresis": 1' + b"0" * 5000 + b"}",
+        b'{"hysteresis": 0.1\xff}',
+    ],
+    ids=["deeply-nested", "over-int-digit-limit", "not-utf-8"],
+)
+def test_config_the_decoder_refuses_exits_one(capsys, tmp_path, content):
+    # RecursionError, ValueError past the int digit limit, and
+    # UnicodeDecodeError all make a config that is not valid JSON.
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "classify", "--das", "0.5", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not valid JSON: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_duplicate_ids_are_kept(capsys, tmp_path):
     # An id only labels error messages: every row counts, in file order.
     predictions = tmp_path / "predictions.csv"
@@ -432,8 +454,11 @@ def test_error_in_last_row_leaves_stdout_empty(capsys, tmp_path, jsonl, output):
     assert err == f"error: {path}: row {row}: tsz out of range [0, 1]: {bad}\n"
 
 
-def test_lifecycle_builds_no_per_row_objects(monkeypatch, capsys, signals_file):
-    # Counts, not timings: the CLI folds signal rows straight to trace rows.
+@pytest.mark.parametrize("command", ["lifecycle", "score"])
+def test_signals_commands_build_no_per_row_objects(
+    monkeypatch, capsys, signals_file, command
+):
+    # Counts, not timings: the CLI folds signal rows straight to output rows.
     built = []
     for cls in (AssuranceSignals, SnapshotAssessment, TraceEntry, TransitionRecord):
         real_init = cls.__init__
@@ -451,7 +476,7 @@ def test_lifecycle_builds_no_per_row_objects(monkeypatch, capsys, signals_file):
 
     for module in (deployassure.cli, deployassure.lifecycle):
         monkeypatch.setattr(module, "replace", counting_replace)
-    code, out, _ = run(capsys, "lifecycle", "--signals", signals_file)
+    code, out, _ = run(capsys, command, "--signals", signals_file)
     assert code == 0 and len(out.splitlines()) == 4
     assert (built, replaced) == ([], [])
     # The patches are live: the staged path builds every kind of object,
@@ -532,27 +557,111 @@ def test_json_the_decoder_refuses_is_a_row_error(capsys, tmp_path, command, line
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep", "score", "lifecycle"])
+@pytest.mark.parametrize("jsonl", [False, True], ids=["csv-input", "jsonl-input"])
+def test_input_that_is_not_utf8_exits_one(capsys, tmp_path, command, jsonl):
+    # The reader decodes in chunks, so the error names the file, not a row.
+    if command in ("evaluate", "sweep"):
+        record = {"sample_id": "s1", "score": 0.5, "label": 1, "subgroup": "A"}
+        flags = ["--threshold", "0.5"] if command == "evaluate" else []
+        flags.append("--predictions")
+    else:
+        record = {"snapshot_id": "s1", "fdi": 0.1, "delta_fpr": 0.2, "delta_fnr": 0.3}
+        record.update(tsz=0.4, remediation_event=0)
+        flags = ["--signals"]
+    if jsonl:
+        header, row = [], json.dumps(record)
+    else:
+        header, row = [",".join(record)], ",".join(map(str, record.values()))
+    text = "".join(line + "\n" for line in [*header, row, row])
+    # The third data row's id holds a 0xff byte.
+    bad = row.encode("utf-8").replace(b"s1", b"s\xff", 1)
+    path = tmp_path / ("input.jsonl" if jsonl else "input.csv")
+    path.write_bytes(text.encode("utf-8") + bad + b"\n")
+    code, out, err = run(capsys, command, *flags, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text: invalid start byte\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep", "score", "lifecycle"])
 def test_csv_write_error_exits_one(
-    monkeypatch, capsys, tmp_path, predictions_file, signals_file, command
+    monkeypatch, capsys, tmp_path, predictions_file, command
 ):
-    # Python 3.10's csv module refuses to write a NUL in a cell.
+    # Python 3.10's csv module refuses to write a NUL in a cell. This writer
+    # refuses the third row, after two rows have been written: no byte of
+    # them may reach stdout.
+    real_csv_writer = deployassure.lifecycle.csv_writer
+
     class RefusingWriter:
+        def __init__(self, stream):
+            self.writer, self.rows = real_csv_writer(stream), 0
+
         def writerow(self, row):
-            raise csv.Error("need to escape, but no escapechar set")
+            self.rows += 1
+            if self.rows == 3:
+                raise csv.Error("need to escape, but no escapechar set")
+            return self.writer.writerow(row)
 
     for module in (deployassure.cli, deployassure.lifecycle):
-        monkeypatch.setattr(module, "csv_writer", lambda stream: RefusingWriter())
+        monkeypatch.setattr(module, "csv_writer", RefusingWriter)
     config = tmp_path / "config.json"
     config.write_text('{"min_support": 5}', encoding="utf-8")
     if command in ("evaluate", "sweep"):
         argv = ["--predictions", predictions_file, "--config", str(config)]
         argv += ["--threshold", "0.5"] if command == "evaluate" else []
     else:
-        argv = ["--signals", signals_file]
+        # Ids with a comma, so that lifecycle too writes each row through
+        # the csv writer.
+        signals = tmp_path / "signals.csv"
+        rows = (f'"s,{i}",0.1,0.2,0.3,0.4,0\n' for i in range(3))
+        header = "snapshot_id,fdi,delta_fpr,delta_fnr,tsz,remediation_event\n"
+        signals.write_text(header + "".join(rows), encoding="utf-8")
+        argv = ["--signals", str(signals)]
     code, out, err = run(capsys, command, *argv)
     assert (code, out) == (1, "")
     message = "cannot write CSV output: need to escape, but no escapechar set"
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["evaluate", "sweep", "score", "lifecycle", "classify"]
+)
+def test_output_is_utf8_whatever_the_stdout_encoding(tmp_path, command):
+    # A latin-1 stdout cannot encode the euro sign in a subgroup or snapshot
+    # id; the command writes the same UTF-8 bytes as under a UTF-8 stdout.
+    config = tmp_path / "config.json"
+    config.write_text('{"min_support": 5}', encoding="utf-8")
+    if command in ("evaluate", "sweep"):
+        path = tmp_path / "predictions.csv"
+        lines = ["sample_id,score,label,subgroup"]
+        lines += [
+            f"{s.sample_id},{s.score:.6f},{s.label},{s.subgroup}"
+            for s in make_dataset(groups=("\u20ac", "B"))
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [command, "--predictions", str(path), "--config", str(config)]
+        argv += ["--threshold", "0.5"] if command == "evaluate" else []
+    elif command in ("score", "lifecycle"):
+        path = tmp_path / "signals.csv"
+        path.write_text(SIGNALS_CSV.replace("baseline", "\u20ac"), encoding="utf-8")
+        argv = [command, "--signals", str(path)]
+    else:
+        argv = [command, "--das", "0.5"]
+    formats = [[]] if command == "classify" else [["--format", f] for f in FORMATS]
+    for output in formats:
+        results = [
+            subprocess.run(
+                [sys.executable, "-m", "deployassure", *argv, *output],
+                capture_output=True,
+                env={**os.environ, "PYTHONIOENCODING": encoding},
+                check=False,
+            )
+            for encoding in ("utf-8", "latin-1")
+        ]
+        for result in results:
+            assert (result.returncode, result.stderr) == (0, b"")
+        assert results[0].stdout and results[1].stdout == results[0].stdout
+        if output == ["--format", "csv"] and command != "sweep":
+            assert "\u20ac".encode("utf-8") in results[1].stdout
 
 
 def test_nul_in_a_snapshot_id(capsys, tmp_path):
@@ -573,7 +682,7 @@ def test_nul_in_a_snapshot_id(capsys, tmp_path):
 def _emit(argv, path, records):
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(r) + "\n" for r in records)
-    # A byte-backed stdout: lifecycle writes its trace to sys.stdout.buffer.
+    # A byte-backed stdout: main writes every command's bytes to sys.stdout.buffer.
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0

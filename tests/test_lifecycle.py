@@ -370,6 +370,22 @@ def rule_configs(draw):
     return config
 
 
+@st.composite
+def score_configs(draw):
+    """Random simplex weights, DRC bands and GES cuts."""
+    config = {"weights": draw(rule_configs())["weights"]}
+    bands = draw(st.lists(st.floats(0.01, 0.99), min_size=4, max_size=4, unique=True))
+    names = ("deployable", "restricted", "reassessment", "escalated")
+    config["bands"] = dict(zip(names, sorted(bands, reverse=True)))
+    # Cuts on the drawn signal values test the closed-below severity rule.
+    cut = st.one_of(st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.85, 1.0]), st.floats(0, 1))
+    config["ges_thresholds"] = {
+        name: sorted(draw(st.lists(cut, min_size=3, max_size=3, unique=True)))
+        for name in ("fdi", "delta_fpr", "delta_fnr", "tsz")
+    }
+    return config
+
+
 def _write_inputs(tmp, records, config, jsonl):
     """Write a signals file and a config file; return their paths."""
     path = os.path.join(tmp, "signals.jsonl" if jsonl else "signals.csv")
@@ -463,3 +479,30 @@ class TestFoldMatchesStaged:
         ]
         staged = oracles.staged_replay(bare, initial, rules)
         assert replay(bare, initial, rules) == staged
+
+
+class TestScoreMatchesStaged:
+    """``score`` scores each signals row on its own, as the staged rules do."""
+
+    @given(
+        records=signal_records(),
+        config=score_configs(),
+        jsonl=st.booleans(),
+        output=st.sampled_from(["csv", "json"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cli_score(self, records, config, jsonl, output):
+        # A remediation row with no r_m keeps it missing: a backfill from the
+        # previous row's score would raise GES on a negative delta.
+        with tempfile.TemporaryDirectory() as tmp:
+            path, config_path = _write_inputs(tmp, records, config, jsonl)
+            argv = ["score", "--signals", path, "--config", config_path]
+            code, out, err = _run_cli([*argv, "--format", output])
+            rules = load_config(config_path).rules
+            try:
+                rows = oracles.staged_parse_signals(path)
+            except oracles.MalformedRowError as exc:
+                assert (code, out, err) == (1, b"", f"error: {exc}\n")
+                return
+        assert (code, err) == (0, "")
+        assert out == oracles.staged_score(rows, rules, output)
