@@ -99,7 +99,7 @@ def _parse_range(raw: str) -> tuple[float, float, float]:
 def cmd_evaluate(args: argparse.Namespace) -> bytes:
     panel_config = load_config(args.config).panel
     check_threshold(args.threshold)
-    predictions = parse_predictions(args.predictions)
+    predictions = parse_predictions(args.predictions, keep_ids=False)
     confusion = compute_confusion(predictions, args.threshold)
     rates, gaps, fdi = assess_at_threshold(confusion, panel_config)
 
@@ -157,7 +157,7 @@ def cmd_sweep(args: argparse.Namespace) -> bytes:
         t_min, t_max, step = _parse_range(args.range)
     else:
         t_min, t_max, step = config.sweep_t_min, config.sweep_t_max, config.sweep_step
-    predictions = parse_predictions(args.predictions)
+    predictions = parse_predictions(args.predictions, keep_ids=False)
     profile = sweep(predictions, t_min, t_max, step, config.panel)
     sens = sensitivity(profile, config.zones)
     scalar = tsz_scalar(sens, config.aggregation, config.s_ref)
@@ -213,10 +213,11 @@ def cmd_score(args: argparse.Namespace) -> bytes:
     columns = ("snapshot_id", *reals, "ges", "drc")
     if args.format == "json":
         return json_bytes(
-            [
+            [],
+            (
                 dict(zip(columns, (sid, *map(_round4, values), ges, drc)))
                 for sid, values, ges, drc in scored
-            ]
+            ),
         )
     rows = ((s, *map(format_real, values), ges, drc) for s, values, ges, drc in scored)
     return _csv_bytes(itertools.chain([columns], rows))
@@ -297,8 +298,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        sys.stdout.buffer.write(args.handler(args))
-        sys.stdout.buffer.flush()
+        output = args.handler(args)
+        # A text-only stdout (a StringIO, say) has no buffer; it takes the text.
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:
+            sys.stdout.write(output.decode("utf-8"))
+            sys.stdout.flush()
+        else:
+            stream.write(output)
+            stream.flush()
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

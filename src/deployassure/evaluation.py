@@ -113,15 +113,19 @@ class Predictions:
     """Validated predictions held in columns, in input order.
 
     :func:`deployassure.io.parse_predictions` fills the columns as it
-    checks each row, and :meth:`from_samples` checks each :class:`Sample`
+    checks the file, and :meth:`from_samples` checks each :class:`Sample`
     as it copies it in; nothing downstream checks a row again. Iterating
     yields the rows as :class:`Sample` values.
+
+    Built with ``keep_ids=False`` (as the CLI parses), it holds no ids:
+    ``sample_ids`` is ``None``, counting and sweeping read the other
+    columns as usual, and iterating it as samples raises ``TypeError``.
     """
 
     __slots__ = ("sample_ids", "scores", "labels", "subgroups")
 
-    def __init__(self) -> None:
-        self.sample_ids: list[str] = []
+    def __init__(self, *, keep_ids: bool = True) -> None:
+        self.sample_ids: list[str] | None = [] if keep_ids else None
         self.scores = array("d")
         self.labels = bytearray()
         self.subgroups: list[str] = []
@@ -130,9 +134,13 @@ class Predictions:
         return len(self.scores)
 
     def __iter__(self) -> Iterator[Sample]:
+        if self.sample_ids is None:
+            raise TypeError(
+                "predictions read with keep_ids=False hold no sample ids,"
+                " so they do not iterate as samples"
+            )
         columns = (self.sample_ids, self.scores, self.labels, self.subgroups)
-        for sample_id, score, label, subgroup in zip(*columns):
-            yield Sample(sample_id, score, label, subgroup)
+        return map(Sample, *columns)
 
     @classmethod
     def from_samples(cls, samples: Iterable[Sample]) -> Predictions:
@@ -200,12 +208,14 @@ class ScoreIndex:
     """Per-subgroup sorted scores, for confusion counts at many thresholds.
 
     Building the index sorts each subgroup's negative and positive scores
-    once. :meth:`confusion` then counts a subgroup's cells by bisection:
-    ``bisect_left`` counts the scores below ``t``, which are exactly the
-    samples that ``score >= t`` predicts negative. A T-point sweep over N
-    samples in G subgroups so costs O(N log N + T*G*log N) rather than T
-    passes over every sample. Samples that are not a :class:`Predictions`
-    pass through :meth:`Predictions.from_samples` first.
+    once, and keeps each sorted run as an ``array('d')``: 8 bytes a score
+    rather than a boxed float and a list slot. :meth:`confusion` then
+    counts a subgroup's cells by bisection: ``bisect_left`` counts the
+    scores below ``t``, which are exactly the samples that ``score >= t``
+    predicts negative. A T-point sweep over N samples in G subgroups so
+    costs O(N log N + T*G*log N) rather than T passes over every sample.
+    Samples that are not a :class:`Predictions` pass through
+    :meth:`Predictions.from_samples` first.
 
     Raises:
         EmptyInputError: the sample set is empty.
@@ -215,18 +225,18 @@ class ScoreIndex:
     def __init__(self, samples: Predictions | Iterable[Sample]) -> None:
         predictions = Predictions.from_samples(samples)
         # subgroup -> (negative scores, positive scores), indexed by label
-        groups: dict[str, tuple[list[float], list[float]]] = {}
+        groups: dict[str, tuple[array, array]] = {}
         columns = (predictions.subgroups, predictions.labels, predictions.scores)
         for group, label, score in zip(*columns):
             by_label = groups.get(group)
             if by_label is None:
-                by_label = groups[group] = ([], [])
+                by_label = groups[group] = (array("d"), array("d"))
             by_label[label].append(score)
         if not groups:
             raise EmptyInputError("sample set is empty")
-        for negatives, positives in groups.values():
-            negatives.sort()
-            positives.sort()
+        # One subgroup's scores are boxed at a time, to sort them.
+        for group, by_label in groups.items():
+            groups[group] = tuple(array("d", sorted(scores)) for scores in by_label)
         self._groups = groups
 
     def confusion(self, threshold: float) -> dict[str, ConfusionCounts]:

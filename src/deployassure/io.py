@@ -15,7 +15,8 @@ import itertools
 import json
 import math
 import operator
-from typing import Any, Iterator, Sequence
+from array import array
+from typing import Any, Iterator, Sequence, TextIO
 
 from .assurance import AssuranceSignals
 from .errors import (
@@ -43,8 +44,12 @@ _scan_json = json.JSONDecoder().scan_once
 _LINE_ENDS = ("\n", "", "\r\n", "\r")
 
 
+def _open_text(path: str) -> TextIO:
+    return open(path, "r", encoding="utf-8", newline="")
+
+
 def _iter_records(
-    path: str, columns: tuple[str, ...], required: int
+    path: str, columns: tuple[str, ...], required: int, fh: TextIO | None = None
 ) -> Iterator[tuple[int, Sequence[Any]]]:
     """Yield each record's ``columns`` values with its 1-based physical row.
 
@@ -68,9 +73,12 @@ def _iter_records(
 
     A file that is not UTF-8 raises :class:`EngineError` with the file name
     and no row: the file is decoded in chunks, so no row is known.
+
+    ``fh``, a handle already open on ``path`` at its start, is read instead
+    of opening the file again, and is closed at the end.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with (_open_text(path) if fh is None else fh) as fh:
             row = 0
             for line in fh:
                 row += 1
@@ -179,27 +187,77 @@ def _parse_binary(value: Any, name: str) -> int:
     raise _bad(value, name, f"{name} must be 0 or 1, got {value!r}")
 
 
-def parse_predictions(path: str) -> Predictions:
-    """Read and validate a predictions file into columns, in file order.
+# Rows per block on the clean-CSV path. Small on purpose: a larger block
+# keeps more row lists alive for the garbage collector to walk and in
+# memory; blocks of 4096 rows or more parsed slower than 512.
+_BLOCK_ROWS = 512
+# The label cells the block path takes; any other (" 1", "2") is doubt.
+_LABELS = {"0": 0, "1": 1}
 
-    Each row is checked once, here; the result is counted as it is.
 
-    Raises:
-        MissingColumnError: a required column/key is absent.
-        MalformedRowError: a row fails validation (reported with its
-            1-based physical row number).
-        EmptyFileError: no data rows.
-        OSError: unreadable path.
+def _read_clean_csv(fh: TextIO, keep_ids: bool) -> Predictions | None:
+    """A clean CSV predictions file as columns, or ``None`` at any doubt.
+
+    Rows are read a block at a time, and each block is checked by C-level
+    iterators: ``float`` and two range checks for the scores (NaN fails
+    both), a dict lookup that takes only ``"0"`` and ``"1"`` for labels, and
+    one check for an empty subgroup at the end. The ``sample_id`` cell is
+    picked from every row whether or not it is kept, so a row too short to
+    hold it is doubt too. Doubt is anything these checks cannot vouch for:
+    a short row, a value they refuse, a csv or decoding error, a missing
+    column, a leading blank line, JSON-lines, or no data rows. No row
+    number is counted.
     """
-    out = Predictions()
-    add_id, add_score = out.sample_ids.append, out.scores.append
-    add_label, add_subgroup = out.labels.append, out.subgroups.append
+    out = Predictions(keep_ids=keep_ids)
+    scores, labels, subgroups = out.scores, out.labels, out.subgroups
+    groups: dict[str, str] = {}  # one string object per distinct subgroup
+    label_of = _LABELS.__getitem__
+    try:
+        first = fh.readline()
+        if not first.strip() or first.lstrip().startswith("{"):
+            return None
+        reader = csv.reader(itertools.chain((first,), fh))
+        header = {name: i for i, name in enumerate(next(reader))}
+        pick = operator.itemgetter(*map(header.__getitem__, PREDICTIONS_COLUMNS))
+        rows = map(pick, filter(None, reader))
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            ids, score_cells, label_cells, group_cells = zip(*block)
+            block_scores = array("d", map(float, score_cells))
+            if not (
+                all(map((0.0).__le__, block_scores))
+                and all(map((1.0).__ge__, block_scores))
+            ):
+                return None
+            scores += block_scores
+            labels += bytes(map(label_of, label_cells))
+            subgroups += map(groups.setdefault, group_cells, group_cells)
+            if keep_ids:
+                out.sample_ids += ids
+    except (LookupError, ValueError, csv.Error):  # ValueError: float(), UTF-8
+        return None
+    if "" in groups or not out:
+        return None
+    return out
+
+
+def _parse_rows(
+    records: Iterator[tuple[int, Sequence[Any]]], path: str, keep_ids: bool
+) -> Predictions:
+    """Check each record on its own, in file order; the exact path.
+
+    Each record comes from :func:`_iter_records` with its physical row, so
+    the first bad value is reported with its row.
+    """
+    out = Predictions(keep_ids=keep_ids)
+    add_score, add_label = out.scores.append, out.labels.append
+    add_subgroup = out.subgroups.append
     # One string object per distinct subgroup, not one per row.
     subgroups: dict[str, str] = {}
-    records = _iter_records(path, PREDICTIONS_COLUMNS, len(PREDICTIONS_COLUMNS))
     try:
         for row, (sample_id, score, label, subgroup) in records:
-            add_id(_as_string(sample_id, "sample_id"))
+            sample_id = _as_string(sample_id, "sample_id")
+            if keep_ids:
+                out.sample_ids.append(sample_id)
             add_score(_parse_unit_interval(score, "score"))
             add_label(_parse_binary(label, "label"))
             subgroup = _as_string(subgroup, "subgroup")
@@ -211,6 +269,41 @@ def parse_predictions(path: str) -> Predictions:
     if not out:
         raise EmptyFileError(path)
     return out
+
+
+def parse_predictions(path: str, *, keep_ids: bool = True) -> Predictions:
+    """Read and validate a predictions file into columns, in file order.
+
+    A CSV file is first read a block of rows at a time, each block checked
+    by C-level iterators with no per-row validator and no row count. If
+    those checks have any doubt (a bad or padded value, a short row, a csv
+    error, JSON-lines, ...), the same handle is read once more from its
+    start on the exact path, which checks each record on its own. That
+    path raises the first error with its 1-based physical row, or accepts
+    a value the block checks were too strict for (a label of ``" 1"``). So
+    a row number is computed only when there may be an error, and the
+    result and every error are those of the exact path. A file that cannot
+    be read twice (a pipe) takes the exact path alone.
+
+    With ``keep_ids=False`` each ``sample_id`` is still checked (a row too
+    short to hold it is an error) but not stored: the result's
+    ``sample_ids`` is ``None``, and it cannot be iterated as samples.
+
+    Raises:
+        MissingColumnError: a required column/key is absent.
+        MalformedRowError: a row fails validation (reported with its
+            1-based physical row number).
+        EmptyFileError: no data rows.
+        OSError: unreadable path.
+    """
+    with _open_text(path) as fh:
+        if fh.seekable():
+            out = _read_clean_csv(fh, keep_ids)
+            if out is not None:
+                return out
+            fh.seek(0)
+        records = _iter_records(path, PREDICTIONS_COLUMNS, len(PREDICTIONS_COLUMNS), fh)
+        return _parse_rows(records, path, keep_ids)
 
 
 def iter_signals(

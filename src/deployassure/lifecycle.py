@@ -309,9 +309,42 @@ def _round4(value: float | None) -> float | None:
     return None if value is None else float(format_real(value))
 
 
-def json_bytes(payload: object) -> bytes:
-    """The engine's JSON output: sorted keys, 2-space indent, a final newline."""
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def json_bytes(payload: object, rows: Iterable[dict] | None = None) -> bytes:
+    """The engine's JSON output: sorted keys, 2-space indent, a final newline.
+
+    With ``rows``, the text of ``payload`` must end in an empty array (the
+    payload itself, or its value under the key that sorts last), and the
+    row objects fill that array. Each row is encoded on its own into one
+    buffer, with the indent of its depth, so no row's object or encoder
+    chunks outlive its own text; the bytes are those of the payload with
+    the rows in it. A row of scalars goes through the C encoder: no encoded
+    value holds a raw newline, so its item separator can carry the indent.
+    """
+    text = _JSON.encode(payload)
+    if rows is None:
+        return (text + "\n").encode("utf-8")
+    cut = text.rindex("[]")
+    head, tail = text[:cut], text[cut + 2 :]
+    # Each enclosing level closes on a line of its own after the array.
+    outer = "\n" + "  " * tail.count("\n")
+    indent, inner = outer + "  ", outer + "    "
+    flat = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode
+    buffer = io.StringIO()
+    write = buffer.write
+    write(head + "[")
+    separator = indent
+    for row in rows:
+        if row and not any(isinstance(v, (dict, list, tuple)) for v in row.values()):
+            write(separator + "{" + inner + flat(row)[1:-1] + indent + "}")
+        else:
+            write(separator + _JSON.encode(row).replace("\n", indent))
+        separator = "," + indent
+    write("]" if separator is indent else outer + "]")
+    write(tail + "\n")
+    return buffer.getvalue().encode("utf-8")
 
 
 class _LineFeedRows:
@@ -398,7 +431,7 @@ def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
                 writer.writerow((sid, *cells.split(",")))
         return buffer.getvalue().encode("utf-8")
     if format == "json":
-        entries = [
+        entries = (
             {
                 "snapshot_id": sid,
                 "fdi": _round4(fdi),
@@ -420,8 +453,8 @@ def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
                 "r_p": _round4(r_p),
             }
             for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows
-        ]
-        return json_bytes({"config_fingerprint": fingerprint, "entries": entries})
+        )
+        return json_bytes({"config_fingerprint": fingerprint, "entries": []}, entries)
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 

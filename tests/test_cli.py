@@ -364,7 +364,8 @@ def test_predictions_checked_once_and_never_built_as_samples(
     monkeypatch, capsys, predictions_file, argv
 ):
     # Counts, not timings: the CLI reads predictions into columns, checking
-    # each row once as it is parsed, and counts them without a second check.
+    # a clean file a block at a time with no per-row validator call, and
+    # counts them without a second check.
     built, checked, scores_parsed = [], [], []
     real_init = Sample.__init__
     real_check = deployassure.evaluation._check_sample
@@ -389,7 +390,7 @@ def test_predictions_checked_once_and_never_built_as_samples(
     assert code == 0 and out
     with open(predictions_file, encoding="utf-8") as fh:
         rows = len(fh.read().splitlines()) - 1
-    assert (len(built), len(checked), len(scores_parsed)) == (0, 0, rows)
+    assert (len(built), len(checked), len(scores_parsed)) == (0, 0, 0)
     # The patches are live: a list of samples is built and checked per sample.
     samples = list(parse_predictions(predictions_file))
     compute_confusion(samples, 0.5)
@@ -662,6 +663,43 @@ def test_output_is_utf8_whatever_the_stdout_encoding(tmp_path, command):
         assert results[0].stdout and results[1].stdout == results[0].stdout
         if output == ["--format", "csv"] and command != "sweep":
             assert "\u20ac".encode("utf-8") in results[1].stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("classify", "--das", "0.5"), ("evaluate", "--threshold", "0.5")],
+    ids=["classify", "evaluate"],
+)
+def test_text_only_stdout_gets_the_text(capsys, predictions_file, argv):
+    # A StringIO has no .buffer; main writes the same output to it as text.
+    if argv[0] == "evaluate":
+        argv += ("--predictions", predictions_file)
+    code, expected, _ = run(capsys, *argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    assert code == 0 and expected
+    assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize(
+    "argv", [("evaluate", "--threshold", "0.5"), ("sweep",)], ids=["evaluate", "sweep"]
+)
+def test_cli_predictions_hold_no_ids(monkeypatch, capsys, predictions_file, argv):
+    parsed = []
+    real_parse = deployassure.cli.parse_predictions
+
+    def keeping_parse(*args, **kwargs):
+        parsed.append(real_parse(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(deployassure.cli, "parse_predictions", keeping_parse)
+    code, out, _ = run(capsys, *argv, "--predictions", predictions_file)
+    assert code == 0 and out
+    (predictions,) = parsed
+    assert predictions.sample_ids is None and len(predictions) == 80
+    with pytest.raises(TypeError, match="keep_ids=False"):
+        iter(predictions)
 
 
 def test_nul_in_a_snapshot_id(capsys, tmp_path):

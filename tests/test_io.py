@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import random
 
 import pytest
 from hypothesis import event, given, settings
@@ -19,6 +21,7 @@ from deployassure import (
     parse_predictions,
     parse_signals,
 )
+import deployassure.io
 from deployassure.io import PREDICTIONS_COLUMNS
 from deployassure.lifecycle import format_real
 
@@ -293,11 +296,28 @@ def _outcome(parse, path):
         return type(exc), str(exc), getattr(exc, "row", None)
 
 
+def _id_less_outcome(path):
+    try:
+        predictions = parse_predictions(path, keep_ids=False)
+    except EngineError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    assert predictions.sample_ids is None
+    columns = (predictions.scores, predictions.labels, predictions.subgroups)
+    return "ok", [list(column) for column in columns]
+
+
 def assert_same_as_oracle(tmp_path_factory, name, text):
+    """Same samples or first error as the oracle; without ids, same columns."""
     path = tmp_path_factory.mktemp("oracle") / name
     path.write_text(text, encoding="utf-8", newline="")
     outcome = _outcome(parse_predictions, str(path))
     assert outcome == _outcome(dictreader_parse_predictions, str(path))
+    if outcome[0] == "ok":
+        samples = outcome[1]
+        columns = [[getattr(s, c) for s in samples] for c in PREDICTIONS_COLUMNS[1:]]
+        assert _id_less_outcome(str(path)) == ("ok", columns)
+    else:
+        assert _id_less_outcome(str(path)) == outcome
     return f"{len(outcome[1])} rows" if outcome[0] == "ok" else outcome[0].__name__
 
 
@@ -354,6 +374,40 @@ def jsonl_texts(draw):
     return "".join(lines)
 
 
+# Files longer than one block of the CSV fast path.
+
+BLOCK = deployassure.io._BLOCK_ROWS
+HEADER = ",".join(PREDICTIONS_COLUMNS)
+
+
+def _clean_rows(n, header=PREDICTIONS_COLUMNS, seed=7):
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        cells = {
+            "sample_id": f"s{i}",
+            "score": f"{rng.randint(0, 1000) / 1000:.3f}",
+            "label": rng.choice("01"),
+            "subgroup": rng.choice("ABC"),
+        }
+        rows.append(",".join(cells[c] for c in header))
+    return rows
+
+
+# Rows put after the first block; each but the clean quoted newline is the
+# file's first doubt, and the last row of each checks the row count.
+LATE_ROWS = {
+    "nan": ["s,nan,1,A"],
+    "inf": ["s,inf,1,A"],
+    "above-one": ["s,1.5,1,A"],
+    "padded-label": ["s,0.5, 1,A"],
+    "empty-subgroup": ["s,0.5,1,"],
+    "short-row": ["s,0.5"],
+    "quoted-newline": ['s,0.5,1,"two\nlines"'],
+    "quoted-newline-then-nan": ['s,0.5,1,"two\nlines"', "t,nan,0,B"],
+}
+
+
 class TestParserOracle:
     """Same samples in the same order, or the same first error and row."""
 
@@ -390,6 +444,92 @@ class TestParserOracle:
             "sample_id,score,label,subgroup,score\n\ns1,x,1 ,\"a,\nb\",1e0\n",
         )
         assert list(parse_predictions(path)) == [Sample("s1", 1.0, 1, "a,\nb")]
+
+    @pytest.mark.parametrize("late", list(LATE_ROWS.values()), ids=list(LATE_ROWS))
+    @pytest.mark.parametrize("offset", [0, 1, BLOCK - 1])
+    def test_late_rows_match_oracle(self, tmp_path_factory, late, offset):
+        rows = _clean_rows(2 * BLOCK + 10)
+        at = BLOCK + offset
+        rows[at:at] = late
+        text = "\n".join([HEADER, *rows]) + "\n"
+        assert_same_as_oracle(tmp_path_factory, "p.csv", text)
+
+    @pytest.mark.parametrize("keep_ids", [True, False])
+    def test_row_short_of_a_last_sample_id_is_an_error(self, tmp_path, keep_ids):
+        header = ("score", "label", "subgroup", "sample_id")
+        rows = _clean_rows(BLOCK + 5, header)
+        rows[BLOCK + 2] = "0.5,1,A"  # no sample_id cell
+        text = "\n".join([",".join(header), *rows]) + "\n"
+        path = write(tmp_path, "p.csv", text)
+        with pytest.raises(MalformedRowError, match="value for 'sample_id'") as excinfo:
+            parse_predictions(path, keep_ids=keep_ids)
+        assert excinfo.value.row == BLOCK + 4
+
+    def test_sample_id_last_matches_oracle(self, tmp_path_factory):
+        header = ("score", "label", "subgroup", "sample_id")
+        rows = _clean_rows(BLOCK + 5, header)
+        text = "\n".join([",".join(header), *rows]) + "\n"
+        assert_same_as_oracle(tmp_path_factory, "p.csv", text)
+
+
+class TestBlockPath:
+    """Counts: a clean CSV takes the block path, a doubtful one the exact path once."""
+
+    def test_clean_csv_makes_no_per_row_calls(self, monkeypatch, tmp_path):
+        calls = self._count(monkeypatch)
+        rows = _clean_rows(2 * BLOCK + 10)
+        path = write(tmp_path, "p.csv", "\n".join([HEADER, *rows]))
+        assert len(parse_predictions(path)) == len(rows)
+        assert calls == {"open": 1}
+
+    def test_padded_label_takes_the_exact_path_once(self, monkeypatch, tmp_path):
+        calls = self._count(monkeypatch)
+        rows = _clean_rows(2 * BLOCK + 10)
+        rows[BLOCK + 3] = "s,0.5, 1,A"
+        path = write(tmp_path, "p.csv", "\n".join([HEADER, *rows]))
+        predictions = parse_predictions(path)
+        assert (len(predictions), predictions.labels[BLOCK + 3]) == (len(rows), 1)
+        n = len(rows)
+        assert calls == {
+            "open": 1, "_iter_records": 1, "_parse_unit_interval": n, "_parse_binary": n
+        }
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_a_pipe_takes_the_exact_path_alone(self, tmp_path, bad):
+        rows = _clean_rows(BLOCK + 5)
+        if bad:
+            rows[BLOCK + 1] = "s,nan,1,A"
+        text = "\n".join([HEADER, *rows]) + "\n"
+        path = write(tmp_path, "p.csv", text)
+        read_end, write_end = os.pipe()
+        pipe = f"/dev/fd/{read_end}"
+        try:
+            with os.fdopen(write_end, "w", encoding="utf-8") as fh:
+                fh.write(text)  # within the pipe's buffer
+            outcome = _outcome(parse_predictions, pipe)
+        finally:
+            os.close(read_end)
+        expected = _outcome(dictreader_parse_predictions, path)
+        if bad:
+            expected = (expected[0], expected[1].replace(path, pipe), expected[2])
+        assert outcome == expected
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {}
+        module = deployassure.io
+        for name, real in [
+            ("open", open),
+            *((n, getattr(module, n)) for n in
+              ("_iter_records", "_parse_unit_interval", "_parse_binary")),
+        ]:
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting, raising=False)
+        return calls
 
 
 def test_huge_json_integer_is_a_row_error(tmp_path):

@@ -37,6 +37,7 @@ from deployassure import (
     step,
 )
 from deployassure.cli import main
+from deployassure.lifecycle import json_bytes
 
 import oracles
 from conftest import CSV_WRITES_NUL, REFERENCE_ROWS
@@ -506,3 +507,29 @@ class TestScoreMatchesStaged:
                 return
         assert (code, err) == (0, "")
         assert out == oracles.staged_score(rows, rules, output)
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+json_rows = st.lists(st.dictionaries(st.text(), json_values, max_size=5), max_size=4)
+
+
+class TestJsonRowsMatchWholeEncoding:
+    """Rows encoded one at a time give the bytes of the whole payload."""
+
+    @given(rows=json_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_top_level_array(self, rows):
+        assert json_bytes([], iter(rows)) == json_bytes(rows)
+
+    @given(rows=json_rows, head=json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_array_under_the_last_key(self, rows, head):
+        payload = {"config_fingerprint": head, "entries": []}
+        whole = json_bytes({**payload, "entries": rows})
+        assert json_bytes(payload, iter(rows)) == whole
