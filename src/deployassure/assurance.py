@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     ConfigInvalidError,
@@ -42,15 +43,9 @@ class DeploymentState(Enum):
         return _FAVORABILITY[self]
 
 
-_FAVORABILITY = {
-    DeploymentState.DEPLOYABLE: 4,
-    DeploymentState.RESTRICTED: 3,
-    DeploymentState.REASSESSMENT_REQUIRED: 2,
-    DeploymentState.ESCALATED_GOVERNANCE: 1,
-    DeploymentState.BLOCKED_DEPLOYMENT: 0,
-}
-
-BY_FAVORABILITY = {v: k for k, v in _FAVORABILITY.items()}
+# The ranks follow the declaration order; a tuple indexed by favorability.
+BY_FAVORABILITY = tuple(reversed(DeploymentState))
+_FAVORABILITY = {state: rank for rank, state in enumerate(BY_FAVORABILITY)}
 
 
 def less_favorable(a: DeploymentState, b: DeploymentState) -> DeploymentState:
@@ -58,6 +53,8 @@ def less_favorable(a: DeploymentState, b: DeploymentState) -> DeploymentState:
 
 
 class EscalationLevel(Enum):
+    """Escalation level, mildest to harshest."""
+
     LOW = "Low"
     MODERATE = "Moderate"
     HIGH = "High"
@@ -68,14 +65,8 @@ class EscalationLevel(Enum):
         return _LEVEL_SEVERITY[self]
 
 
-_LEVEL_SEVERITY = {
-    EscalationLevel.LOW: 0,
-    EscalationLevel.MODERATE: 1,
-    EscalationLevel.HIGH: 2,
-    EscalationLevel.CRITICAL: 3,
-}
-
-_LEVEL_BY_SEVERITY = {v: k for k, v in _LEVEL_SEVERITY.items()}
+_LEVEL_BY_SEVERITY = tuple(EscalationLevel)
+_LEVEL_SEVERITY = {level: rank for rank, level in enumerate(_LEVEL_BY_SEVERITY)}
 
 
 @dataclass(frozen=True)
@@ -149,30 +140,26 @@ class DrcBands:
     b_reassessment: float = 0.50
     b_escalated: float = 0.30
 
+    @cached_property  # band_of reads it once per signal row
+    def _floors(self) -> tuple[float, ...]:
+        """Every state's floor, indexed by favorability."""
+        b = self
+        return (0.0, b.b_escalated, b.b_reassessment, b.b_restricted, b.b_deployable)
+
     def __post_init__(self) -> None:
-        ordered = (
-            1.0,
-            self.b_deployable,
-            self.b_restricted,
-            self.b_reassessment,
-            self.b_escalated,
-            0.0,
-        )
-        if not all(hi > lo for hi, lo in zip(ordered, ordered[1:])):
+        ordered = (*self._floors, 1.0)
+        if not all(lo < hi for lo, hi in zip(ordered, ordered[1:])):
             raise ConfigInvalidError(
                 "bands: must satisfy 1 > deployable > restricted > "
                 f"reassessment > escalated > 0, got {self}"
             )
 
     def floor(self, state: DeploymentState) -> float:
-        """Lower score boundary of a state (0.0 for BlockedDeployment)."""
-        return {
-            DeploymentState.DEPLOYABLE: self.b_deployable,
-            DeploymentState.RESTRICTED: self.b_restricted,
-            DeploymentState.REASSESSMENT_REQUIRED: self.b_reassessment,
-            DeploymentState.ESCALATED_GOVERNANCE: self.b_escalated,
-            DeploymentState.BLOCKED_DEPLOYMENT: 0.0,
-        }[state]
+        """Lower score boundary of a state (0.0 for BlockedDeployment).
+
+        It is the entry of :attr:`_floors` at the state's favorability.
+        """
+        return self._floors[state.favorability]
 
 
 DEFAULT_BANDS = DrcBands()
@@ -223,16 +210,11 @@ def classify_drc(
 
 
 def band_of(das: float, bands: DrcBands) -> DeploymentState:
-    """The band holding a score already known to lie in [0, 1]."""
-    if das >= bands.b_deployable:
-        return DeploymentState.DEPLOYABLE
-    if das >= bands.b_restricted:
-        return DeploymentState.RESTRICTED
-    if das >= bands.b_reassessment:
-        return DeploymentState.REASSESSMENT_REQUIRED
-    if das >= bands.b_escalated:
-        return DeploymentState.ESCALATED_GOVERNANCE
-    return DeploymentState.BLOCKED_DEPLOYMENT
+    """The band holding a score already known to lie in [0, 1].
+
+    That is the state with the highest floor at or below the score.
+    """
+    return BY_FAVORABILITY[bisect_right(bands._floors, das) - 1]
 
 
 def fragility_cap(

@@ -27,6 +27,7 @@ import io
 import itertools
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .assurance import DeploymentState, band_of, classify_drc, das_of, ges_of
@@ -103,29 +104,23 @@ def cmd_evaluate(args: argparse.Namespace) -> bytes:
     confusion = compute_confusion(predictions, args.threshold)
     rates, gaps, fdi = assess_at_threshold(confusion, panel_config)
 
-    groups = sorted(confusion)
+    counts = ("n", "tp", "fp", "tn", "fn")
+    rate_names = tuple(GAP_METRICS.values())
+    rates_of = attrgetter(*rate_names)
+    table = [
+        (g, (c.total, c.tp, c.fp, c.tn, c.fn), rates_of(rates[g]))
+        for g, c in sorted(confusion.items())
+    ]
+    means = {r: macro_mean(rates, r) for r in ("fpr", "fnr")}
     if args.format == "json":
         return json_bytes(
             {
                 "threshold": args.threshold,
                 "subgroups": {
-                    g: {
-                        "n": confusion[g].total,
-                        "tp": confusion[g].tp,
-                        "fp": confusion[g].fp,
-                        "tn": confusion[g].tn,
-                        "fn": confusion[g].fn,
-                        "fpr": _round4(rates[g].fpr),
-                        "fnr": _round4(rates[g].fnr),
-                        "tpr": _round4(rates[g].tpr),
-                        "selection_rate": _round4(rates[g].selection_rate),
-                    }
-                    for g in groups
+                    g: dict(zip(counts + rate_names, (*n, *map(_round4, r))))
+                    for g, n, r in table
                 },
-                "macro_means": {
-                    "fpr": _round4(macro_mean(rates, "fpr")),
-                    "fnr": _round4(macro_mean(rates, "fnr")),
-                },
+                "macro_means": {r: _round4(mean) for r, mean in means.items()},
                 "gaps": {m: _round4(gaps.value(m)) for m in GAP_METRICS},
                 "excluded_subgroups": [list(e) for e in gaps.excluded_subgroups],
                 "fdi": _round4(fdi.value),
@@ -133,18 +128,12 @@ def cmd_evaluate(args: argparse.Namespace) -> bytes:
             }
         )
 
-    rows = [
-        ("subgroup", "n", "tp", "fp", "tn", "fn", "fpr", "fnr", "tpr", "selection_rate")
-    ]
-    for g in groups:
-        c, r = confusion[g], rates[g]
-        cells = (_cell(v) for v in (r.fpr, r.fnr, r.tpr, r.selection_rate))
-        rows.append((g, c.total, c.tp, c.fp, c.tn, c.fn, *cells))
+    rows = [("subgroup", *counts, *rate_names)]
+    rows += ((g, *n, *map(_cell, r)) for g, n, r in table)
     rows += [
         (),
         ("metric", "value"),
-        ("macro_mean_fpr", _cell(macro_mean(rates, "fpr"))),
-        ("macro_mean_fnr", _cell(macro_mean(rates, "fnr"))),
+        *((f"macro_mean_{r}", _cell(mean)) for r, mean in means.items()),
         *((metric, format_real(gaps.value(metric))) for metric in GAP_METRICS),
         ("fdi", format_real(fdi.value)),
     ]
@@ -161,39 +150,31 @@ def cmd_sweep(args: argparse.Namespace) -> bytes:
     profile = sweep(predictions, t_min, t_max, step, config.panel)
     sens = sensitivity(profile, config.zones)
     scalar = tsz_scalar(sens, config.aggregation, config.s_ref)
-    harshest = worst_zone(sens)
 
+    columns = ("threshold", "fdi", "sensitivity", "zone")
+    table = [
+        (point.threshold, fdi, point.s, point.zone.value)
+        for point, (_, fdi) in zip(sens.points, profile.points)
+    ]
+    metrics = ("tsz_scalar", "aggregation", "s_ref", "worst_zone")
+    tsz, aggregation, s_ref = scalar.value, scalar.aggregation, scalar.s_ref
+    harshest = worst_zone(sens).value
     if args.format == "json":
         return json_bytes(
             {
                 "points": [
-                    {
-                        "threshold": _round4(point.threshold),
-                        "fdi": _round4(fdi),
-                        "sensitivity": _round4(point.s),
-                        "zone": point.zone.value,
-                    }
-                    for point, (_, fdi) in zip(sens.points, profile.points)
+                    dict(zip(columns, (*map(_round4, reals), zone)))
+                    for *reals, zone in table
                 ],
-                "tsz_scalar": _round4(scalar.value),
-                "aggregation": scalar.aggregation,
-                "s_ref": scalar.s_ref,
-                "worst_zone": harshest.value,
+                **dict(zip(metrics, (_round4(tsz), aggregation, s_ref, harshest))),
             }
         )
 
-    rows = [("threshold", "fdi", "sensitivity", "zone")]
-    rows += (
-        (*map(format_real, (point.threshold, fdi, point.s)), point.zone.value)
-        for point, (_, fdi) in zip(sens.points, profile.points)
-    )
+    rows = [columns, *((*map(format_real, reals), zone) for *reals, zone in table)]
     rows += [
         (),
         ("metric", "value"),
-        ("tsz_scalar", format_real(scalar.value)),
-        ("aggregation", scalar.aggregation),
-        ("s_ref", format_real(scalar.s_ref)),
-        ("worst_zone", harshest.value),
+        *zip(metrics, (format_real(tsz), aggregation, format_real(s_ref), harshest)),
     ]
     return _csv_bytes(rows)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .assurance import DrcBands, GesThresholds, WeightVector
 from .disagreement import PanelConfig
@@ -83,14 +83,24 @@ def _as_float(value: Any, where: str) -> float:
     return float(value)
 
 
-def _as_mapping(value: Any, where: str, allowed: set[str]) -> Mapping[str, Any]:
+def _as_mapping(
+    value: Any, where: str, allowed: Iterable[str], required: bool = False
+) -> Mapping[str, Any]:
+    """A config section: an object with no field outside ``allowed``.
+
+    With ``required``, every ``allowed`` field must be present too. Unknown
+    fields are reported before missing ones, each list sorted by name.
+    """
     if not isinstance(value, dict):
         raise ConfigInvalidError(f"{where}: expected an object, got {value!r}")
-    unknown = set(value) - allowed
-    if unknown:
-        raise ConfigInvalidError(
-            f"{where}: unknown field(s): {', '.join(sorted(unknown))}"
-        )
+    for problem, names in (
+        ("unknown", set(value).difference(allowed)),
+        ("missing", set(allowed).difference(value) if required else ()),
+    ):
+        if names:
+            raise ConfigInvalidError(
+                f"{where}: {problem} field(s): {', '.join(sorted(names))}"
+            )
     return value
 
 
@@ -123,11 +133,7 @@ def load_config(path: str | None = None) -> EngineConfig:
         raise ConfigInvalidError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalidError(f"{path}: top level must be an object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigInvalidError(
-            f"{path}: unknown field(s): {', '.join(sorted(unknown))}"
-        )
+    _as_mapping(raw, path, _TOP_LEVEL_KEYS)
 
     rules: dict[str, Any] = {}
     panel: dict[str, Any] = {}
@@ -135,12 +141,7 @@ def load_config(path: str | None = None) -> EngineConfig:
 
     if "weights" in raw:
         names = ("alpha", "beta", "gamma", "delta")
-        section = _as_mapping(raw["weights"], "weights", set(names))
-        missing = set(names) - set(section)
-        if missing:
-            raise ConfigInvalidError(
-                f"weights: missing field(s): {', '.join(sorted(missing))}"
-            )
+        section = _as_mapping(raw["weights"], "weights", names, required=True)
         values = [_as_float(section[name], f"weights.{name}") for name in names]
         try:
             rules["weights"] = WeightVector(*values)
@@ -148,18 +149,10 @@ def load_config(path: str | None = None) -> EngineConfig:
             raise ConfigInvalidError(f"weights: {exc}") from exc
 
     if "bands" in raw:
-        names = {"deployable", "restricted", "reassessment", "escalated"}
-        section = _as_mapping(raw["bands"], "bands", names)
-        missing = names - set(section)
-        if missing:
-            raise ConfigInvalidError(
-                f"bands: missing field(s): {', '.join(sorted(missing))}"
-            )
+        names = ("deployable", "restricted", "reassessment", "escalated")
+        section = _as_mapping(raw["bands"], "bands", names, required=True)
         rules["bands"] = DrcBands(
-            b_deployable=_as_float(section["deployable"], "bands.deployable"),
-            b_restricted=_as_float(section["restricted"], "bands.restricted"),
-            b_reassessment=_as_float(section["reassessment"], "bands.reassessment"),
-            b_escalated=_as_float(section["escalated"], "bands.escalated"),
+            **{f"b_{name}": _as_float(section[name], f"bands.{name}") for name in names}
         )
 
     if "zone_boundaries" in raw:
@@ -176,13 +169,11 @@ def load_config(path: str | None = None) -> EngineConfig:
         rules["ges_thresholds"] = GesThresholds(**cuts)
 
     if "sweep" in raw:
-        section = _as_mapping(raw["sweep"], "sweep", {"t_min", "t_max", "step"})
-        if "t_min" in section:
-            engine["sweep_t_min"] = _as_float(section["t_min"], "sweep.t_min")
-        if "t_max" in section:
-            engine["sweep_t_max"] = _as_float(section["t_max"], "sweep.t_max")
-        if "step" in section:
-            engine["sweep_step"] = _as_float(section["step"], "sweep.step")
+        names = ("t_min", "t_max", "step")
+        section = _as_mapping(raw["sweep"], "sweep", names)
+        for name in names:
+            if name in section:
+                engine[f"sweep_{name}"] = _as_float(section[name], f"sweep.{name}")
 
     if "fdi" in raw:
         section = _as_mapping(

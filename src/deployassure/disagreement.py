@@ -19,7 +19,7 @@ MODE_CONTINUOUS = "continuous"
 MODE_VERDICT = "verdict"
 MODES = (MODE_CONTINUOUS, MODE_VERDICT)
 
-DEFAULT_PANEL_METRICS = ("delta_fpr", "delta_fnr", "delta_tpr", "delta_sr")
+DEFAULT_PANEL_METRICS = tuple(GAP_METRICS)
 DEFAULT_VERDICT_TOLERANCE = 0.1
 
 

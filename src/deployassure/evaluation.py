@@ -311,13 +311,7 @@ def compute_gaps(
                 + (f" ({detail})" if detail else ""),
             )
         values[gap_name] = max(eligible) - min(eligible)
-    return DisparityGaps(
-        delta_fpr=values["delta_fpr"],
-        delta_fnr=values["delta_fnr"],
-        delta_tpr=values["delta_tpr"],
-        delta_sr=values["delta_sr"],
-        excluded_subgroups=tuple(sorted(excluded)),
-    )
+    return DisparityGaps(**values, excluded_subgroups=tuple(sorted(excluded)))
 
 
 def subgroup_sizes(confusion: Mapping[str, ConfusionCounts]) -> dict[str, int]:

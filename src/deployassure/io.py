@@ -160,15 +160,20 @@ def _as_string(value: Any, name: str) -> str:
     raise _bad(value, name, f"{name} must be a string, got {value!r}")
 
 
-def _parse_unit_interval(value: Any, name: str) -> float:
+def _parse_unit_interval(value: Any, name: str, low: float = 0.0) -> float:
+    """A number in ``[low, 1]``; a JSON bool is not a number.
+
+    Scores and the four signals take the default ``low`` of 0; ``r_m``, a
+    remediation's assurance-score delta, passes -1.
+    """
     if value is None or isinstance(value, bool):
         raise _bad(value, name, f"{name} is not a number: {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise _BadValue(f"{name} is not a number: {value!r}") from None
-    if not 0.0 <= number <= 1.0:
-        raise _BadValue(f"{name} out of range [0, 1]: {value!r}")
+    if not low <= number <= 1.0:
+        raise _BadValue(f"{name} out of range [{low:g}, 1]: {value!r}")
     return number
 
 
@@ -336,14 +341,7 @@ def iter_signals(
             remediation = bool(_parse_binary(event, "remediation_event"))
             r_m: float | None = None
             if raw_r_m is not None and raw_r_m != "":
-                if isinstance(raw_r_m, bool):
-                    raise _BadValue(f"r_m is not a number: {raw_r_m!r}")
-                try:
-                    r_m = float(raw_r_m)
-                except (TypeError, ValueError, OverflowError):
-                    raise _BadValue(f"r_m is not a number: {raw_r_m!r}") from None
-                if not -1.0 <= r_m <= 1.0:
-                    raise _BadValue(f"r_m out of range [-1, 1]: {raw_r_m!r}")
+                r_m = _parse_unit_interval(raw_r_m, "r_m", -1.0)
                 if not remediation:
                     raise _BadValue("r_m present but remediation_event is 0")
             yield snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m

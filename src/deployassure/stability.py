@@ -13,6 +13,7 @@ affects the result, and assembly is deterministic in threshold order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -46,6 +47,8 @@ DEFAULT_AGGREGATION = "mean"
 AGGREGATIONS = ("mean", "max")
 
 _SPACING_TOLERANCE = 1e-9
+# The most steps a sweep grid may span: 1000 times a 0.001-step grid on [0, 1].
+MAX_SWEEP_STEPS = 10**6
 
 
 class ZoneLabel(Enum):
@@ -61,12 +64,8 @@ class ZoneLabel(Enum):
         return _ZONE_SEVERITY[self]
 
 
-_ZONE_SEVERITY = {
-    ZoneLabel.STABLE: 0,
-    ZoneLabel.SENSITIVE: 1,
-    ZoneLabel.AMPLIFIED_DISAGREEMENT: 2,
-    ZoneLabel.GOVERNANCE_FRAGILITY: 3,
-}
+_ZONE_BY_SEVERITY = tuple(ZoneLabel)
+_ZONE_SEVERITY = {zone: rank for rank, zone in enumerate(_ZONE_BY_SEVERITY)}
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,8 @@ def check_sweep_range(t_min: float, t_max: float, h: float) -> None:
 
     Raises:
         DomainError: unless 0 <= t_min < t_max <= 1, h > 0, and the range
-            spans at least two steps (NaN fails every test).
+            spans at least two steps and at most :data:`MAX_SWEEP_STEPS`
+            (NaN fails every test, an infinite step count the last).
     """
     if not (0.0 <= t_min < t_max <= 1.0):
         raise DomainError(
@@ -175,8 +175,15 @@ def check_sweep_range(t_min: float, t_max: float, h: float) -> None:
         )
     if not h > 0:
         raise DomainError(f"step must be positive, got {h!r}")
-    if not (t_max - t_min) / h >= 2:
+    steps = (t_max - t_min) / h
+    if not steps >= 2:
         raise DomainError("range must span at least two steps")
+    # floor(steps + tolerance), sweep's interval count, is at most the
+    # limit exactly when this holds; unlike floor, it takes an infinity.
+    if not steps + _SPACING_TOLERANCE < MAX_SWEEP_STEPS + 1:
+        raise DomainError(
+            f"range must span at most {MAX_SWEEP_STEPS} steps, got step {h!r}"
+        )
 
 
 def _fill_flagged(
@@ -264,16 +271,13 @@ def sweep(
 
 
 def classify_zone(s: float, zones: ZoneConfig = DEFAULT_ZONES) -> ZoneLabel:
-    """Bin a sensitivity value into its stability zone."""
+    """Bin a sensitivity value into its stability zone.
+
+    The zone's severity is the number of zone boundaries at or below ``s``.
+    """
     if s < 0:
         raise ValueError(f"sensitivity must be non-negative, got {s!r}")
-    if s < zones.z1:
-        return ZoneLabel.STABLE
-    if s < zones.z2:
-        return ZoneLabel.SENSITIVE
-    if s < zones.z3:
-        return ZoneLabel.AMPLIFIED_DISAGREEMENT
-    return ZoneLabel.GOVERNANCE_FRAGILITY
+    return _ZONE_BY_SEVERITY[bisect_right((zones.z1, zones.z2, zones.z3), s)]
 
 
 def sensitivity(

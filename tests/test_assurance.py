@@ -23,8 +23,30 @@ from deployassure import (
     remediation_progression,
     validate_weights,
 )
+from deployassure.assurance import BY_FAVORABILITY
 
 unit = st.floats(0, 1)
+
+
+def test_scale_ranks_and_band_floors():
+    # Stated member by member, so a reordered declaration fails here.
+    D, E, Z = DeploymentState, EscalationLevel, ZoneLabel
+    states = (
+        D.DEPLOYABLE,
+        D.RESTRICTED,
+        D.REASSESSMENT_REQUIRED,
+        D.ESCALATED_GOVERNANCE,
+        D.BLOCKED_DEPLOYMENT,
+    )
+    assert [s.favorability for s in states] == [4, 3, 2, 1, 0]
+    assert all(BY_FAVORABILITY[s.favorability] is s for s in D)
+    levels = (E.LOW, E.MODERATE, E.HIGH, E.CRITICAL)
+    zones = (Z.STABLE, Z.SENSITIVE, Z.AMPLIFIED_DISAGREEMENT, Z.GOVERNANCE_FRAGILITY)
+    assert [x.severity for x in levels] == [x.severity for x in zones] == [0, 1, 2, 3]
+    bands = DrcBands(
+        b_deployable=0.9, b_restricted=0.7, b_reassessment=0.5, b_escalated=0.2
+    )
+    assert [bands.floor(s) for s in states] == [0.9, 0.7, 0.5, 0.2, 0.0]
 
 
 def equal_signals(fdi, dfpr, dfnr, tsz, **kw):
@@ -244,6 +266,8 @@ class TestRemediationProgression:
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             remediation_progression(-0.1, 0.5)
+        with pytest.raises(ValueError, match=r"das_next out of range \[0, 1\]: 1.5"):
+            remediation_progression(0.5, 1.5)
 
     @given(unit, unit)
     def test_antisymmetric(self, a, b):

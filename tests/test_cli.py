@@ -149,7 +149,17 @@ class TestEvaluate:
         )
         assert code == 0
         assert out.startswith("subgroup,n,tp,fp,tn,fn,fpr,fnr,tpr,selection_rate")
-        assert "fdi," in out
+        summary = out.split("\n\n")[1].splitlines()
+        assert [row.split(",")[0] for row in summary] == [
+            "metric",
+            "macro_mean_fpr",
+            "macro_mean_fnr",
+            "delta_fpr",
+            "delta_fnr",
+            "delta_tpr",
+            "delta_sr",
+            "fdi",
+        ]
 
     def test_json_format(self, capsys, predictions_file):
         code, out, _ = run(
@@ -165,6 +175,10 @@ class TestEvaluate:
         assert code == 0
         payload = json.loads(out)
         assert set(payload["subgroups"]) == {"A", "B"}
+        assert list(payload["subgroups"]["A"]) == [
+            "fn", "fnr", "fp", "fpr", "n", "selection_rate", "tn", "tp", "tpr"
+        ]
+        assert list(payload["macro_means"]) == ["fnr", "fpr"]
         assert set(payload["gaps"]) == {
             "delta_fpr",
             "delta_fnr",
@@ -221,7 +235,10 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[0] == "threshold,fdi,sensitivity,zone"
         assert len([l for l in lines if l and l[0] == "0"]) == 15
-        assert any(l.startswith("tsz_scalar,") for l in lines)
+        summary = out.split("\n\n")[1].splitlines()
+        assert [row.split(",")[0] for row in summary] == [
+            "metric", "tsz_scalar", "aggregation", "s_ref", "worst_zone"
+        ]
 
     def test_range_flag(self, capsys, predictions_file):
         code, out, _ = run(
@@ -235,7 +252,12 @@ class TestSweep:
             "json",
         )
         assert code == 0
-        assert len(json.loads(out)["points"]) == 5
+        payload = json.loads(out)
+        assert len(payload["points"]) == 5
+        assert list(payload["points"][0]) == ["fdi", "sensitivity", "threshold", "zone"]
+        assert list(payload) == [
+            "aggregation", "points", "s_ref", "tsz_scalar", "worst_zone"
+        ]
 
     def test_bad_range_is_validation_error(self, capsys, predictions_file):
         code, _, err = run(
@@ -254,6 +276,9 @@ class TestSweep:
         ("sweep", "--range", "0.4:0.5:0.1"),
         ("evaluate", "--threshold", "nan"),
         ("classify", "--das", "2"),
+        ("sweep", "--range", "a:b:c"),
+        # 1 / 5e-324 steps overflows to an infinite count.
+        ("sweep", "--range", "0:1:5e-324"),
     ],
 )
 def test_out_of_domain_value_exits_one_with_one_line(capsys, predictions_file, argv):
@@ -311,6 +336,95 @@ def test_nan_config_value_exits_one(capsys, tmp_path, config, field):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and field in err and repr(float(bad)) in err
+
+
+# config -> the stderr message, after "error: "; {path} is the config file.
+CONFIG_ERRORS = {
+    "number-is-bool": ({"hysteresis": True}, "hysteresis: expected a number, got True"),
+    "number-is-string": (
+        {"weights": {"alpha": "x", "beta": 0.5, "gamma": 0.25, "delta": 0.25}},
+        "weights.alpha: expected a number, got 'x'",
+    ),
+    "section-not-object": (
+        {"weights": [0.25, 0.25, 0.25, 0.25]},
+        "weights: expected an object, got [0.25, 0.25, 0.25, 0.25]",
+    ),
+    "sweep-not-object": (
+        {"sweep": "0:1:0.1"},
+        "sweep: expected an object, got '0:1:0.1'",
+    ),
+    "unknown-section-field": (
+        {"tsz": {"s_ref": 2.0, "scale": 1}},
+        "tsz: unknown field(s): scale",
+    ),
+    "unknown-before-missing": (
+        {"bands": {"deployable": 0.9, "floor": 0.1}},
+        "bands: unknown field(s): floor",
+    ),
+    "zone-boundaries-two": (
+        {"zone_boundaries": [0.25, 0.75]},
+        "zone_boundaries: expected three numbers, got [0.25, 0.75]",
+    ),
+    "zone-boundaries-object": (
+        {"zone_boundaries": {"z1": 0.25}},
+        "zone_boundaries: expected three numbers, got {'z1': 0.25}",
+    ),
+    "top-level-list": ([], "{path}: top level must be an object"),
+    "weights-missing": (
+        {"weights": {"alpha": 1.0}},
+        "weights: missing field(s): beta, delta, gamma",
+    ),
+    "bands-missing": (
+        {"bands": {"deployable": 0.9, "restricted": 0.7}},
+        "bands: missing field(s): escalated, reassessment",
+    ),
+    "bands-first-bad-in-field-order": (
+        {
+            "bands": {
+                "escalated": "e",
+                "deployable": "d",
+                "restricted": 0.7,
+                "reassessment": 0.5,
+            }
+        },
+        "bands.deployable: expected a number, got 'd'",
+    ),
+    "sweep-first-bad-in-field-order": (
+        {"sweep": {"step": "s", "t_min": "m"}},
+        "sweep.t_min: expected a number, got 'm'",
+    ),
+    "tolerances-not-object": (
+        {"fdi": {"tolerances": [0.1]}},
+        "fdi.tolerances: expected an object, got [0.1]",
+    ),
+    "panel-metrics-not-strings": (
+        {"panel_metrics": ["delta_fpr", 1]},
+        "panel_metrics: expected a list of strings, got ['delta_fpr', 1]",
+    ),
+    "panel-metrics-not-list": (
+        {"panel_metrics": "delta_fpr"},
+        "panel_metrics: expected a list of strings, got 'delta_fpr'",
+    ),
+    "recovery-gating-not-bool": (
+        {"recovery_gating": 1},
+        "recovery_gating: expected a boolean, got 1",
+    ),
+    # ges_thresholds reads its fields in file order.
+    "ges-thresholds-file-order": (
+        {"ges_thresholds": {"tsz": "x", "fdi": "y"}},
+        "ges_thresholds.tsz: expected three numbers, got 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config,message", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS)
+)
+def test_config_error_exits_one_with_its_message(capsys, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--das", "0.5", "--config", str(path))
+    assert (code, out, err) == (1, "", f"error: {message.replace('{path}', str(path))}\n")
 
 
 @pytest.mark.parametrize(
@@ -453,6 +567,45 @@ def test_error_in_last_row_leaves_stdout_empty(capsys, tmp_path, jsonl, output):
     row, bad = (rows, "1.5") if jsonl else (rows + 1, "'1.5'")
     assert (code, out) == (1, "")
     assert err == f"error: {path}: row {row}: tsz out of range [0, 1]: {bad}\n"
+
+
+_SIGNALS_HEADER = "snapshot_id,fdi,delta_fpr,delta_fnr,tsz,remediation_event"
+_JSONL_SIGNALS = (
+    '{"snapshot_id": "s", "fdi": 0.1, "delta_fpr": 0.1, "delta_fnr": 0.1, '
+    '"tsz": 0.1, "remediation_event": 1, "r_m": %s}\n'
+)
+# name -> (file name, text, the stderr message after "error: {path}: ")
+SIGNALS_ERRORS = {
+    "r_m-json-bool": (
+        "s.jsonl",
+        _JSONL_SIGNALS % "true",
+        "row 1: r_m is not a number: True",
+    ),
+    "r_m-csv-text": (
+        "s.csv",
+        f"{_SIGNALS_HEADER},r_m\ns,0.1,0.1,0.1,0.1,1,abc\n",
+        "row 2: r_m is not a number: 'abc'",
+    ),
+    "r_m-below-minus-one": (
+        "s.csv",
+        f"{_SIGNALS_HEADER},r_m\ns,0.1,0.1,0.1,0.1,1,-1.5\n",
+        "row 2: r_m out of range [-1, 1]: '-1.5'",
+    ),
+    "header-only": ("s.csv", f"{_SIGNALS_HEADER}\n", "no data rows"),
+}
+
+
+@pytest.mark.parametrize("command", ["score", "lifecycle"])
+@pytest.mark.parametrize(
+    "name,text,message", list(SIGNALS_ERRORS.values()), ids=list(SIGNALS_ERRORS)
+)
+def test_signals_error_exits_one_with_its_message(
+    capsys, tmp_path, command, name, text, message
+):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--signals", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["lifecycle", "score"])

@@ -126,6 +126,14 @@ class TestLoading:
         with pytest.raises(ConfigInvalidError, match="^sweep: step"):
             load_config(path)
 
+    def test_sweep_grid_over_the_step_limit_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"sweep": {"step": 1e-300}})
+        with pytest.raises(ConfigInvalidError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == (
+            "sweep: range must span at most 1000000 steps, got step 1e-300"
+        )
+
     def test_panel_needs_two_metrics(self, tmp_path):
         path = write_config(tmp_path, {"panel_metrics": ["delta_fpr"]})
         with pytest.raises(ConfigInvalidError):

@@ -109,6 +109,13 @@ class TestVerdictMode:
         panel = make_panel([0.1, 0.5], tolerances=[0.1, 0.1])
         assert compute_fdi(panel, "verdict").value == 1.0
 
+    def test_tolerance_out_of_range_rejected(self):
+        panel = DisparityPanel(
+            entries=(("m0", 0.1), ("m1", 0.2)), tolerances={"m0": 0.1, "m1": 1.5}
+        )
+        with pytest.raises(ValueError, match="tolerance for 'm1' out of range"):
+            compute_fdi(panel, "verdict")
+
     def test_missing_tolerance_rejected(self):
         panel = DisparityPanel(
             entries=(("m0", 0.1), ("m1", 0.2)), tolerances={"m0": 0.1}

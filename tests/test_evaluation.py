@@ -329,6 +329,12 @@ class TestComputeGaps:
         assert gaps.delta_fpr == pytest.approx(0.3043, abs=1e-12)
         assert gaps.excluded_subgroups == ()
 
+    def test_unknown_gap_name_rejected(self):
+        panel = RatePanel(0.2, 0.2, 0.8, 0.5)
+        gaps = compute_gaps({g: panel for g in "AB"}, {g: 50 for g in "AB"})
+        with pytest.raises(KeyError, match="unknown gap 'delta_xyz'"):
+            gaps.value("delta_xyz")
+
     def test_identical_rates_give_zero(self):
         panel = RatePanel(0.2, 0.2, 0.8, 0.5)
         gaps = compute_gaps({g: panel for g in "ABC"}, {g: 50 for g in "ABC"})

@@ -1,12 +1,21 @@
-"""The package declares no runtime dependencies and imports only the stdlib."""
+"""The package declares no runtime dependencies and imports only the stdlib.
+
+It also keeps its surface small: the exported names and the settable
+config fields are bounded, so a change that adds one raises its bound.
+"""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+import deployassure
+from deployassure import EngineConfig, PanelConfig, RulesConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "deployassure"
@@ -33,3 +42,18 @@ def test_every_import_is_stdlib_or_relative():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_exports_and_config_fields_stay_within_their_bounds():
+    exported = [
+        name
+        for name, value in vars(deployassure).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    fields = [
+        f"{config.__name__}.{field.name}"
+        for config in (EngineConfig, RulesConfig, PanelConfig)
+        for field in dataclasses.fields(config)
+    ]
+    assert len(exported) <= 71, sorted(exported)
+    assert len(fields) <= 18, fields

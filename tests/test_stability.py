@@ -28,7 +28,7 @@ from deployassure import (
     worst_zone,
 )
 from deployassure.disagreement import PanelConfig
-from deployassure.stability import _fill_flagged
+from deployassure.stability import MAX_SWEEP_STEPS, _fill_flagged, check_sweep_range
 
 from conftest import make_dataset
 
@@ -65,6 +65,19 @@ class TestSweep:
     def test_range_must_span_two_steps(self):
         with pytest.raises(ValueError):
             sweep(make_dataset(), t_min=0.4, t_max=0.5, h=0.1)
+
+    @pytest.mark.parametrize(
+        "h",
+        [1e-300, 5e-324, 1 / (MAX_SWEEP_STEPS + 1)],
+        ids=["1e-300", "5e-324", "one-step-over"],
+    )
+    def test_range_over_the_step_limit_rejected(self, h):
+        # Checked before any grid is built: a 1e-300 step asks for ~1e300 points.
+        with pytest.raises(DomainError, match="at most 1000000 steps"):
+            check_sweep_range(0.0, 1.0, h)
+
+    def test_range_at_the_step_limit_accepted(self):
+        assert check_sweep_range(0.0, 1.0, 1 / MAX_SWEEP_STEPS) is None
 
     def test_constant_scores_give_constant_profile(self):
         # Identical confusion matrices on each side of 0.5 make every gap
@@ -173,6 +186,10 @@ class TestProfileValidation:
     def test_requires_unit_interval_values(self):
         with pytest.raises(ValueError):
             FdiProfile(points=((0.1, 0.5), (0.2, 1.5), (0.3, 0.5)), h=0.1)
+
+    def test_requires_positive_step(self):
+        with pytest.raises(ValueError, match="step must be positive, got 0"):
+            FdiProfile(points=((0.1, 0.5), (0.2, 0.5), (0.3, 0.5)), h=0)
 
 
 class TestSensitivity:
