@@ -16,7 +16,7 @@ alone writes them to stdout, so nothing reaches stdout unless the
 command succeeds, and the bytes do not depend on the locale.
 
 Exit codes: 0 success, 1 validation error (including usage, and a value
-the csv module cannot write), 2 I/O error.
+that CSV output cannot write), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def _parse_range(raw: str) -> tuple[float, float, float]:
 def cmd_evaluate(args: argparse.Namespace) -> bytes:
     panel_config = load_config(args.config).panel
     check_threshold(args.threshold)
-    predictions = parse_predictions(args.predictions, keep_ids=False)
+    predictions = parse_predictions(args.predictions)
     confusion = compute_confusion(predictions, args.threshold)
     rates, gaps, fdi = assess_at_threshold(confusion, panel_config)
 
@@ -146,7 +146,7 @@ def cmd_sweep(args: argparse.Namespace) -> bytes:
         t_min, t_max, step = _parse_range(args.range)
     else:
         t_min, t_max, step = config.sweep_t_min, config.sweep_t_max, config.sweep_step
-    predictions = parse_predictions(args.predictions, keep_ids=False)
+    predictions = parse_predictions(args.predictions)
     profile = sweep(predictions, t_min, t_max, step, config.panel)
     sens = sensitivity(profile, config.zones)
     scalar = tsz_scalar(sens, config.aggregation, config.s_ref)
@@ -291,7 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except csv.Error as exc:  # input errors are MalformedRowError by now
+    # Input errors are MalformedRowError by now. A lone surrogate, which a
+    # JSON string may hold, has no UTF-8 bytes; JSON output escapes it.
+    except (csv.Error, UnicodeEncodeError) as exc:
         print(f"error: cannot write CSV output: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -11,7 +11,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     DomainError,
@@ -114,33 +114,19 @@ class Predictions:
 
     :func:`deployassure.io.parse_predictions` fills the columns as it
     checks the file, and :meth:`from_samples` checks each :class:`Sample`
-    as it copies it in; nothing downstream checks a row again. Iterating
-    yields the rows as :class:`Sample` values.
-
-    Built with ``keep_ids=False`` (as the CLI parses), it holds no ids:
-    ``sample_ids`` is ``None``, counting and sweeping read the other
-    columns as usual, and iterating it as samples raises ``TypeError``.
+    as it copies it in; nothing downstream checks a row again. Sample ids
+    are checked on the way in but not kept: no result reads them.
     """
 
-    __slots__ = ("sample_ids", "scores", "labels", "subgroups")
+    __slots__ = ("scores", "labels", "subgroups")
 
-    def __init__(self, *, keep_ids: bool = True) -> None:
-        self.sample_ids: list[str] | None = [] if keep_ids else None
+    def __init__(self) -> None:
         self.scores = array("d")
         self.labels = bytearray()
         self.subgroups: list[str] = []
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __iter__(self) -> Iterator[Sample]:
-        if self.sample_ids is None:
-            raise TypeError(
-                "predictions read with keep_ids=False hold no sample ids,"
-                " so they do not iterate as samples"
-            )
-        columns = (self.sample_ids, self.scores, self.labels, self.subgroups)
-        return map(Sample, *columns)
 
     @classmethod
     def from_samples(cls, samples: Iterable[Sample]) -> Predictions:
@@ -155,7 +141,6 @@ class Predictions:
         out = cls()
         for sample in samples:
             _check_sample(sample)
-            out.sample_ids.append(sample.sample_id)
             out.scores.append(sample.score)
             out.labels.append(sample.label == 1)
             out.subgroups.append(sample.subgroup)

@@ -200,20 +200,20 @@ _BLOCK_ROWS = 512
 _LABELS = {"0": 0, "1": 1}
 
 
-def _read_clean_csv(fh: TextIO, keep_ids: bool) -> Predictions | None:
+def _read_clean_csv(fh: TextIO) -> Predictions | None:
     """A clean CSV predictions file as columns, or ``None`` at any doubt.
 
     Rows are read a block at a time, and each block is checked by C-level
     iterators: ``float`` and two range checks for the scores (NaN fails
     both), a dict lookup that takes only ``"0"`` and ``"1"`` for labels, and
     one check for an empty subgroup at the end. The ``sample_id`` cell is
-    picked from every row whether or not it is kept, so a row too short to
+    picked from every row though it is not kept, so a row too short to
     hold it is doubt too. Doubt is anything these checks cannot vouch for:
     a short row, a value they refuse, a csv or decoding error, a missing
     column, a leading blank line, JSON-lines, or no data rows. No row
     number is counted.
     """
-    out = Predictions(keep_ids=keep_ids)
+    out = Predictions()
     scores, labels, subgroups = out.scores, out.labels, out.subgroups
     groups: dict[str, str] = {}  # one string object per distinct subgroup
     label_of = _LABELS.__getitem__
@@ -226,7 +226,7 @@ def _read_clean_csv(fh: TextIO, keep_ids: bool) -> Predictions | None:
         pick = operator.itemgetter(*map(header.__getitem__, PREDICTIONS_COLUMNS))
         rows = map(pick, filter(None, reader))
         while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-            ids, score_cells, label_cells, group_cells = zip(*block)
+            _, score_cells, label_cells, group_cells = zip(*block)
             block_scores = array("d", map(float, score_cells))
             if not (
                 all(map((0.0).__le__, block_scores))
@@ -236,8 +236,6 @@ def _read_clean_csv(fh: TextIO, keep_ids: bool) -> Predictions | None:
             scores += block_scores
             labels += bytes(map(label_of, label_cells))
             subgroups += map(groups.setdefault, group_cells, group_cells)
-            if keep_ids:
-                out.sample_ids += ids
     except (LookupError, ValueError, csv.Error):  # ValueError: float(), UTF-8
         return None
     if "" in groups or not out:
@@ -245,24 +243,20 @@ def _read_clean_csv(fh: TextIO, keep_ids: bool) -> Predictions | None:
     return out
 
 
-def _parse_rows(
-    records: Iterator[tuple[int, Sequence[Any]]], path: str, keep_ids: bool
-) -> Predictions:
+def _parse_rows(records: Iterator[tuple[int, Sequence[Any]]], path: str) -> Predictions:
     """Check each record on its own, in file order; the exact path.
 
     Each record comes from :func:`_iter_records` with its physical row, so
     the first bad value is reported with its row.
     """
-    out = Predictions(keep_ids=keep_ids)
+    out = Predictions()
     add_score, add_label = out.scores.append, out.labels.append
     add_subgroup = out.subgroups.append
     # One string object per distinct subgroup, not one per row.
     subgroups: dict[str, str] = {}
     try:
         for row, (sample_id, score, label, subgroup) in records:
-            sample_id = _as_string(sample_id, "sample_id")
-            if keep_ids:
-                out.sample_ids.append(sample_id)
+            _as_string(sample_id, "sample_id")
             add_score(_parse_unit_interval(score, "score"))
             add_label(_parse_binary(label, "label"))
             subgroup = _as_string(subgroup, "subgroup")
@@ -276,7 +270,7 @@ def _parse_rows(
     return out
 
 
-def parse_predictions(path: str, *, keep_ids: bool = True) -> Predictions:
+def parse_predictions(path: str) -> Predictions:
     """Read and validate a predictions file into columns, in file order.
 
     A CSV file is first read a block of rows at a time, each block checked
@@ -290,9 +284,8 @@ def parse_predictions(path: str, *, keep_ids: bool = True) -> Predictions:
     result and every error are those of the exact path. A file that cannot
     be read twice (a pipe) takes the exact path alone.
 
-    With ``keep_ids=False`` each ``sample_id`` is still checked (a row too
-    short to hold it is an error) but not stored: the result's
-    ``sample_ids`` is ``None``, and it cannot be iterated as samples.
+    Each ``sample_id`` is checked (a row too short to hold one is an
+    error) but not stored.
 
     Raises:
         MissingColumnError: a required column/key is absent.
@@ -303,12 +296,12 @@ def parse_predictions(path: str, *, keep_ids: bool = True) -> Predictions:
     """
     with _open_text(path) as fh:
         if fh.seekable():
-            out = _read_clean_csv(fh, keep_ids)
+            out = _read_clean_csv(fh)
             if out is not None:
                 return out
             fh.seek(0)
         records = _iter_records(path, PREDICTIONS_COLUMNS, len(PREDICTIONS_COLUMNS), fh)
-        return _parse_rows(records, path, keep_ids)
+        return _parse_rows(records, path)
 
 
 def iter_signals(

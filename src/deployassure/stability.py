@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .disagreement import FdiValue, PanelConfig, compute_fdi, panel_from_gaps
 from .errors import (
@@ -176,46 +176,15 @@ def check_sweep_range(t_min: float, t_max: float, h: float) -> None:
     if not h > 0:
         raise DomainError(f"step must be positive, got {h!r}")
     steps = (t_max - t_min) / h
-    if not steps >= 2:
+    # floor(steps + tolerance) is sweep's interval count: it is at least 2
+    # exactly when the first test holds, and at most the limit exactly
+    # when the second does; unlike floor, the second takes an infinity.
+    if not steps + _SPACING_TOLERANCE >= 2:
         raise DomainError("range must span at least two steps")
-    # floor(steps + tolerance), sweep's interval count, is at most the
-    # limit exactly when this holds; unlike floor, it takes an infinity.
     if not steps + _SPACING_TOLERANCE < MAX_SWEEP_STEPS + 1:
         raise DomainError(
             f"range must span at most {MAX_SWEEP_STEPS} steps, got step {h!r}"
         )
-
-
-def _fill_flagged(
-    thresholds: Sequence[float],
-    values: list[float | None],
-) -> list[float]:
-    """Replace flagged (None) points by linear interpolation.
-
-    Interior holes interpolate between the nearest valid neighbours; holes
-    at either end copy the nearest valid value. Results are clamped to
-    [0, 1]. At least one valid point must exist.
-    """
-    valid = [i for i, v in enumerate(values) if v is not None]
-    if not valid:
-        raise ValueError("cannot interpolate a fully flagged profile")
-    filled: list[float] = []
-    for i, v in enumerate(values):
-        if v is not None:
-            filled.append(v)
-            continue
-        left = max((j for j in valid if j < i), default=None)
-        right = min((j for j in valid if j > i), default=None)
-        if left is None:
-            v = values[right]  # type: ignore[index]
-        elif right is None:
-            v = values[left]
-        else:
-            t, tl, tr = thresholds[i], thresholds[left], thresholds[right]
-            vl, vr = values[left], values[right]
-            v = vl + (vr - vl) * (t - tl) / (tr - tl)  # type: ignore[operator]
-        filled.append(min(1.0, max(0.0, v)))  # type: ignore[arg-type]
-    return filled
 
 
 def sweep(
@@ -227,10 +196,7 @@ def sweep(
 ) -> FdiProfile:
     """Evaluate the disagreement index over a uniform threshold grid.
 
-    Grid points where the gap computation finds fewer than two eligible
-    subgroups are flagged and interpolated from their nearest valid
-    neighbours; if more than half the grid is flagged the sweep is
-    rejected as degenerate.
+    A gap without two eligible subgroups fails the sweep as degenerate.
 
     The samples are sorted once into a :class:`ScoreIndex` (samples that
     are not a :class:`Predictions` are checked on the way in), so each
@@ -241,7 +207,7 @@ def sweep(
         DomainError: bad range/step (see :func:`check_sweep_range`).
         EmptyInputError: the sample set is empty.
         MalformedSampleError: a score, label, or subgroup is out of domain.
-        SweepDegenerateError: more than 50% of grid points flagged.
+        SweepDegenerateError: a gap has fewer than two eligible subgroups.
     """
     if panel_config is None:
         panel_config = PanelConfig()
@@ -252,22 +218,19 @@ def sweep(
     thresholds = [min(t_min + i * h, t_max) for i in range(intervals + 1)]
 
     index = ScoreIndex(samples)
-    values: list[float | None] = []
-    flagged = 0
-    for t in thresholds:
-        try:
-            _, _, fdi = assess_at_threshold(index.confusion(t), panel_config)
-            values.append(fdi.value)
-        except InsufficientSubgroupsError:
-            values.append(None)
-            flagged += 1
-    if 2 * flagged > len(thresholds):
+    try:
+        values = [
+            assess_at_threshold(index.confusion(t), panel_config)[2].value
+            for t in thresholds
+        ]
+    except InsufficientSubgroupsError:
+        # Eligibility reads subgroup sizes and label counts, never the
+        # threshold: one failing grid point means every point fails.
+        n = len(thresholds)
         raise SweepDegenerateError(
-            f"{flagged} of {len(thresholds)} grid points had insufficient "
-            "eligible subgroups"
-        )
-    filled = _fill_flagged(thresholds, values)
-    return FdiProfile(points=tuple(zip(thresholds, filled)), h=h)
+            f"{n} of {n} grid points had insufficient eligible subgroups"
+        ) from None
+    return FdiProfile(points=tuple(zip(thresholds, values)), h=h)
 
 
 def classify_zone(s: float, zones: ZoneConfig = DEFAULT_ZONES) -> ZoneLabel:

@@ -6,6 +6,11 @@ parser, as the engine had them before predictions were held in columns.
 Each re-checks every value itself, so a test can compare both results
 and errors.
 
+``flagging_sweep`` is the sweep as the engine had it before a gap without
+two eligible subgroups failed it outright: each such grid point was
+flagged, ``fill_flagged`` interpolated the flagged points, and only a
+sweep with more than half its points flagged was degenerate.
+
 ``staged_trace`` is the staged lifecycle path as the engine had it before
 the one-pass fold: ``AssuranceSignals`` per row, then assessments, replay
 and emission, with its own DAS, DRC and GES rules. Its one change is the
@@ -32,21 +37,25 @@ from deployassure import (
     EmptyInputError,
     EmptySequenceError,
     EscalationLevel,
+    FdiProfile,
     GesThresholds,
     GovernanceTrace,
+    InsufficientSubgroupsError,
     MalformedRowError,
     MalformedSampleError,
     MissingColumnError,
+    PanelConfig,
     RulesConfig,
     Sample,
     SnapshotAssessment,
+    SweepDegenerateError,
     TraceEntry,
     TransitionRecord,
     WeightVector,
     ZoneLabel,
 )
 from deployassure.assurance import BY_FAVORABILITY, DrcBands, less_favorable
-from deployassure.evaluation import check_threshold
+from deployassure.evaluation import ScoreIndex, check_threshold
 from deployassure.io import (
     SIGNALS_COLUMNS,
     _as_string as _io_as_string,
@@ -62,6 +71,11 @@ from deployassure.lifecycle import (
     REASON_RECOVERY_GATED,
     TRACE_COLUMNS,
     csv_writer,
+)
+from deployassure.stability import (
+    _SPACING_TOLERANCE,
+    assess_at_threshold,
+    check_sweep_range,
 )
 
 PREDICTIONS_COLUMNS = ("sample_id", "score", "label", "subgroup")
@@ -97,6 +111,68 @@ def naive_confusion(
         for group, c in cells.items()
     }
 
+
+
+def fill_flagged(
+    thresholds: Sequence[float],
+    values: list[float | None],
+) -> list[float]:
+    """Replace flagged (None) points by linear interpolation.
+
+    Interior holes interpolate between the nearest valid neighbours; holes
+    at either end copy the nearest valid value. Results are clamped to
+    [0, 1]. At least one valid point must exist.
+    """
+    valid = [i for i, v in enumerate(values) if v is not None]
+    if not valid:
+        raise ValueError("cannot interpolate a fully flagged profile")
+    filled: list[float] = []
+    for i, v in enumerate(values):
+        if v is not None:
+            filled.append(v)
+            continue
+        left = max((j for j in valid if j < i), default=None)
+        right = min((j for j in valid if j > i), default=None)
+        if left is None:
+            v = values[right]  # type: ignore[index]
+        elif right is None:
+            v = values[left]
+        else:
+            t, tl, tr = thresholds[i], thresholds[left], thresholds[right]
+            vl, vr = values[left], values[right]
+            v = vl + (vr - vl) * (t - tl) / (tr - tl)  # type: ignore[operator]
+        filled.append(min(1.0, max(0.0, v)))  # type: ignore[arg-type]
+    return filled
+
+
+def flagging_sweep(
+    samples: Iterable[Sample],
+    t_min: float,
+    t_max: float,
+    h: float,
+    panel_config: PanelConfig,
+) -> FdiProfile:
+    """Flag each grid point without two eligible subgroups, then fill it."""
+    check_sweep_range(t_min, t_max, h)
+    intervals = int((t_max - t_min) / h + _SPACING_TOLERANCE)
+    thresholds = [min(t_min + i * h, t_max) for i in range(intervals + 1)]
+    index = ScoreIndex(samples)
+    values: list[float | None] = []
+    flagged = 0
+    for t in thresholds:
+        try:
+            _, _, fdi = assess_at_threshold(index.confusion(t), panel_config)
+            values.append(fdi.value)
+        except InsufficientSubgroupsError:
+            values.append(None)
+            flagged += 1
+    if 2 * flagged > len(thresholds):
+        raise SweepDegenerateError(
+            f"{flagged} of {len(thresholds)} grid points had insufficient "
+            "eligible subgroups"
+        )
+    filled = fill_flagged(thresholds, values)
+    return FdiProfile(points=tuple(zip(thresholds, filled)), h=h)
 
 def _records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:

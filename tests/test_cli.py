@@ -37,6 +37,7 @@ from deployassure import (
 from deployassure.cli import FORMATS, main
 
 from conftest import CSV_WRITES_NUL, SIGNALS_CSV, make_dataset
+from oracles import dictreader_parse_predictions
 
 
 def run(capsys, *argv):
@@ -258,6 +259,14 @@ class TestSweep:
         assert list(payload) == [
             "aggregation", "points", "s_ref", "tsz_scalar", "worst_zone"
         ]
+
+    def test_range_two_steps_less_a_rounding_error(self, capsys, predictions_file):
+        # (0.3 - 0.1) / 0.1 is 1.9999999999999998: two steps as sweep counts them.
+        argv = ("sweep", "--predictions", predictions_file, "--range", "0.1:0.3:0.1")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        table = out.split("\n\n")[0].splitlines()[1:]
+        assert [row.split(",")[0] for row in table] == ["0.1000", "0.2000", "0.3000"]
 
     def test_bad_range_is_validation_error(self, capsys, predictions_file):
         code, _, err = run(
@@ -506,7 +515,7 @@ def test_predictions_checked_once_and_never_built_as_samples(
         rows = len(fh.read().splitlines()) - 1
     assert (len(built), len(checked), len(scores_parsed)) == (0, 0, 0)
     # The patches are live: a list of samples is built and checked per sample.
-    samples = list(parse_predictions(predictions_file))
+    samples = dictreader_parse_predictions(predictions_file)
     compute_confusion(samples, 0.5)
     assert (len(built), len(checked)) == (rows, rows)
 
@@ -850,8 +859,9 @@ def test_cli_predictions_hold_no_ids(monkeypatch, capsys, predictions_file, argv
     code, out, _ = run(capsys, *argv, "--predictions", predictions_file)
     assert code == 0 and out
     (predictions,) = parsed
-    assert predictions.sample_ids is None and len(predictions) == 80
-    with pytest.raises(TypeError, match="keep_ids=False"):
+    assert len(predictions) == 80
+    assert predictions.__slots__ == ("scores", "labels", "subgroups")
+    with pytest.raises(TypeError, match="not iterable"):
         iter(predictions)
 
 
@@ -868,6 +878,37 @@ def test_nul_in_a_snapshot_id(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot write CSV output: ")
         assert len(err.splitlines()) == 1
+
+
+def _lone_surrogate_input(tmp_path, command):
+    """A JSON-lines input whose one id or subgroup holds a lone surrogate."""
+    if command == "evaluate":
+        name, records = "predictions", [
+            {"sample_id": s.sample_id, "score": s.score, "label": s.label,
+             "subgroup": "\ud800" if s.subgroup == "A" else s.subgroup}
+            for s in make_dataset()
+        ]
+        extra = ("--threshold", "0.5")
+    else:
+        name, extra = "signals", ()
+        records = [{"snapshot_id": "a\ud800b", "fdi": 0.1, "delta_fpr": 0.2,
+                    "delta_fnr": 0.3, "tsz": 0.4, "remediation_event": 0}]
+    path = tmp_path / f"{name}.jsonl"
+    # json.dumps escapes the surrogate, so the file is valid UTF-8 and JSON.
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return (command, f"--{name}", str(path), *extra)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "score", "lifecycle"])
+def test_lone_surrogate_in_csv_output_exits_one(capsys, tmp_path, command):
+    argv = _lone_surrogate_input(tmp_path, command)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write CSV output: ")
+    assert len(err.splitlines()) == 1
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert "\\ud800" in out
 
 
 def _emit(argv, path, records):

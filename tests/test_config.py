@@ -126,6 +126,14 @@ class TestLoading:
         with pytest.raises(ConfigInvalidError, match="^sweep: step"):
             load_config(path)
 
+    def test_sweep_two_steps_less_a_rounding_error_loads(self, tmp_path):
+        # (0.3 - 0.1) / 0.1 is 1.9999999999999998: two steps as sweep counts them.
+        sweep = {"t_min": 0.1, "t_max": 0.3, "step": 0.1}
+        config = load_config(write_config(tmp_path, {"sweep": sweep}))
+        assert (config.sweep_t_min, config.sweep_t_max, config.sweep_step) == (
+            0.1, 0.3, 0.1
+        )
+
     def test_sweep_grid_over_the_step_limit_rejected(self, tmp_path):
         path = write_config(tmp_path, {"sweep": {"step": 1e-300}})
         with pytest.raises(ConfigInvalidError) as excinfo:

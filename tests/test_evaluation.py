@@ -180,7 +180,13 @@ class TestPredictions:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_and_samples_path(self, samples, threshold):
         predictions = Predictions.from_samples(samples)
-        assert list(predictions) == samples and len(predictions) == len(samples)
+        columns = (predictions.scores, predictions.labels, predictions.subgroups)
+        assert [list(column) for column in columns] == [
+            [s.score for s in samples],
+            [s.label for s in samples],
+            [s.subgroup for s in samples],
+        ]
+        assert len(predictions) == len(samples)
         assert Predictions.from_samples(predictions) is predictions
         assert list(compute_confusion(samples, threshold).items()) == list(
             naive_confusion(samples, threshold).items()
@@ -388,6 +394,27 @@ class TestComputeGaps:
         assert other.delta_fnr == base.delta_fnr
         assert other.delta_tpr == base.delta_tpr
         assert other.delta_sr == base.delta_sr
+
+    @given(
+        st.one_of(sample_sets(max_size=30), degenerate_subgroup_sets()),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_eligibility_is_the_same_at_every_threshold(self, samples, min_support):
+        # Sizes and label counts, all that eligibility reads, do not move
+        # with the threshold: gaps fail at every threshold or at none.
+        index = ScoreIndex(samples)
+        outcomes = set()
+        for t in thresholds_at_scores(samples):
+            confusion = index.confusion(t)
+            rates = {g: compute_rates(c) for g, c in confusion.items()}
+            try:
+                gaps = compute_gaps(rates, subgroup_sizes(confusion), min_support)
+            except InsufficientSubgroupsError as exc:
+                outcomes.add(("raised", str(exc)))
+            else:
+                outcomes.add(("excluded", gaps.excluded_subgroups))
+        assert len(outcomes) == 1
 
 
 def test_macro_mean_skips_undefined():

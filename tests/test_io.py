@@ -17,7 +17,6 @@ from deployassure import (
     EngineError,
     MalformedRowError,
     MissingColumnError,
-    Sample,
     parse_predictions,
     parse_signals,
 )
@@ -26,6 +25,13 @@ from deployassure.io import PREDICTIONS_COLUMNS
 from deployassure.lifecycle import format_real
 
 from oracles import dictreader_parse_predictions
+
+
+def columns(parsed):
+    """Scores, labels and subgroups as lists, of predictions or of samples."""
+    if isinstance(parsed, list):
+        return [[getattr(s, c) for s in parsed] for c in PREDICTIONS_COLUMNS[1:]]
+    return [list(parsed.scores), list(parsed.labels), list(parsed.subgroups)]
 
 
 def write(tmp_path, name, text):
@@ -39,7 +45,7 @@ class TestParsePredictions:
         path = write(
             tmp_path, "p.csv", "sample_id,score,label,subgroup\ns1,0.9,1,A\n"
         )
-        assert list(parse_predictions(path)) == [Sample("s1", 0.9, 1, "A")]
+        assert columns(parse_predictions(path)) == [[0.9], [1], ["A"]]
 
     def test_score_out_of_range_reports_row_two(self, tmp_path):
         path = write(
@@ -87,7 +93,7 @@ class TestParsePredictions:
             "p.csv",
             "sample_id,score,label,subgroup,note\ns1,0.9,1,A,keep\n",
         )
-        assert list(parse_predictions(path)) == [Sample("s1", 0.9, 1, "A")]
+        assert columns(parse_predictions(path)) == [[0.9], [1], ["A"]]
 
     def test_jsonl_round(self, tmp_path):
         path = write(
@@ -96,9 +102,7 @@ class TestParsePredictions:
             '{"sample_id": "s1", "score": 0.9, "label": 1, "subgroup": "A"}\n'
             '{"sample_id": "s2", "score": 0.1, "label": 0, "subgroup": "B"}\n',
         )
-        samples = list(parse_predictions(path))
-        assert [s.sample_id for s in samples] == ["s1", "s2"]
-        assert samples[1].subgroup == "B"
+        assert columns(parse_predictions(path)) == [[0.9, 0.1], [1, 0], ["A", "B"]]
 
     def test_jsonl_bad_row_numbered(self, tmp_path):
         path = write(
@@ -143,7 +147,7 @@ def test_leading_blank_lines_keep_physical_rows(monkeypatch, tmp_path, name, bod
     assert excinfo.value.row == 2 + len(body.splitlines())  # the last line
     assert opened == [path]
     good = write(tmp_path, "good-" + name, "\n  \n" + body.replace("2.0", "0.2"))
-    assert [s.score for s in parse_predictions(good)] == [0.9, 0.2]
+    assert list(parse_predictions(good).scores) == [0.9, 0.2]
 
 
 class TestParseSignals:
@@ -291,34 +295,18 @@ JSON_LINE_ENDS = ("\n", "\r\n", "\r")
 
 def _outcome(parse, path):
     try:
-        return "ok", list(parse(path))
+        return "ok", columns(parse(path))
     except EngineError as exc:
         return type(exc), str(exc), getattr(exc, "row", None)
-
-
-def _id_less_outcome(path):
-    try:
-        predictions = parse_predictions(path, keep_ids=False)
-    except EngineError as exc:
-        return type(exc), str(exc), getattr(exc, "row", None)
-    assert predictions.sample_ids is None
-    columns = (predictions.scores, predictions.labels, predictions.subgroups)
-    return "ok", [list(column) for column in columns]
 
 
 def assert_same_as_oracle(tmp_path_factory, name, text):
-    """Same samples or first error as the oracle; without ids, same columns."""
+    """Same columns or first error as the oracle."""
     path = tmp_path_factory.mktemp("oracle") / name
     path.write_text(text, encoding="utf-8", newline="")
     outcome = _outcome(parse_predictions, str(path))
     assert outcome == _outcome(dictreader_parse_predictions, str(path))
-    if outcome[0] == "ok":
-        samples = outcome[1]
-        columns = [[getattr(s, c) for s in samples] for c in PREDICTIONS_COLUMNS[1:]]
-        assert _id_less_outcome(str(path)) == ("ok", columns)
-    else:
-        assert _id_less_outcome(str(path)) == outcome
-    return f"{len(outcome[1])} rows" if outcome[0] == "ok" else outcome[0].__name__
+    return f"{len(outcome[1][0])} rows" if outcome[0] == "ok" else outcome[0].__name__
 
 
 @st.composite
@@ -443,7 +431,7 @@ class TestParserOracle:
             "p.csv",
             "sample_id,score,label,subgroup,score\n\ns1,x,1 ,\"a,\nb\",1e0\n",
         )
-        assert list(parse_predictions(path)) == [Sample("s1", 1.0, 1, "a,\nb")]
+        assert columns(parse_predictions(path)) == [[1.0], [1], ["a,\nb"]]
 
     @pytest.mark.parametrize("late", list(LATE_ROWS.values()), ids=list(LATE_ROWS))
     @pytest.mark.parametrize("offset", [0, 1, BLOCK - 1])
@@ -454,15 +442,17 @@ class TestParserOracle:
         text = "\n".join([HEADER, *rows]) + "\n"
         assert_same_as_oracle(tmp_path_factory, "p.csv", text)
 
-    @pytest.mark.parametrize("keep_ids", [True, False])
-    def test_row_short_of_a_last_sample_id_is_an_error(self, tmp_path, keep_ids):
+    @pytest.mark.parametrize("crlf", [True, False])
+    def test_row_short_of_a_last_sample_id_is_an_error(self, tmp_path, crlf):
         header = ("score", "label", "subgroup", "sample_id")
         rows = _clean_rows(BLOCK + 5, header)
         rows[BLOCK + 2] = "0.5,1,A"  # no sample_id cell
-        text = "\n".join([",".join(header), *rows]) + "\n"
-        path = write(tmp_path, "p.csv", text)
+        end = "\r\n" if crlf else "\n"
+        text = end.join([",".join(header), *rows]) + end
+        path = tmp_path / "p.csv"
+        path.write_text(text, encoding="utf-8", newline="")
         with pytest.raises(MalformedRowError, match="value for 'sample_id'") as excinfo:
-            parse_predictions(path, keep_ids=keep_ids)
+            parse_predictions(path)
         assert excinfo.value.row == BLOCK + 4
 
     def test_sample_id_last_matches_oracle(self, tmp_path_factory):

@@ -1,7 +1,8 @@
 """The package declares no runtime dependencies and imports only the stdlib.
 
-It also keeps its surface small: the exported names and the settable
-config fields are bounded, so a change that adds one raises its bound.
+It also keeps its surface small: the exported names, the settable config
+fields and the lines of ``src/`` are bounded, so a change that adds one
+raises its bound.
 """
 
 from __future__ import annotations
@@ -57,3 +58,9 @@ def test_exports_and_config_fields_stay_within_their_bounds():
     ]
     assert len(exported) <= 71, sorted(exported)
     assert len(fields) <= 18, fields
+
+
+def test_source_lines_stay_within_their_bound():
+    # Physical lines, as ``wc -l src/deployassure/*.py`` counts them.
+    lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    assert lines <= 2718, lines

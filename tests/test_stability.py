@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import deployassure.evaluation
@@ -27,10 +27,11 @@ from deployassure import (
     tsz_scalar,
     worst_zone,
 )
-from deployassure.disagreement import PanelConfig
-from deployassure.stability import MAX_SWEEP_STEPS, _fill_flagged, check_sweep_range
+from deployassure.disagreement import MODES, PanelConfig
+from deployassure.stability import MAX_SWEEP_STEPS, check_sweep_range
 
 from conftest import make_dataset
+from oracles import fill_flagged, flagging_sweep
 
 H = 0.05
 
@@ -79,6 +80,15 @@ class TestSweep:
     def test_range_at_the_step_limit_accepted(self):
         assert check_sweep_range(0.0, 1.0, 1 / MAX_SWEEP_STEPS) is None
 
+    def test_two_steps_less_a_rounding_error_accepted(self):
+        # (0.3 - 0.1) / 0.1 is 1.9999999999999998 in floats; sweep counts
+        # it as two intervals, so the check takes it too.
+        assert check_sweep_range(0.1, 0.3, 0.1) is None
+        profile = sweep(make_dataset(), 0.1, 0.3, 0.1)
+        assert profile.thresholds == pytest.approx((0.1, 0.2, 0.3), abs=1e-12)
+        with pytest.raises(DomainError, match="at least two steps"):
+            check_sweep_range(0.4, 0.5, 0.1)
+
     def test_constant_scores_give_constant_profile(self):
         # Identical confusion matrices on each side of 0.5 make every gap
         # zero, so the disagreement index is 0 across the whole grid.
@@ -93,8 +103,11 @@ class TestSweep:
         ] + [
             Sample(f"b{i}", i / 40, 0, "B") for i in range(40)
         ]
-        with pytest.raises(SweepDegenerateError):
+        with pytest.raises(SweepDegenerateError) as excinfo:
             sweep(samples, panel_config=PanelConfig(min_support=1))
+        assert str(excinfo.value) == (
+            "15 of 15 grid points had insufficient eligible subgroups"
+        )
 
     @pytest.mark.parametrize(
         "t_min,t_max,h",
@@ -157,17 +170,59 @@ class TestSweep:
 
 
 class TestFillFlagged:
+    """The oracle sweep's interpolation, kept in ``tests/oracles.py``."""
+
     def test_interior_hole_interpolates_linearly(self):
-        filled = _fill_flagged([0.0, 0.1, 0.2], [0.2, None, 0.6])
+        filled = fill_flagged([0.0, 0.1, 0.2], [0.2, None, 0.6])
         assert filled == pytest.approx([0.2, 0.4, 0.6])
 
     def test_edge_holes_copy_nearest_valid(self):
-        filled = _fill_flagged([0.0, 0.1, 0.2, 0.3], [None, 0.5, 0.7, None])
+        filled = fill_flagged([0.0, 0.1, 0.2, 0.3], [None, 0.5, 0.7, None])
         assert filled == pytest.approx([0.5, 0.5, 0.7, 0.7])
 
     def test_fully_flagged_rejected(self):
         with pytest.raises(ValueError):
-            _fill_flagged([0.0, 0.1], [None, None])
+            fill_flagged([0.0, 0.1], [None, None])
+
+
+@st.composite
+def sweep_datasets(draw):
+    """1-4 subgroups, each with mixed, all-positive or all-negative labels."""
+    samples = []
+    for g in range(draw(st.integers(1, 4))):
+        labels = draw(st.sampled_from(("mixed", "positive", "negative")))
+        for i in range(draw(st.integers(1, 10))):
+            label = {"mixed": i % 2, "positive": 1, "negative": 0}[labels]
+            score = draw(st.integers(0, 20)) / 20
+            samples.append(Sample(f"g{g}s{i}", score, label, f"g{g}"))
+    return samples
+
+
+class TestSweepAgainstFlaggingOracle:
+    """A sweep fails outright where the old one flagged and interpolated.
+
+    Eligibility reads subgroup sizes and label counts, never the
+    threshold, so the old sweep flagged every grid point or none: its
+    interpolation never filled a point, and its 50% test was all or none.
+    """
+
+    @given(
+        sweep_datasets(),
+        st.integers(1, 8),
+        st.sampled_from(MODES),
+        st.sampled_from(((0.2, 0.9, 0.05), (0.0, 1.0, 0.1), (0.1, 0.3, 0.1))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_points_or_same_error(self, samples, min_support, mode, grid):
+        config = PanelConfig(mode=mode, min_support=min_support)
+        outcomes = []
+        for run in (sweep, flagging_sweep):
+            try:
+                outcomes.append(("ok", run(samples, *grid, config).points))
+            except SweepDegenerateError as exc:
+                outcomes.append(("degenerate", str(exc)))
+        event(outcomes[0][0])
+        assert outcomes[0] == outcomes[1]
 
 
 class TestProfileValidation:
