@@ -26,6 +26,11 @@ from .errors import (
 from .stability import ZoneLabel
 
 WEIGHT_SUM_TOLERANCE = 1e-9
+# Scores and the four signals lie in the unit interval, and r_m, a
+# remediation's assurance-score delta, in R_M_RANGE; both ends closed.
+UNIT_INTERVAL = (0.0, 1.0)
+R_M_RANGE = (-1.0, 1.0)
+OUT_OF_RANGE = "{} out of range [{:g}, {:g}]: {!r}"  # name, *bounds, value
 
 
 class DeploymentState(Enum):
@@ -37,15 +42,14 @@ class DeploymentState(Enum):
     ESCALATED_GOVERNANCE = "EscalatedGovernance"
     BLOCKED_DEPLOYMENT = "BlockedDeployment"
 
-    @property
-    def favorability(self) -> int:
-        """Higher is better; Deployable is 4, BlockedDeployment is 0."""
-        return _FAVORABILITY[self]
+    favorability: int  # higher is better: Deployable 4, BlockedDeployment 0
 
 
 # The ranks follow the declaration order; a tuple indexed by favorability.
+# Ranks are plain attributes: a dict keyed by members hashes them in Python.
 BY_FAVORABILITY = tuple(reversed(DeploymentState))
-_FAVORABILITY = {state: rank for rank, state in enumerate(BY_FAVORABILITY)}
+for _rank, _state in enumerate(BY_FAVORABILITY):
+    _state.favorability = _rank
 
 
 def less_favorable(a: DeploymentState, b: DeploymentState) -> DeploymentState:
@@ -60,13 +64,12 @@ class EscalationLevel(Enum):
     HIGH = "High"
     CRITICAL = "Critical"
 
-    @property
-    def severity(self) -> int:
-        return _LEVEL_SEVERITY[self]
+    severity: int  # set below, as favorability is: Low 0, Critical 3
 
 
 _LEVEL_BY_SEVERITY = tuple(EscalationLevel)
-_LEVEL_SEVERITY = {level: rank for rank, level in enumerate(_LEVEL_BY_SEVERITY)}
+for _rank, _level in enumerate(_LEVEL_BY_SEVERITY):
+    _level.severity = _rank
 
 
 @dataclass(frozen=True)
@@ -88,13 +91,13 @@ class AssuranceSignals:
     def __post_init__(self) -> None:
         for name in ("fdi", "delta_fpr", "delta_fnr", "tsz"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} out of range [0, 1]: {value!r}")
+            if not UNIT_INTERVAL[0] <= value <= UNIT_INTERVAL[1]:
+                raise ValueError(OUT_OF_RANGE.format(name, *UNIT_INTERVAL, value))
         if self.r_m is not None:
             if not self.remediation_event:
                 raise ValueError("r_m is only meaningful on a remediation event")
-            if not -1.0 <= self.r_m <= 1.0:
-                raise ValueError(f"r_m out of range [-1, 1]: {self.r_m!r}")
+            if not R_M_RANGE[0] <= self.r_m <= R_M_RANGE[1]:
+                raise ValueError(OUT_OF_RANGE.format("r_m", *R_M_RANGE, self.r_m))
 
 
 @dataclass(frozen=True)

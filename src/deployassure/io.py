@@ -5,7 +5,9 @@ per line, same keys as the CSV columns); the format is detected from the
 first non-blank line. Extra columns are ignored; in particular, score
 and classification columns on a signals file are recomputed, never
 trusted. All diagnostics carry the file name, and all but a decoding
-error (the file is not UTF-8) the 1-based physical row number.
+error (the file is not UTF-8) the 1-based physical row number. A clean
+file is checked a block of rows at a time by C-level iterators; at any
+doubt its rows are checked one by one, with the same results and errors.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import json
 import math
 import operator
 from array import array
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
-from .assurance import AssuranceSignals
+from .assurance import OUT_OF_RANGE, R_M_RANGE, UNIT_INTERVAL, AssuranceSignals
 from .errors import (
     EmptyFileError,
     EngineError,
@@ -49,8 +51,12 @@ def _open_text(path: str) -> TextIO:
 
 
 def _iter_records(
-    path: str, columns: tuple[str, ...], required: int, fh: TextIO | None = None
-) -> Iterator[tuple[int, Sequence[Any]]]:
+    path: str,
+    columns: tuple[str, ...],
+    required: int,
+    fh: TextIO | None = None,
+    check_block: Callable[[list[list[Any]]], Any] | None = None,
+) -> Iterator[tuple[int, Any]]:
     """Yield each record's ``columns`` values with its 1-based physical row.
 
     The first ``required`` columns must be in the header (CSV) or in the
@@ -76,6 +82,9 @@ def _iter_records(
 
     ``fh``, a handle already open on ``path`` at its start, is read instead
     of opening the file again, and is closed at the end.
+
+    With ``check_block``, each JSON-lines block's :func:`_decode_block` columns go
+    to it, and its result comes with row 0, until a ValueError; then line by line.
     """
     try:
         with (_open_text(path) if fh is None else fh) as fh:
@@ -97,15 +106,14 @@ def _iter_records(
                     if missing:
                         raise MissingColumnError(path, missing)
                     positions = [header.get(c) for c in columns]
-                    # The fast path needs every column in the header and the row.
-                    if None in positions:
-                        width, pick = math.inf, None
-                    else:
-                        width = 1 + max(positions)
-                        pick = operator.itemgetter(*positions)
+                    # The fast path pads absent columns: optional ones, which come last.
+                    present = [i for i in positions if i is not None]
+                    pad = (None,) * (len(positions) - len(present))
+                    width = 1 + max(present)
+                    pick = operator.itemgetter(*present)
                     for cells in reader:
                         if len(cells) >= width:
-                            yield offset + reader.line_num, pick(cells)
+                            yield offset + reader.line_num, pick(cells) + pad
                         elif cells:
                             n = len(cells)
                             yield offset + reader.line_num, [
@@ -118,6 +126,15 @@ def _iter_records(
                 return
 
             first = True
+            while check_block and (chunk := list(itertools.islice(lines, _BLOCK_ROWS))):
+                try:
+                    checked = check_block(_decode_block(chunk, columns))
+                except (ValueError, RecursionError):
+                    lines = itertools.chain(chunk, lines)
+                    break
+                yield 0, checked
+                row += len(chunk)
+                first = False  # the block checks need every required key
             for line_num, line in enumerate(lines, start=row):
                 try:
                     record, end = _scan_json(line, 0)
@@ -160,20 +177,16 @@ def _as_string(value: Any, name: str) -> str:
     raise _bad(value, name, f"{name} must be a string, got {value!r}")
 
 
-def _parse_unit_interval(value: Any, name: str, low: float = 0.0) -> float:
-    """A number in ``[low, 1]``; a JSON bool is not a number.
-
-    Scores and the four signals take the default ``low`` of 0; ``r_m``, a
-    remediation's assurance-score delta, passes -1.
-    """
+def _parse_unit_interval(value: Any, name: str, bounds: tuple = UNIT_INTERVAL) -> float:
+    """A number within ``bounds``; a JSON bool is not a number."""
     if value is None or isinstance(value, bool):
         raise _bad(value, name, f"{name} is not a number: {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise _BadValue(f"{name} is not a number: {value!r}") from None
-    if not low <= number <= 1.0:
-        raise _BadValue(f"{name} out of range [{low:g}, 1]: {value!r}")
+    if not bounds[0] <= number <= bounds[1]:
+        raise _BadValue(OUT_OF_RANGE.format(name, *bounds, value))
     return number
 
 
@@ -192,62 +205,107 @@ def _parse_binary(value: Any, name: str) -> int:
     raise _bad(value, name, f"{name} must be 0 or 1, got {value!r}")
 
 
-# Rows per block on the clean-CSV path. Small on purpose: a larger block
-# keeps more row lists alive for the garbage collector to walk and in
-# memory; blocks of 4096 rows or more parsed slower than 512.
+# Rows per block. Small on purpose: a larger block keeps more row lists
+# alive for the garbage collector to walk and in memory; CSV blocks of
+# 4096 rows or more parsed slower than 512.
 _BLOCK_ROWS = 512
-# The label cells the block path takes; any other (" 1", "2") is doubt.
+# The label cells the CSV block path takes; any other (" 1", "2") is doubt.
 _LABELS = {"0": 0, "1": 1}
+# Exact JSON types: a bool is no number; _BINARY in [0, 1] is 0, 1 or a bool.
+_NUMBERS, _BINARY = {int, float}, {int, bool}
 
 
-def _read_clean_csv(fh: TextIO) -> Predictions | None:
-    """A clean CSV predictions file as columns, or ``None`` at any doubt.
+class _Doubt(ValueError):
+    """The block checks cannot vouch for a block; the exact path decides."""
 
-    Rows are read a block at a time, and each block is checked by C-level
-    iterators: ``float`` and two range checks for the scores (NaN fails
-    both), a dict lookup that takes only ``"0"`` and ``"1"`` for labels, and
-    one check for an empty subgroup at the end. The ``sample_id`` cell is
-    picked from every row though it is not kept, so a row too short to
-    hold it is doubt too. Doubt is anything these checks cannot vouch for:
-    a short row, a value they refuse, a csv or decoding error, a missing
-    column, a leading blank line, JSON-lines, or no data rows. No row
-    number is counted.
+
+def _decode_block(lines: list[str], names: tuple[str, ...]) -> list[list[Any]]:
+    """The ``names`` columns of a block of JSON lines, decoded as one array.
+
+    Its items are the lines' own records if the block has no ``[`` (else
+    ``{"a":[{"x":1}`` and ``{"z":1}]}, {"b":1}`` give two), each line starts
+    with ``{`` and there is one item per line: a string holds no raw line
+    break and no object takes the inserted ``,`` before a ``{``, so none
+    spans two lines, and a line with two values adds an item. Else it
+    raises ``ValueError`` (or the decoder's ``RecursionError``).
     """
-    out = Predictions()
-    scores, labels, subgroups = out.scores, out.labels, out.subgroups
-    groups: dict[str, str] = {}  # one string object per distinct subgroup
-    label_of = _LABELS.__getitem__
-    try:
-        first = fh.readline()
-        if not first.strip() or first.lstrip().startswith("{"):
-            return None
-        reader = csv.reader(itertools.chain((first,), fh))
-        header = {name: i for i, name in enumerate(next(reader))}
-        pick = operator.itemgetter(*map(header.__getitem__, PREDICTIONS_COLUMNS))
-        rows = map(pick, filter(None, reader))
-        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-            _, score_cells, label_cells, group_cells = zip(*block)
-            block_scores = array("d", map(float, score_cells))
-            if not (
-                all(map((0.0).__le__, block_scores))
-                and all(map((1.0).__ge__, block_scores))
-            ):
-                return None
-            scores += block_scores
-            labels += bytes(map(label_of, label_cells))
-            subgroups += map(groups.setdefault, group_cells, group_cells)
-    except (LookupError, ValueError, csv.Error):  # ValueError: float(), UTF-8
-        return None
-    if "" in groups or not out:
-        return None
-    return out
+    text = "[" + ",".join(lines) + "]"
+    starts = map(str.startswith, lines, itertools.repeat("{"))
+    if text.find("[", 1) >= 0 or not all(starts):
+        raise _Doubt
+    records = json.loads(text)
+    if len(records) != len(lines):
+        raise _Doubt
+    return [list(map(dict.get, records, itertools.repeat(name))) for name in names]
 
 
-def _parse_rows(records: Iterator[tuple[int, Sequence[Any]]], path: str) -> Predictions:
-    """Check each record on its own, in file order; the exact path.
+def _typed(values: list[Any], types: set[type]) -> list[Any]:
+    if set(map(type, values)) <= types:
+        return values
+    raise _Doubt
 
-    Each record comes from :func:`_iter_records` with its physical row, so
-    the first bad value is reported with its row.
+
+def _bounded(values: Any, bounds: tuple[float, float] = UNIT_INTERVAL) -> Any:
+    # A NaN passes min and max but not the sum; a huge int fails before it.
+    low, high = bounds
+    if low <= min(values) and max(values) <= high and not math.isnan(sum(values)):
+        return values
+    raise _Doubt
+
+
+def _prediction_block(columns: list[list[Any]]) -> tuple[array, bytes, list[str]]:
+    """A decoded block's scores, labels and subgroups, or :class:`_Doubt`."""
+    ids, scores, labels, subgroups = columns
+    _typed(ids, {str})
+    if not all(_typed(subgroups, {str})):  # an empty subgroup
+        raise _Doubt
+    scores = array("d", _bounded(_typed(scores, _NUMBERS)))
+    return scores, bytes(_bounded(_typed(labels, _BINARY))), subgroups
+
+
+def _signal_rows(columns: list[list[Any]]) -> Iterator[tuple]:
+    """A decoded block's rows as :func:`iter_signals` yields them, or _Doubt."""
+    ids, *signals, events, r_ms = columns
+    _typed(ids, {str})
+    signals = [array("d", _bounded(_typed(column, _NUMBERS))) for column in signals]
+    _bounded(_typed(events, _BINARY))
+    present = list(map(operator.is_not, r_ms, itertools.repeat(None)))
+    if any(present):  # r_m: a float in [-1, 1], only on an event row
+        _bounded(_typed(list(itertools.compress(r_ms, present)), {float}), R_M_RANGE)
+        if not all(itertools.compress(events, present)):
+            raise _Doubt
+    return zip(ids, *signals, map(bool, events), r_ms)
+
+
+def _csv_blocks(fh: TextIO) -> Iterator[tuple[int, tuple[array, bytes, Sequence[str]]]]:
+    """A clean CSV predictions file as blocks of columns, each with row 0.
+
+    C-level iterators check each block: ``float`` and a range check for
+    scores, a dict lookup that takes only ``"0"`` and ``"1"`` for labels, a
+    truth test for subgroups. Any doubt (a refused value, a row too short
+    for any column, a csv or decoding error, a missing column, a leading
+    blank line, JSON-lines) raises LookupError, ValueError or csv.Error.
+    """
+    first = fh.readline()
+    if not first.strip() or first.lstrip().startswith("{"):
+        raise _Doubt
+    reader = csv.reader(itertools.chain((first,), fh))
+    header = {name: i for i, name in enumerate(next(reader))}
+    pick = operator.itemgetter(*map(header.__getitem__, PREDICTIONS_COLUMNS))
+    rows = map(pick, filter(None, reader))
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        _, scores, labels, subgroups = zip(*block)
+        if not all(subgroups):
+            raise _Doubt
+        scores = _bounded(array("d", map(float, scores)))
+        yield 0, (scores, bytes(map(_LABELS.__getitem__, labels)), subgroups)
+
+
+def _parse_rows(records: Iterator[tuple[int, Any]], path: str) -> Predictions:
+    """Predictions from records, each checked on its own, in file order.
+
+    Each record comes with its physical row, so the first bad value is
+    reported with its row; a block of columns already checked, with row 0.
     """
     out = Predictions()
     add_score, add_label = out.scores.append, out.labels.append
@@ -255,7 +313,13 @@ def _parse_rows(records: Iterator[tuple[int, Sequence[Any]]], path: str) -> Pred
     # One string object per distinct subgroup, not one per row.
     subgroups: dict[str, str] = {}
     try:
-        for row, (sample_id, score, label, subgroup) in records:
+        for row, values in records:
+            if not row:  # a block of checked columns
+                out.scores += values[0]
+                out.labels += values[1]
+                out.subgroups += map(subgroups.setdefault, values[2], values[2])
+                continue
+            sample_id, score, label, subgroup = values
             _as_string(sample_id, "sample_id")
             add_score(_parse_unit_interval(score, "score"))
             add_label(_parse_binary(label, "label"))
@@ -273,16 +337,11 @@ def _parse_rows(records: Iterator[tuple[int, Sequence[Any]]], path: str) -> Pred
 def parse_predictions(path: str) -> Predictions:
     """Read and validate a predictions file into columns, in file order.
 
-    A CSV file is first read a block of rows at a time, each block checked
-    by C-level iterators with no per-row validator and no row count. If
-    those checks have any doubt (a bad or padded value, a short row, a csv
-    error, JSON-lines, ...), the same handle is read once more from its
-    start on the exact path, which checks each record on its own. That
-    path raises the first error with its 1-based physical row, or accepts
-    a value the block checks were too strict for (a label of ``" 1"``). So
-    a row number is computed only when there may be an error, and the
-    result and every error are those of the exact path. A file that cannot
-    be read twice (a pipe) takes the exact path alone.
+    A CSV file's block path is :func:`_csv_blocks`; at any doubt the same
+    handle is read once more from its start on the exact path, which gives
+    the first error its row or accepts what the blocks were too strict for
+    (a label of ``" 1"``). A CSV pipe takes the exact path alone. JSON-lines
+    is read as :func:`iter_signals` reads it.
 
     Each ``sample_id`` is checked (a row too short to hold one is an
     error) but not stored.
@@ -296,11 +355,12 @@ def parse_predictions(path: str) -> Predictions:
     """
     with _open_text(path) as fh:
         if fh.seekable():
-            out = _read_clean_csv(fh)
-            if out is not None:
-                return out
-            fh.seek(0)
-        records = _iter_records(path, PREDICTIONS_COLUMNS, len(PREDICTIONS_COLUMNS), fh)
+            try:
+                return _parse_rows(_csv_blocks(fh), path)
+            except (LookupError, ValueError, csv.Error):  # doubt
+                fh.seek(0)
+        columns, required = PREDICTIONS_COLUMNS, len(PREDICTIONS_COLUMNS)
+        records = _iter_records(path, columns, required, fh, _prediction_block)
         return _parse_rows(records, path)
 
 
@@ -314,6 +374,9 @@ def iter_signals(
     none. The optional ``r_m`` column may only carry a value on rows whose
     ``remediation_event`` is 1. Any das/drc columns present are ignored.
 
+    JSON-lines is read a block at a time (see :func:`_iter_records`), and
+    nothing is read twice, so a pipe takes the block path too.
+
     Raises:
         MissingColumnError: a required column/key is absent.
         MalformedRowError: a row fails validation, with its 1-based
@@ -322,9 +385,13 @@ def iter_signals(
         OSError: unreadable path.
     """
     row = None
-    records = _iter_records(path, SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS))
+    columns, required = SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS)
+    records = _iter_records(path, columns, required, check_block=_signal_rows)
     try:
         for row, values in records:
+            if not row:  # a block of rows that _signal_rows vouched for
+                yield from values
+                continue
             snapshot_id, fdi, delta_fpr, delta_fnr, tsz, event, raw_r_m = values
             snapshot_id = _as_string(snapshot_id, "snapshot_id")
             fdi = _parse_unit_interval(fdi, "fdi")
@@ -334,7 +401,7 @@ def iter_signals(
             remediation = bool(_parse_binary(event, "remediation_event"))
             r_m: float | None = None
             if raw_r_m is not None and raw_r_m != "":
-                r_m = _parse_unit_interval(raw_r_m, "r_m", -1.0)
+                r_m = _parse_unit_interval(raw_r_m, "r_m", R_M_RANGE)
                 if not remediation:
                     raise _BadValue("r_m present but remediation_event is 0")
             yield snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m

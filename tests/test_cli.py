@@ -8,9 +8,11 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -658,9 +660,12 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
     monkeypatch, capsys, tmp_path
 ):
     # Counts, not timings: the csv writer writes the header and the rows
-    # whose id it must quote; json.loads reads only lines the scanner skips.
-    written, loaded = [], []
+    # whose id it must quote. json.loads decodes each block of clean lines
+    # once; lines are read one at a time (by the scanner, and by json.loads
+    # where it fails) only from the first block the block checks doubt on.
+    written, loaded, scanned = [], [], []
     real_write, real_loads = deployassure.lifecycle._LineFeedRows.write, json.loads
+    real_scan = deployassure.io._scan_json
 
     def counting_write(self, row):
         written.append(row)
@@ -670,29 +675,81 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
         loaded.append(text)
         return real_loads(text, *args, **kwargs)
 
+    def counting_scan(line, end):
+        scanned.append(line)
+        return real_scan(line, end)
+
     monkeypatch.setattr(deployassure.lifecycle._LineFeedRows, "write", counting_write)
     monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(deployassure.io, "_scan_json", counting_scan)
     signals = {"fdi": 0.1, "delta_fpr": 0.2, "delta_fnr": 0.3, "tsz": 0.4}
     path = tmp_path / "signals.jsonl"
 
-    def lifecycle(snapshot_ids, padding=""):
+    def lifecycle(snapshot_ids, padded=()):
         records = (
             {"snapshot_id": s, **signals, "remediation_event": 0} for s in snapshot_ids
         )
-        lines = (padding + json.dumps(r) + "\n" for r in records)
+        lines = (
+            " " * (i in padded) + json.dumps(r) + "\n" for i, r in enumerate(records)
+        )
         path.write_text("".join(lines), encoding="utf-8")
-        written.clear()
-        loaded.clear()
+        for counts in (written, loaded, scanned):
+            counts.clear()
         code, out, err = run(capsys, "lifecycle", "--signals", str(path))
         assert (code, err) == (0, "")
         assert len(list(csv.reader(io.StringIO(out)))) == 1 + len(snapshot_ids)
 
+    block = deployassure.io._BLOCK_ROWS
+    many = [f"s{i}" for i in range(2 * block + 10)]
     lifecycle(["s0", "s1", "s2"])
-    assert (len(written), loaded) == (1, [])
+    assert (len(written), len(loaded), scanned) == (1, 1, [])
+    lifecycle(many)
+    assert (len(written), len(loaded), scanned) == (1, 3, [])
+    assert all(text.startswith("[") for text in loaded)
+    # A padded line in the second block: the first block is decoded whole,
+    # and each line from the second block's first on is scanned.
+    lifecycle(many, padded={block + 5})
+    assert (len(loaded), len(scanned)) == (2, len(many) - block)
+    assert loaded[1].startswith(" {")
     # The patches are live: quoted ids go through the csv writer, and
     # padded lines through json.loads.
-    lifecycle(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], padding=" ")
-    assert (len(written), len(loaded)) == (5, 6)
+    lifecycle(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], padded=range(6))
+    assert (len(written), len(loaded), len(scanned)) == (5, 6, 6)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_lifecycle_reads_a_pipe_as_it_reads_the_file(capsys, tmp_path):
+    # More than a pipe buffer, and a doubted block, so that both the block
+    # path and the line path read from the pipe as it fills.
+    rng = random.Random(12)
+    lines = []
+    for i in range(3 * deployassure.io._BLOCK_ROWS):
+        record = {"snapshot_id": f"s{i}", "remediation_event": int(rng.random() < 0.3)}
+        record.update((k, rng.randint(0, 1000) / 1000) for k in ("fdi", "tsz"))
+        record.update(delta_fpr=rng.random() / 2, delta_fnr=rng.random() / 2)
+        lines.append(json.dumps(record) + "\n")
+    lines[-100] = " " + lines[-100]
+    text = "".join(lines)
+    path = tmp_path / "signals.jsonl"
+    path.write_text(text, encoding="utf-8")
+    expected = run(capsys, "lifecycle", "--signals", str(path))
+    assert expected[0] == 0
+
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with os.fdopen(write_end, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = run(capsys, "lifecycle", "--signals", f"/dev/fd/{read_end}")
+    finally:
+        writer.join(timeout=30)
+        os.close(read_end)
+    assert not writer.is_alive()
+    assert got == expected
 
 
 @pytest.mark.parametrize("command", ["evaluate", "score", "lifecycle"])

@@ -24,7 +24,7 @@ import deployassure.io
 from deployassure.io import PREDICTIONS_COLUMNS
 from deployassure.lifecycle import format_real
 
-from oracles import dictreader_parse_predictions
+from oracles import dictreader_parse_predictions, staged_parse_signals
 
 
 def columns(parsed):
@@ -484,6 +484,32 @@ class TestBlockPath:
             "open": 1, "_iter_records": 1, "_parse_unit_interval": n, "_parse_binary": n
         }
 
+    @pytest.mark.parametrize("kind", ["signals", "predictions"])
+    def test_clean_jsonl_makes_no_per_row_calls(self, monkeypatch, tmp_path, kind):
+        calls = self._count(monkeypatch)
+        lines = _jsonl_lines(kind, 2 * BLOCK + 10, seed=4)
+        path = write(tmp_path, "p.jsonl", "".join(lines))
+        parse = parse_signals if kind == "signals" else parse_predictions
+        assert len(parse(path)) == len(lines)
+        assert calls == {"open": 1, "_iter_records": 1}
+
+    def test_a_doubted_jsonl_block_is_checked_row_by_row_from_its_start(
+        self, monkeypatch, tmp_path
+    ):
+        calls = self._count(monkeypatch)
+        lines = _jsonl_lines("signals", 3 * BLOCK, seed=4)
+        lines[BLOCK + 7] = " " + lines[BLOCK + 7]
+        path = write(tmp_path, "s.jsonl", "".join(lines))
+        assert len(parse_signals(path)) == len(lines)
+        rest = lines[BLOCK:]
+        r_ms = sum('"r_m"' in line for line in rest)
+        assert calls == {
+            "open": 1,
+            "_iter_records": 1,
+            "_parse_unit_interval": 4 * len(rest) + r_ms,
+            "_parse_binary": len(rest),
+        }
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("bad", [False, True])
     def test_a_pipe_takes_the_exact_path_alone(self, tmp_path, bad):
@@ -520,6 +546,184 @@ class TestBlockPath:
 
             monkeypatch.setattr(module, name, counting, raising=False)
         return calls
+
+
+# --- JSON-lines blocks against the per-line oracles ---------------------
+
+SIGNAL_KEYS = ("fdi", "delta_fpr", "delta_fnr", "tsz")
+
+
+def _jsonl_lines(kind, n, seed):
+    """``n`` clean JSON lines of signals or predictions."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(n):
+        if kind == "signals":
+            record = {"snapshot_id": f"s{i}"}
+            record.update((k, rng.randint(0, 1000) / 1000) for k in SIGNAL_KEYS)
+            record["remediation_event"] = int(rng.random() < 0.3)
+            if record["remediation_event"] and rng.random() < 0.5:
+                record["r_m"] = rng.randint(-1000, 1000) / 1000
+        else:
+            record = {"sample_id": f"s{i}", "score": rng.randint(0, 1000) / 1000}
+            record.update(label=rng.randint(0, 1), subgroup=rng.choice("AB"))
+        lines.append(json.dumps(record) + "\n")
+    return lines
+
+
+def _line(kind, **changes):
+    """One JSON line of ``kind`` with some values changed (``...`` drops a key)."""
+    record = json.loads(_jsonl_lines(kind, 1, seed=3)[0])
+    record.update(changes)
+    return json.dumps({k: v for k, v in record.items() if v is not ...}) + "\n"
+
+
+def _parsed(parse, path):
+    try:
+        return "ok", parse(path)
+    except EngineError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+# Each kind's reader and its per-line oracle.
+ORACLES = {
+    "signals": (parse_signals, staged_parse_signals),
+    "predictions": (
+        lambda path: columns(parse_predictions(path)),
+        lambda path: columns(dictreader_parse_predictions(path)),
+    ),
+}
+
+
+def assert_blocks_as_oracle(tmp_path_factory, kind, data):
+    """Same rows, or the same first error and row, as the per-line oracle."""
+    path = tmp_path_factory.mktemp("blocks") / f"{kind}.jsonl"
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.write_bytes(data)
+    parse, oracle = ORACLES[kind]
+    outcome = _parsed(parse, str(path))
+    assert outcome == _parsed(oracle, str(path))
+    return outcome[0] if outcome[0] == "ok" else outcome[0].__name__
+
+
+SIGNAL_START = _line("signals")[:-2]  # a record without its closing brace
+# Signal lines on which a block check and the per-row checks could part.
+SIGNAL_CORPUS = {
+    # Neither line parses alone; without the "[" rule, the block decodes
+    # them as two valid records.
+    "joined-array": [SIGNAL_START + ', "x": [{"y": 1}\n',
+                     '{"z": 1}]}, ' + _line("signals")],
+    "two-objects": [_line("signals")[:-1] + ", " + _line("signals")],
+    "two-objects-no-comma": [_line("signals")[:-1] + _line("signals")],
+    "blank": ["\n"],
+    "whitespace": [" \t \n"],
+    "bom": ["\ufeff" + _line("signals")],
+    "padded": [" " + _line("signals")],
+    "crlf": [_line("signals")[:-1] + "\r\n"],
+    "lone-cr": [_line("signals")[:-1] + "\r"],
+    "nan": [_line("signals", fdi=float("nan"))],
+    "infinity": [_line("signals", tsz=float("inf"))],
+    "bool-event": [_line("signals", remediation_event=True, r_m=-0.5)],
+    "bool-signal": [_line("signals", delta_fpr=True)],
+    "string-event": [_line("signals", remediation_event="1")],
+    "string-signal": [_line("signals", fdi="0.5")],
+    "int-signals": [_line("signals", fdi=0, tsz=1)],
+    "over-digit-limit": [SIGNAL_START + ', "x": 1' + "0" * 5000 + "}\n"],
+    "nested-500": [SIGNAL_START + ', "x": ' + '{"a": ' * 500 + "1" + "}" * 500 + "}\n"],
+    "nested-past-limit": [SIGNAL_START + ', "x": ' + '{"a": ' * 100_000 + "}" * 100_001
+                          + "\n"],
+    "r_m-empty": [_line("signals", remediation_event=1, r_m="")],
+    "r_m-int": [_line("signals", remediation_event=1, r_m=0)],
+    "r_m-null": [_line("signals", remediation_event=1, r_m=None)],
+    "r_m-no-event": [_line("signals", remediation_event=0, r_m=0.25)],
+    "r_m-out-of-range": [_line("signals", remediation_event=1, r_m=-1.5)],
+    "missing-key": [_line("signals", tsz=...)],
+    "null-value": [_line("signals", delta_fnr=None)],
+    "not-an-object": ["[1]\n"],
+    "snapshot-not-string": [_line("signals", snapshot_id=7)],
+}
+
+
+# Values for any key of a drawn line; ``...`` drops the key.
+ODD_VALUES = st.sampled_from(
+    (0, 1, 1.0, -0.0, 0.5, 2, -0.5, 1.5, True, False, None, "", "1", " 1", "0.5",
+     float("nan"), float("inf"), -float("inf"), 10**400, [1], {"a": 1}, ...)
+)
+
+
+class TestJsonBlocksAgainstOracles:
+    """JSON-lines over several blocks: same rows, or the same first error."""
+
+    @pytest.mark.parametrize("name", list(SIGNAL_CORPUS))
+    @pytest.mark.parametrize("at", [0, 3, BLOCK - 1, BLOCK, -1], ids=str)
+    def test_signal_corpus(self, tmp_path_factory, name, at):
+        lines = _jsonl_lines("signals", 2 * BLOCK + 10, seed=5)
+        at = len(lines) if at == -1 else at
+        lines[at:at] = SIGNAL_CORPUS[name]
+        assert_blocks_as_oracle(tmp_path_factory, "signals", "".join(lines))
+
+    @pytest.mark.parametrize("kind", list(ORACLES))
+    def test_no_newline_at_the_end(self, tmp_path_factory, kind):
+        text = "".join(_jsonl_lines(kind, BLOCK + 3, seed=6)).rstrip("\n")
+        assert assert_blocks_as_oracle(tmp_path_factory, kind, text) == "ok"
+
+    @pytest.mark.parametrize("kind", list(ORACLES))
+    def test_non_utf8_byte_in_a_late_block(self, tmp_path, kind):
+        # Far enough past two blocks that the chunk the decoder fails on
+        # holds none of their lines.
+        lines = _jsonl_lines(kind, 2 * BLOCK + 200, seed=7)
+        path = tmp_path / "p.jsonl"
+        path.write_bytes("".join(lines).encode() + b'{"\xff": 1}\n')
+        expected = (EngineError, f"{path}: not UTF-8 text: invalid start byte", None)
+        assert _parsed(ORACLES[kind][0], str(path)) == expected
+        if kind == "signals":
+            rows = deployassure.io.iter_signals(str(path))
+            for _ in range(2 * BLOCK):  # the rows before the error are yielded
+                next(rows)
+            with pytest.raises(EngineError, match="not UTF-8"):
+                list(rows)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(score=float("nan")), dict(label=True), dict(label="1"), dict(label=1.0),
+         dict(subgroup=""), dict(subgroup=None), dict(sample_id=...),
+         dict(score="0.5"), dict(score=False)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("at", [0, BLOCK, -1], ids=str)
+    def test_prediction_values(self, tmp_path_factory, changes, at):
+        lines = _jsonl_lines("predictions", 2 * BLOCK + 10, seed=8)
+        at = len(lines) if at == -1 else at
+        lines[at:at] = [_line("predictions", **changes)]
+        assert_blocks_as_oracle(tmp_path_factory, "predictions", "".join(lines))
+
+    def test_prediction_join_counterexample(self, tmp_path_factory):
+        start = _line("predictions")[:-2]
+        lines = _jsonl_lines("predictions", BLOCK + 10, seed=9)
+        lines[5:5] = [start + ', "x": [{"y": 1}\n', '{"z": 1}]}, ' + lines[0]]
+        assert assert_blocks_as_oracle(
+            tmp_path_factory, "predictions", "".join(lines)
+        ) == "MalformedRowError"
+
+    @given(data=st.data(), kind=st.sampled_from(list(ORACLES)))
+    @settings(max_examples=60, deadline=None)
+    def test_bad_rows_anywhere(self, tmp_path_factory, data, kind):
+        n = data.draw(st.integers(BLOCK + 1, 3 * BLOCK), label="rows")
+        lines = _jsonl_lines(kind, n, seed=data.draw(st.integers(0, 99)))
+        keys = list(json.loads(lines[0]))
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(
+                st.sampled_from([0, BLOCK - 1, BLOCK, n - 1]) | st.integers(0, n - 1),
+                label="at",
+            )
+            key = data.draw(st.sampled_from(keys + ["r_m"]), label="key")
+            value = data.draw(ODD_VALUES, label="value")
+            lead = data.draw(st.sampled_from(("", "", "", *JSON_PADDING)), label="lead")
+            lines[at] = lead + _line(kind, **{key: value})
+        if data.draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\n")
+        event(assert_blocks_as_oracle(tmp_path_factory, kind, "".join(lines)))
 
 
 def test_huge_json_integer_is_a_row_error(tmp_path):
