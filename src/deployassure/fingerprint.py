@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from typing import Any
 
@@ -14,6 +13,6 @@ def canonical_fingerprint(config: Any) -> str:
     Nested dataclasses and tuples serialise as JSON objects and lists with
     sorted keys, so a change to any field's value changes the fingerprint.
     """
-    payload = dataclasses.asdict(config)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    import hashlib  # here, not at the top: it loads OpenSSL, which only this needs
+    text = json.dumps(dataclasses.asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

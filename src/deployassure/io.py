@@ -270,21 +270,23 @@ def _signal_rows(columns: list[list[Any]]) -> Iterator[tuple]:
     signals = [array("d", _bounded(_typed(column, _NUMBERS))) for column in signals]
     _bounded(_typed(events, _BINARY))
     present = list(map(operator.is_not, r_ms, itertools.repeat(None)))
-    if any(present):  # r_m: a float in [-1, 1], only on an event row
-        _bounded(_typed(list(itertools.compress(r_ms, present)), {float}), R_M_RANGE)
+    if any(present):  # r_m: a number in [-1, 1], only on an event row
+        given = _typed(list(itertools.compress(r_ms, present)), _NUMBERS)
         if not all(itertools.compress(events, present)):
             raise _Doubt
+        if int in set(map(type, _bounded(given, R_M_RANGE))):  # as floats, as per row
+            r_ms = [r if r is None else float(r) for r in r_ms]
     return zip(ids, *signals, map(bool, events), r_ms)
 
 
 def _csv_blocks(fh: TextIO) -> Iterator[tuple[int, tuple[array, bytes, Sequence[str]]]]:
     """A clean CSV predictions file as blocks of columns, each with row 0.
 
-    C-level iterators check each block: ``float`` and a range check for
-    scores, a dict lookup that takes only ``"0"`` and ``"1"`` for labels, a
-    truth test for subgroups. Any doubt (a refused value, a row too short
-    for any column, a csv or decoding error, a missing column, a leading
-    blank line, JSON-lines) raises LookupError, ValueError or csv.Error.
+    Each block of rows is transposed by one ``zip``, which stops at the
+    shortest row, and the needed columns picked; C-level iterators check
+    them. Any doubt (a refused score, label or subgroup, a short row, a csv
+    or decoding error, a missing column, a leading blank line, JSON-lines)
+    raises LookupError, ValueError or csv.Error.
     """
     first = fh.readline()
     if not first.strip() or first.lstrip().startswith("{"):
@@ -292,12 +294,11 @@ def _csv_blocks(fh: TextIO) -> Iterator[tuple[int, tuple[array, bytes, Sequence[
     reader = csv.reader(itertools.chain((first,), fh))
     header = {name: i for i, name in enumerate(next(reader))}
     pick = operator.itemgetter(*map(header.__getitem__, PREDICTIONS_COLUMNS))
-    rows = map(pick, filter(None, reader))
-    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-        _, scores, labels, subgroups = zip(*block)
+    while block := list(itertools.islice(filter(None, reader), _BLOCK_ROWS)):
+        _, scores, labels, subgroups = pick(tuple(zip(*block)))
         if not all(subgroups):
             raise _Doubt
-        scores = _bounded(array("d", map(float, scores)))
+        scores = array("d", _bounded(list(map(float, scores))))
         yield 0, (scores, bytes(map(_LABELS.__getitem__, labels)), subgroups)
 
 

@@ -514,4 +514,5 @@ def fold_trace(
     ``emit_trace(replay(build_assessments(...)))`` path; a row error
     surfaces before any byte is returned.
     """
-    return _serialise(_fold(records, initial_state, rules), format, rules.fingerprint())
+    fingerprint = rules.fingerprint() if format == "json" else ""  # CSV prints none
+    return _serialise(_fold(records, initial_state, rules), format, fingerprint)

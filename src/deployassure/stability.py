@@ -59,13 +59,12 @@ class ZoneLabel(Enum):
     AMPLIFIED_DISAGREEMENT = "AmplifiedDisagreement"
     GOVERNANCE_FRAGILITY = "GovernanceFragility"
 
-    @property
-    def severity(self) -> int:
-        return _ZONE_SEVERITY[self]
+    severity: int  # set below, as EscalationLevel's is: Stable 0, GovernanceFragility 3
 
 
 _ZONE_BY_SEVERITY = tuple(ZoneLabel)
-_ZONE_SEVERITY = {zone: rank for rank, zone in enumerate(_ZONE_BY_SEVERITY)}
+for _rank, _zone in enumerate(_ZONE_BY_SEVERITY):
+    _zone.severity = _rank
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from deployassure import (
     EmptyFileError,
     EmptyInputError,
     EmptySequenceError,
+    EngineError,
     EscalationLevel,
     FdiProfile,
     GesThresholds,
@@ -175,6 +176,13 @@ def flagging_sweep(
     return FdiProfile(points=tuple(zip(thresholds, filled)), h=h)
 
 def _records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
+    try:
+        yield from _decoded_records(path)
+    except UnicodeDecodeError as exc:  # decoded in chunks: no row is known
+        raise EngineError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+def _decoded_records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         row = 0
         for line in fh:
@@ -200,7 +208,8 @@ def _records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # A ValueError also for an integer past the int digit limit.
+            except (ValueError, RecursionError) as exc:
                 raise MalformedRowError(path, line_num, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRowError(path, line_num, "record is not an object")

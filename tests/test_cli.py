@@ -134,6 +134,47 @@ class TestTraceFingerprint:
         assert trace_fingerprint(capsys, tmp_path, signals_file, config) == default
 
 
+# The default config's trace fingerprint: when hashlib is loaded must not move it.
+DEFAULT_TRACE_FINGERPRINT = "b0428fb931eddae9"
+
+# Runs main for each argv in argv[2] in one interpreter and prints, per run,
+# its exit code, whether _hashlib (OpenSSL) and hashlib are loaded, and stdout.
+STARTUP_PROBE = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+from deployassure.cli import main
+report = []
+for argv in json.loads(sys.argv[2]):
+    sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    code = main(argv)
+    out = sys.stdout.buffer.getvalue().decode("utf-8")
+    report.append([code, "_hashlib" in sys.modules, "hashlib" in sys.modules, out])
+sys.__stdout__.write(json.dumps(report))
+"""
+
+
+def test_only_a_printed_fingerprint_loads_openssl(predictions_file, signals_file):
+    # Without site (-S), nothing but the engine imports a module here.
+    src = os.path.dirname(os.path.dirname(deployassure.cli.__file__))
+    runs = [
+        ["classify", "--das", "0.5"],
+        ["evaluate", "--predictions", predictions_file, "--threshold", "0.5"],
+        ["sweep", "--predictions", predictions_file],
+        ["score", "--signals", signals_file],
+        ["lifecycle", "--signals", signals_file],
+        ["lifecycle", "--signals", signals_file, "--format", "json"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP_PROBE, src, json.dumps(runs)],
+        capture_output=True,
+        check=True,
+    )
+    *csv_runs, (code, _, hashed, out) = json.loads(result.stdout)
+    assert [run[:3] for run in csv_runs] == [[0, False, False]] * 5
+    assert (code, hashed) == (0, True)  # the probe sees hashlib once it loads
+    assert json.loads(out)["config_fingerprint"] == DEFAULT_TRACE_FINGERPRINT
+
+
 class TestEvaluate:
     def test_small_dataset_needs_min_support_override(
         self, capsys, tmp_path, predictions_file

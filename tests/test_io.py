@@ -378,7 +378,7 @@ def _clean_rows(n, header=PREDICTIONS_COLUMNS, seed=7):
             "label": rng.choice("01"),
             "subgroup": rng.choice("ABC"),
         }
-        rows.append(",".join(cells[c] for c in header))
+        rows.append(",".join(cells.get(c, c) for c in header))
     return rows
 
 
@@ -393,6 +393,19 @@ LATE_ROWS = {
     "short-row": ["s,0.5"],
     "quoted-newline": ['s,0.5,1,"two\nlines"'],
     "quoted-newline-then-nan": ['s,0.5,1,"two\nlines"', "t,nan,0,B"],
+}
+
+# Rows of another width than the header: a header, the row put inside the
+# second block, and whether the block path still reads the whole file.
+REORDERED = ("note", "x", "subgroup", "label", "score", "sample_id")
+DUPLICATE = ("sample_id", "score", "label", "subgroup", "score")
+WIDTH_CASES = {
+    "extra-trailing-cells": (PREDICTIONS_COLUMNS, "s,0.5,1,A,x,y", True),
+    "after-extra-columns": (REORDERED, "n,x,A,1,0.5,s,y", True),
+    "duplicate-header": (DUPLICATE, "s,x,1,A,0.5", True),  # the last one counts
+    "short-of-last-needed": (PREDICTIONS_COLUMNS, "s,0.5,1", False),
+    "after-extra-columns-short": (REORDERED, "n,x,A,1,0.5", False),
+    "duplicate-header-short": (DUPLICATE, "s,0.5,1,A", False),
 }
 
 
@@ -455,6 +468,27 @@ class TestParserOracle:
             parse_predictions(path)
         assert excinfo.value.row == BLOCK + 4
 
+    @pytest.mark.parametrize("case", list(WIDTH_CASES))
+    @pytest.mark.parametrize("offset", [0, 1, BLOCK - 1])
+    def test_rows_of_other_widths_match_oracle(
+        self, monkeypatch, tmp_path_factory, case, offset
+    ):
+        header, odd, kept = WIDTH_CASES[case]
+        rows = _clean_rows(2 * BLOCK + 10, header)
+        rows[BLOCK + offset] = odd
+        calls = TestBlockPath._count(monkeypatch)
+        text = "\n".join([",".join(header), *rows]) + "\n"
+        assert_same_as_oracle(tmp_path_factory, "p.csv", text)
+        assert ("_iter_records" not in calls) == kept
+
+    def test_non_utf8_byte_in_a_late_block(self, tmp_path):
+        rows = _clean_rows(2 * BLOCK + 200)
+        path = tmp_path / "p.csv"
+        path.write_bytes("\n".join([HEADER, *rows, ""]).encode() + b"s,0.5,1,\xff\n")
+        outcome = _outcome(parse_predictions, str(path))
+        assert outcome == _outcome(dictreader_parse_predictions, str(path))
+        assert outcome[::2] == (EngineError, None)  # no row
+
     def test_sample_id_last_matches_oracle(self, tmp_path_factory):
         header = ("score", "label", "subgroup", "sample_id")
         rows = _clean_rows(BLOCK + 5, header)
@@ -509,6 +543,18 @@ class TestBlockPath:
             "_parse_unit_interval": 4 * len(rest) + r_ms,
             "_parse_binary": len(rest),
         }
+
+    def test_an_integer_r_m_keeps_the_block_path_and_reads_as_a_float(
+        self, monkeypatch, tmp_path
+    ):
+        calls = self._count(monkeypatch)
+        lines = _jsonl_lines("signals", 2 * BLOCK + 10, seed=4)
+        lines[3] = _line("signals", snapshot_id="int", remediation_event=1, r_m=0)
+        path = write(tmp_path, "s.jsonl", "".join(lines))
+        rows = list(deployassure.io.iter_signals(path))
+        assert len(rows) == len(lines) and rows[3][0] == "int"
+        assert (rows[3][-1], type(rows[3][-1])) == (0.0, float)
+        assert calls == {"open": 1, "_iter_records": 1}
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("bad", [False, True])
@@ -635,6 +681,10 @@ SIGNAL_CORPUS = {
                           + "\n"],
     "r_m-empty": [_line("signals", remediation_event=1, r_m="")],
     "r_m-int": [_line("signals", remediation_event=1, r_m=0)],
+    "r_m-int-bounds": [_line("signals", remediation_event=1, r_m=k) for k in (-1, 1)],
+    "r_m-int-no-event": [_line("signals", remediation_event=0, r_m=0)],
+    "r_m-int-out-of-range": [_line("signals", remediation_event=1, r_m=2)],
+    "r_m-bool": [_line("signals", remediation_event=1, r_m=True)],
     "r_m-null": [_line("signals", remediation_event=1, r_m=None)],
     "r_m-no-event": [_line("signals", remediation_event=0, r_m=0.25)],
     "r_m-out-of-range": [_line("signals", remediation_event=1, r_m=-1.5)],
@@ -676,7 +726,8 @@ class TestJsonBlocksAgainstOracles:
         path = tmp_path / "p.jsonl"
         path.write_bytes("".join(lines).encode() + b'{"\xff": 1}\n')
         expected = (EngineError, f"{path}: not UTF-8 text: invalid start byte", None)
-        assert _parsed(ORACLES[kind][0], str(path)) == expected
+        parse, oracle = ORACLES[kind]
+        assert _parsed(parse, str(path)) == _parsed(oracle, str(path)) == expected
         if kind == "signals":
             rows = deployassure.io.iter_signals(str(path))
             for _ in range(2 * BLOCK):  # the rows before the error are yielded
@@ -697,6 +748,16 @@ class TestJsonBlocksAgainstOracles:
         at = len(lines) if at == -1 else at
         lines[at:at] = [_line("predictions", **changes)]
         assert_blocks_as_oracle(tmp_path_factory, "predictions", "".join(lines))
+
+    @pytest.mark.parametrize("at", [0, BLOCK, -1], ids=str)
+    def test_prediction_past_the_digit_limit(self, tmp_path_factory, at):
+        lines = _jsonl_lines("predictions", 2 * BLOCK + 10, seed=8)
+        at = len(lines) if at == -1 else at
+        score = "1" + "0" * 5000  # json.loads refuses it with a bare ValueError
+        lines[at:at] = [f'{{"sample_id": "s", "score": {score}, "label": 1, '
+                        '"subgroup": "A"}\n']
+        kind = assert_blocks_as_oracle(tmp_path_factory, "predictions", "".join(lines))
+        assert kind == "MalformedRowError"
 
     def test_prediction_join_counterexample(self, tmp_path_factory):
         start = _line("predictions")[:-2]
