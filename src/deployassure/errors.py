@@ -53,7 +53,7 @@ class MissingToleranceError(EngineError):
 
 
 class SweepDegenerateError(EngineError):
-    """More than half of the sweep grid could not be evaluated."""
+    """Every point of the sweep grid lacks two eligible subgroups for a gap."""
 
 
 class NegativeWeightError(EngineError):

@@ -5,9 +5,9 @@ per line, same keys as the CSV columns); the format is detected from the
 first non-blank line. Extra columns are ignored; in particular, score
 and classification columns on a signals file are recomputed, never
 trusted. All diagnostics carry the file name, and all but a decoding
-error (the file is not UTF-8) the 1-based physical row number. A clean
-file is checked a block of rows at a time by C-level iterators; at any
-doubt its rows are checked one by one, with the same results and errors.
+error (the file is not UTF-8) the 1-based physical row number. A file
+is read once, a block of rows at a time, by C-level iterators; only a
+block they doubt is checked row by row, with the same results and errors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 import operator
 from array import array
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence
 
 from .assurance import OUT_OF_RANGE, R_M_RANGE, UNIT_INTERVAL, AssuranceSignals
 from .errors import (
@@ -40,125 +40,137 @@ SIGNALS_COLUMNS = (
 )
 
 
-# The C scanner behind json.loads, and what may follow the value it scans
-# for a line to hold just that value.
-_scan_json = json.JSONDecoder().scan_once
-_LINE_ENDS = ("\n", "", "\r\n", "\r")
-
-
-def _open_text(path: str) -> TextIO:
-    return open(path, "r", encoding="utf-8", newline="")
-
-
 def _iter_records(
     path: str,
     columns: tuple[str, ...],
     required: int,
-    fh: TextIO | None = None,
-    check_block: Callable[[list[list[Any]]], Any] | None = None,
+    checks: tuple[Callable[[tuple], Any], Callable[[list[list[Any]]], Any]],
 ) -> Iterator[tuple[int, Any]]:
-    """Yield each record's ``columns`` values with its 1-based physical row.
+    """Read a file once, ``_BLOCK_ROWS`` records at a time.
+
+    ``checks`` is a check of a CSV block's ``columns`` cells, picked from
+    its transposed rows, and a check of a JSON-lines block's
+    :func:`_decode_block` columns. What a check returns is yielded with row
+    0. A block that a check doubts (see :func:`_vouched`) is yielded record
+    by record instead: each record's ``columns`` values with its 1-based
+    physical row. Then reading goes back to blocks.
 
     The first ``required`` columns must be in the header (CSV) or in the
     first record (JSON-lines). An absent value reads as ``None``. CSV is
     read as ``csv.DictReader`` reads it: blank lines are skipped, a short
     row's missing cells are ``None``, and of two header cells with the
-    same name the last one counts.
-
-    The format is read from the first non-blank line, which is then
-    parsed from the same handle. Both formats are read in this one
-    generator: delegating each row to a nested generator cost about a
-    tenth of the CSV read time.
-
-    A JSON-lines record is read with the JSON decoder's C scanner, and is
-    taken when the scanned value ends the line. Any other line (blank,
-    padded, BOM-led, trailing data, a scan error) falls back to
-    ``json.loads``, which skips blank lines and gives every error its
-    message. A value the decoder refuses (nested too deep for it, or an
-    integer past the int digit limit) is invalid JSON too.
+    same name the last one counts. A JSON line is read by ``json.loads``,
+    so a value it refuses (nested too deep for it, or an integer past the
+    int digit limit) is invalid JSON too.
 
     A file that is not UTF-8 raises :class:`EngineError` with the file name
-    and no row: the file is decoded in chunks, so no row is known.
-
-    ``fh``, a handle already open on ``path`` at its start, is read instead
-    of opening the file again, and is closed at the end.
-
-    With ``check_block``, each JSON-lines block's :func:`_decode_block` columns go
-    to it, and its result comes with row 0, until a ValueError; then line by line.
+    and no row (it is decoded in chunks), once the records before it are yielded.
     """
     try:
-        with (_open_text(path) if fh is None else fh) as fh:
-            row = 0
-            for line in fh:
-                row += 1
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for row, line in enumerate(fh, 1):
                 if line.strip():
                     break
             else:
                 raise EmptyFileError(path)
             lines = itertools.chain((line,), fh)
 
-            if not line.lstrip().startswith("{"):
-                reader = csv.reader(lines)
-                offset = row - 1
-                try:
-                    header = {name: i for i, name in enumerate(next(reader))}
-                    missing = [c for c in columns[:required] if c not in header]
-                    if missing:
-                        raise MissingColumnError(path, missing)
-                    positions = [header.get(c) for c in columns]
-                    # The fast path pads absent columns: optional ones, which come last.
-                    present = [i for i in positions if i is not None]
-                    pad = (None,) * (len(positions) - len(present))
-                    width = 1 + max(present)
-                    pick = operator.itemgetter(*present)
-                    for cells in reader:
-                        if len(cells) >= width:
-                            yield offset + reader.line_num, pick(cells) + pad
-                        elif cells:
-                            n = len(cells)
-                            yield offset + reader.line_num, [
-                                None if i is None or i >= n else cells[i]
-                                for i in positions
-                            ]
-                except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-                    row = offset + reader.line_num
-                    raise MalformedRowError(path, row, f"invalid CSV: {exc}") from exc
+            if line.lstrip().startswith("{"):
+                first = row
+
+                def decoded(block: list[str]) -> Any:
+                    return checks[1](_decode_block(block, columns))
+
+                for block in _blocks(lines):
+                    start, row = row, row + len(block)
+                    if (checked := _vouched(decoded, block)) is not None:
+                        yield 0, checked
+                        continue
+                    for line_num, line in enumerate(block, start):
+                        if not line.strip():
+                            continue
+                        try:
+                            record = json.loads(line)
+                        except (ValueError, RecursionError) as exc:
+                            message = f"invalid JSON: {exc}"
+                            raise MalformedRowError(path, line_num, message) from exc
+                        if not isinstance(record, dict):
+                            message = "record is not an object"
+                            raise MalformedRowError(path, line_num, message)
+                        if line_num == first:  # the first line is never blank
+                            missing = [c for c in columns[:required] if c not in record]
+                            if missing:
+                                raise MissingColumnError(path, missing)
+                        yield line_num, tuple(map(record.get, columns))
                 return
 
-            first = True
-            while check_block and (chunk := list(itertools.islice(lines, _BLOCK_ROWS))):
-                try:
-                    checked = check_block(_decode_block(chunk, columns))
-                except (ValueError, RecursionError):
-                    lines = itertools.chain(chunk, lines)
-                    break
-                yield 0, checked
-                row += len(chunk)
-                first = False  # the block checks need every required key
-            for line_num, line in enumerate(lines, start=row):
-                try:
-                    record, end = _scan_json(line, 0)
-                    whole_line = line[end:] in _LINE_ENDS
-                except (StopIteration, ValueError, RecursionError):
-                    whole_line = False
-                if not whole_line:
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except (ValueError, RecursionError) as exc:
-                        message = f"invalid JSON: {exc}"
-                        raise MalformedRowError(path, line_num, message) from exc
-                if not isinstance(record, dict):
-                    raise MalformedRowError(path, line_num, "record is not an object")
-                if first:
-                    missing = [c for c in columns[:required] if c not in record]
-                    if missing:
-                        raise MissingColumnError(path, missing)
-                    first = False
-                yield line_num, tuple(map(record.get, columns))
+            reader = csv.reader(lines)
+            offset = row - 1
+            header = {name: i for i, name in enumerate(next(reader))}
+            missing = [c for c in columns[:required] if c not in header]
+            if missing:
+                raise MissingColumnError(path, missing)
+            positions = [header.get(c) for c in columns]
+            present = [i for i in positions if i is not None]
+            pick, absent = operator.itemgetter(*present), len(positions) - len(present)
+
+            def picked(block: list[list[str]]) -> Any:
+                # One zip transposes the rows but blank ones, and stops at the
+                # shortest: a short row leaves pick an IndexError. Absent
+                # columns are optional ones, which come last: they are padded.
+                cells = pick(tuple(zip(*filter(None, block))))
+                return checks[0](cells + ((None,) * len(cells[0]),) * absent)
+
+            end = offset + reader.line_num
+            for block in _blocks(reader):
+                row, end = end, offset + reader.line_num
+                if (checked := _vouched(picked, block)) is not None:
+                    yield 0, checked
+                    continue
+                for cells in block:
+                    # A record's row is its last line, one more than the line
+                    # breaks in its cells (\n, \r and \r\n one each). The
+                    # reader's count caps it: a file's last record may end in an
+                    # unclosed quote, whose cell holds a break no line follows.
+                    text = ",".join(cells)
+                    row += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+                    row = min(row, end)
+                    if cells:  # a short row's missing cells and absent columns are None
+                        yield row, list(map(dict(enumerate(cells)).get, positions))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        row = offset + reader.line_num
+        raise MalformedRowError(path, row, f"invalid CSV: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise EngineError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+def _blocks(records: Iterator[Any]) -> Iterator[list]:
+    """Lists of up to ``_BLOCK_ROWS`` records.
+
+    A csv or decoding error that cuts a block short is raised once the
+    records read before it are given out as a block: one may hold the first
+    error. The caller checks each block after its loop let go of the last
+    one; checking here, with the last block still held, set off a garbage
+    collection for nearly every CSV block (15-20% slower at 200k rows).
+    """
+    while True:
+        block: list = []
+        try:
+            block.extend(itertools.islice(records, _BLOCK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
+            yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
+def _vouched(check: Callable[[list], Any], block: list) -> Any:
+    """What ``check`` returns for a block, or None where it doubts the block."""
+    try:
+        return check(block)
+    except (LookupError, ValueError, RecursionError):
+        return None
 
 
 class _BadValue(Exception):
@@ -279,27 +291,21 @@ def _signal_rows(columns: list[list[Any]]) -> Iterator[tuple]:
     return zip(ids, *signals, map(bool, events), r_ms)
 
 
-def _csv_blocks(fh: TextIO) -> Iterator[tuple[int, tuple[array, bytes, Sequence[str]]]]:
-    """A clean CSV predictions file as blocks of columns, each with row 0.
-
-    Each block of rows is transposed by one ``zip``, which stops at the
-    shortest row, and the needed columns picked; C-level iterators check
-    them. Any doubt (a refused score, label or subgroup, a short row, a csv
-    or decoding error, a missing column, a leading blank line, JSON-lines)
-    raises LookupError, ValueError or csv.Error.
-    """
-    first = fh.readline()
-    if not first.strip() or first.lstrip().startswith("{"):
+def _prediction_cells(columns: tuple) -> tuple[array, bytes, Sequence[str]]:
+    """A CSV block's cells as :func:`_prediction_block` returns its columns."""
+    _, scores, labels, subgroups = columns
+    if not all(subgroups):
         raise _Doubt
-    reader = csv.reader(itertools.chain((first,), fh))
-    header = {name: i for i, name in enumerate(next(reader))}
-    pick = operator.itemgetter(*map(header.__getitem__, PREDICTIONS_COLUMNS))
-    while block := list(itertools.islice(filter(None, reader), _BLOCK_ROWS)):
-        _, scores, labels, subgroups = pick(tuple(zip(*block)))
-        if not all(subgroups):
-            raise _Doubt
-        scores = array("d", _bounded(list(map(float, scores))))
-        yield 0, (scores, bytes(map(_LABELS.__getitem__, labels)), subgroups)
+    scores = array("d", _bounded(list(map(float, scores))))
+    return scores, bytes(map(_LABELS.__getitem__, labels)), subgroups
+
+
+def _signal_cells(columns: tuple) -> Iterator[tuple]:
+    """A CSV block's cells read as JSON values, then :func:`_signal_rows`."""
+    ids, *signals, events, r_ms = columns
+    signals = [list(map(float, column)) for column in signals]
+    r_ms = [float(r) if r else None for r in r_ms]  # an empty cell is no r_m
+    return _signal_rows([ids, *signals, list(map(_LABELS.__getitem__, events)), r_ms])
 
 
 def _parse_rows(records: Iterator[tuple[int, Any]], path: str) -> Predictions:
@@ -338,11 +344,11 @@ def _parse_rows(records: Iterator[tuple[int, Any]], path: str) -> Predictions:
 def parse_predictions(path: str) -> Predictions:
     """Read and validate a predictions file into columns, in file order.
 
-    A CSV file's block path is :func:`_csv_blocks`; at any doubt the same
-    handle is read once more from its start on the exact path, which gives
-    the first error its row or accepts what the blocks were too strict for
-    (a label of ``" 1"``). A CSV pipe takes the exact path alone. JSON-lines
-    is read as :func:`iter_signals` reads it.
+    The file is read once, a block at a time, in both formats (see
+    :func:`_iter_records`). Only a block the block checks doubt is checked
+    row by row, which gives the first error its row or accepts what the
+    blocks were too strict for (a label of ``" 1"``). So a pipe takes the
+    block path too.
 
     Each ``sample_id`` is checked (a row too short to hold one is an
     error) but not stored.
@@ -354,15 +360,8 @@ def parse_predictions(path: str) -> Predictions:
         EmptyFileError: no data rows.
         OSError: unreadable path.
     """
-    with _open_text(path) as fh:
-        if fh.seekable():
-            try:
-                return _parse_rows(_csv_blocks(fh), path)
-            except (LookupError, ValueError, csv.Error):  # doubt
-                fh.seek(0)
-        columns, required = PREDICTIONS_COLUMNS, len(PREDICTIONS_COLUMNS)
-        records = _iter_records(path, columns, required, fh, _prediction_block)
-        return _parse_rows(records, path)
+    columns, checks = PREDICTIONS_COLUMNS, (_prediction_cells, _prediction_block)
+    return _parse_rows(_iter_records(path, columns, len(columns), checks), path)
 
 
 def iter_signals(
@@ -375,8 +374,8 @@ def iter_signals(
     none. The optional ``r_m`` column may only carry a value on rows whose
     ``remediation_event`` is 1. Any das/drc columns present are ignored.
 
-    JSON-lines is read a block at a time (see :func:`_iter_records`), and
-    nothing is read twice, so a pipe takes the block path too.
+    Like :func:`parse_predictions`, it reads the file once, a block at a
+    time, and only a doubted block row by row; a pipe too.
 
     Raises:
         MissingColumnError: a required column/key is absent.
@@ -387,7 +386,7 @@ def iter_signals(
     """
     row = None
     columns, required = SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS)
-    records = _iter_records(path, columns, required, check_block=_signal_rows)
+    records = _iter_records(path, columns, required, (_signal_cells, _signal_rows))
     try:
         for row, values in records:
             if not row:  # a block of rows that _signal_rows vouched for

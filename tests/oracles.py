@@ -4,7 +4,9 @@
 ``dictreader_parse_predictions`` the ``csv.DictReader`` + ``Sample``
 parser, as the engine had them before predictions were held in columns.
 Each re-checks every value itself, so a test can compare both results
-and errors.
+and errors. Both file oracles, this one and ``staged_parse_signals``, read
+line by line (``csv.DictReader``, or one ``json.loads`` per line) and share
+no reader code with the engine.
 
 ``flagging_sweep`` is the sweep as the engine had it before a gap without
 two eligible subgroups failed it outright: each such grid point was
@@ -57,14 +59,6 @@ from deployassure import (
 )
 from deployassure.assurance import BY_FAVORABILITY, DrcBands, less_favorable
 from deployassure.evaluation import ScoreIndex, check_threshold
-from deployassure.io import (
-    SIGNALS_COLUMNS,
-    _as_string as _io_as_string,
-    _BadValue,
-    _iter_records,
-    _parse_binary as _io_parse_binary,
-    _parse_unit_interval as _io_parse_unit_interval,
-)
 from deployassure.lifecycle import (
     REASON_DAS_BAND,
     REASON_FAILED_REMEDIATION,
@@ -80,6 +74,9 @@ from deployassure.stability import (
 )
 
 PREDICTIONS_COLUMNS = ("sample_id", "score", "label", "subgroup")
+SIGNALS_COLUMNS = (
+    "snapshot_id", "fdi", "delta_fpr", "delta_fnr", "tsz", "remediation_event"
+)
 
 
 def naive_confusion(
@@ -175,14 +172,19 @@ def flagging_sweep(
     filled = fill_flagged(thresholds, values)
     return FdiProfile(points=tuple(zip(thresholds, filled)), h=h)
 
-def _records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
+def _records(
+    path: str, required: Sequence[str]
+) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Each record as a dict with its physical row, read line by line."""
     try:
-        yield from _decoded_records(path)
+        yield from _decoded_records(path, required)
     except UnicodeDecodeError as exc:  # decoded in chunks: no row is known
         raise EngineError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
-def _decoded_records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
+def _decoded_records(
+    path: str, required: Sequence[str]
+) -> Iterator[tuple[int, dict[str, Any]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         row = 0
         for line in fh:
@@ -195,11 +197,15 @@ def _decoded_records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
 
         if not line.lstrip().startswith("{"):
             reader = csv.DictReader(lines)
-            missing = [c for c in PREDICTIONS_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise MissingColumnError(path, missing)
-            for record in reader:
-                yield row - 1 + reader.line_num, record
+            try:
+                missing = [c for c in required if c not in reader.fieldnames]
+                if missing:
+                    raise MissingColumnError(path, missing)
+                for record in reader:
+                    yield row - 1 + reader.line_num, record
+            except csv.Error as exc:  # DictReader counts only the rows it returned
+                row += reader.reader.line_num - 1
+                raise MalformedRowError(path, row, f"invalid CSV: {exc}") from exc
             return
 
         first = True
@@ -214,7 +220,7 @@ def _decoded_records(path: str) -> Iterator[tuple[int, dict[str, Any]]]:
             if not isinstance(record, dict):
                 raise MalformedRowError(path, line_num, "record is not an object")
             if first:
-                missing = [c for c in PREDICTIONS_COLUMNS if c not in record]
+                missing = [c for c in required if c not in record]
                 if missing:
                     raise MissingColumnError(path, missing)
                 first = False
@@ -258,7 +264,7 @@ def _parse_binary(value: Any, name: str, path: str, row: int) -> int:
 def dictreader_parse_predictions(path: str) -> list[Sample]:
     """One dict and one ``Sample`` per row, each field checked in column order."""
     samples: list[Sample] = []
-    for row, record in _records(path):
+    for row, record in _records(path, PREDICTIONS_COLUMNS):
         sample_id = _as_string(
             _field(record, "sample_id", path, row), "sample_id", path, row
         )
@@ -285,43 +291,41 @@ def dictreader_parse_predictions(path: str) -> list[Sample]:
 def staged_parse_signals(path: str) -> list[tuple[str, AssuranceSignals]]:
     """One ``AssuranceSignals`` per row, each field checked in column order."""
     rows: list[tuple[str, AssuranceSignals]] = []
-    records = _iter_records(path, SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS))
-    try:
-        for row, values in records:
-            snapshot_id, fdi, delta_fpr, delta_fnr, tsz, event, raw_r_m = values
-            snapshot_id = _io_as_string(snapshot_id, "snapshot_id")
-            fdi = _io_parse_unit_interval(fdi, "fdi")
-            delta_fpr = _io_parse_unit_interval(delta_fpr, "delta_fpr")
-            delta_fnr = _io_parse_unit_interval(delta_fnr, "delta_fnr")
-            tsz = _io_parse_unit_interval(tsz, "tsz")
-            remediation = bool(_io_parse_binary(event, "remediation_event"))
-            r_m: float | None = None
-            if raw_r_m is not None and raw_r_m != "":
-                if isinstance(raw_r_m, bool):
-                    raise _BadValue(f"r_m is not a number: {raw_r_m!r}")
-                try:
-                    r_m = float(raw_r_m)
-                except (TypeError, ValueError, OverflowError):
-                    raise _BadValue(f"r_m is not a number: {raw_r_m!r}") from None
-                if not -1.0 <= r_m <= 1.0:
-                    raise _BadValue(f"r_m out of range [-1, 1]: {raw_r_m!r}")
-                if not remediation:
-                    raise _BadValue("r_m present but remediation_event is 0")
-            rows.append(
-                (
-                    snapshot_id,
-                    AssuranceSignals(
-                        fdi=fdi,
-                        delta_fpr=delta_fpr,
-                        delta_fnr=delta_fnr,
-                        tsz=tsz,
-                        remediation_event=remediation,
-                        r_m=r_m,
-                    ),
-                )
-            )
-    except _BadValue as exc:
-        raise MalformedRowError(path, row, str(exc)) from None
+    for row, record in _records(path, SIGNALS_COLUMNS):
+        snapshot_id = _as_string(
+            _field(record, "snapshot_id", path, row), "snapshot_id", path, row
+        )
+        fdi, delta_fpr, delta_fnr, tsz = [
+            _parse_unit_interval(_field(record, name, path, row), name, path, row)
+            for name in SIGNALS_COLUMNS[1:5]
+        ]
+        event = _field(record, "remediation_event", path, row)
+        remediation = bool(_parse_binary(event, "remediation_event", path, row))
+        raw_r_m = record.get("r_m")
+        r_m: float | None = None
+        if raw_r_m is not None and raw_r_m != "":
+            message = f"r_m is not a number: {raw_r_m!r}"
+            if isinstance(raw_r_m, bool):
+                raise MalformedRowError(path, row, message)
+            try:
+                r_m = float(raw_r_m)
+            except (TypeError, ValueError, OverflowError):
+                raise MalformedRowError(path, row, message) from None
+            if not -1.0 <= r_m <= 1.0:
+                message = f"r_m out of range [-1, 1]: {raw_r_m!r}"
+                raise MalformedRowError(path, row, message)
+            if not remediation:
+                message = "r_m present but remediation_event is 0"
+                raise MalformedRowError(path, row, message)
+        signals = AssuranceSignals(
+            fdi=fdi,
+            delta_fpr=delta_fpr,
+            delta_fnr=delta_fnr,
+            tsz=tsz,
+            remediation_event=remediation,
+            r_m=r_m,
+        )
+        rows.append((snapshot_id, signals))
     if not rows:
         raise EmptyFileError(path)
     return rows

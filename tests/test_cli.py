@@ -702,11 +702,10 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
 ):
     # Counts, not timings: the csv writer writes the header and the rows
     # whose id it must quote. json.loads decodes each block of clean lines
-    # once; lines are read one at a time (by the scanner, and by json.loads
-    # where it fails) only from the first block the block checks doubt on.
-    written, loaded, scanned = [], [], []
+    # once; only the lines of a block the block checks doubt are decoded one
+    # at a time.
+    written, loaded = [], []
     real_write, real_loads = deployassure.lifecycle._LineFeedRows.write, json.loads
-    real_scan = deployassure.io._scan_json
 
     def counting_write(self, row):
         written.append(row)
@@ -716,13 +715,8 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
         loaded.append(text)
         return real_loads(text, *args, **kwargs)
 
-    def counting_scan(line, end):
-        scanned.append(line)
-        return real_scan(line, end)
-
     monkeypatch.setattr(deployassure.lifecycle._LineFeedRows, "write", counting_write)
     monkeypatch.setattr(json, "loads", counting_loads)
-    monkeypatch.setattr(deployassure.io, "_scan_json", counting_scan)
     signals = {"fdi": 0.1, "delta_fpr": 0.2, "delta_fnr": 0.3, "tsz": 0.4}
     path = tmp_path / "signals.jsonl"
 
@@ -734,7 +728,7 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
             " " * (i in padded) + json.dumps(r) + "\n" for i, r in enumerate(records)
         )
         path.write_text("".join(lines), encoding="utf-8")
-        for counts in (written, loaded, scanned):
+        for counts in (written, loaded):
             counts.clear()
         code, out, err = run(capsys, "lifecycle", "--signals", str(path))
         assert (code, err) == (0, "")
@@ -743,19 +737,19 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
     block = deployassure.io._BLOCK_ROWS
     many = [f"s{i}" for i in range(2 * block + 10)]
     lifecycle(["s0", "s1", "s2"])
-    assert (len(written), len(loaded), scanned) == (1, 1, [])
+    assert (len(written), len(loaded)) == (1, 1)
     lifecycle(many)
-    assert (len(written), len(loaded), scanned) == (1, 3, [])
+    assert (len(written), len(loaded)) == (1, 3)
     assert all(text.startswith("[") for text in loaded)
-    # A padded line in the second block: the first block is decoded whole,
-    # and each line from the second block's first on is scanned.
+    # A padded line in the second block: the first and third blocks are
+    # decoded whole, and each line of the second on its own.
     lifecycle(many, padded={block + 5})
-    assert (len(loaded), len(scanned)) == (2, len(many) - block)
-    assert loaded[1].startswith(" {")
+    assert len(loaded) == 2 + block
+    assert [text[0] for text in loaded] == ["[", *"{" * 5, " ", *"{" * (block - 6), "["]
     # The patches are live: quoted ids go through the csv writer, and
     # padded lines through json.loads.
     lifecycle(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], padded=range(6))
-    assert (len(written), len(loaded), len(scanned)) == (5, 6, 6)
+    assert (len(written), len(loaded)) == (5, 6)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import threading
 
 import pytest
 from hypothesis import event, given, settings
@@ -21,7 +22,7 @@ from deployassure import (
     parse_signals,
 )
 import deployassure.io
-from deployassure.io import PREDICTIONS_COLUMNS
+from deployassure.io import PREDICTIONS_COLUMNS, SIGNALS_COLUMNS
 from deployassure.lifecycle import format_real
 
 from oracles import dictreader_parse_predictions, staged_parse_signals
@@ -366,6 +367,7 @@ def jsonl_texts(draw):
 
 BLOCK = deployassure.io._BLOCK_ROWS
 HEADER = ",".join(PREDICTIONS_COLUMNS)
+NEEDS_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 
 
 def _clean_rows(n, header=PREDICTIONS_COLUMNS, seed=7):
@@ -479,7 +481,7 @@ class TestParserOracle:
         calls = TestBlockPath._count(monkeypatch)
         text = "\n".join([",".join(header), *rows]) + "\n"
         assert_same_as_oracle(tmp_path_factory, "p.csv", text)
-        assert ("_iter_records" not in calls) == kept
+        assert ("_as_string" not in calls) == kept  # no row checked on its own
 
     def test_non_utf8_byte_in_a_late_block(self, tmp_path):
         rows = _clean_rows(2 * BLOCK + 200)
@@ -497,14 +499,14 @@ class TestParserOracle:
 
 
 class TestBlockPath:
-    """Counts: a clean CSV takes the block path, a doubtful one the exact path once."""
+    """Counts: a clean file takes the block path, a doubted block the exact one."""
 
     def test_clean_csv_makes_no_per_row_calls(self, monkeypatch, tmp_path):
         calls = self._count(monkeypatch)
         rows = _clean_rows(2 * BLOCK + 10)
         path = write(tmp_path, "p.csv", "\n".join([HEADER, *rows]))
         assert len(parse_predictions(path)) == len(rows)
-        assert calls == {"open": 1}
+        assert calls == {"open": 1, "_iter_records": 1}
 
     def test_padded_label_takes_the_exact_path_once(self, monkeypatch, tmp_path):
         calls = self._count(monkeypatch)
@@ -513,9 +515,13 @@ class TestBlockPath:
         path = write(tmp_path, "p.csv", "\n".join([HEADER, *rows]))
         predictions = parse_predictions(path)
         assert (len(predictions), predictions.labels[BLOCK + 3]) == (len(rows), 1)
-        n = len(rows)
+        # Only the second block, the one holding the padded label, row by row.
         assert calls == {
-            "open": 1, "_iter_records": 1, "_parse_unit_interval": n, "_parse_binary": n
+            "open": 1,
+            "_iter_records": 1,
+            "_as_string": 2 * BLOCK,
+            "_parse_unit_interval": BLOCK,
+            "_parse_binary": BLOCK,
         }
 
     @pytest.mark.parametrize("kind", ["signals", "predictions"])
@@ -527,6 +533,16 @@ class TestBlockPath:
         assert len(parse(path)) == len(lines)
         assert calls == {"open": 1, "_iter_records": 1}
 
+    @pytest.mark.parametrize("r_m", [True, False], ids=["r_m-column", "no-r_m-column"])
+    def test_clean_csv_signals_make_no_per_row_calls(self, monkeypatch, tmp_path, r_m):
+        calls = self._count(monkeypatch)
+        text = _csv_text("signals", _jsonl_lines("signals", 2 * BLOCK + 10, seed=4))
+        if not r_m:  # the optional column is absent, so the block path pads it
+            text = "".join(row.rsplit(",", 1)[0] + "\n" for row in text.splitlines())
+        path = write(tmp_path, "s.csv", text)
+        assert parse_signals(path) == staged_parse_signals(path)
+        assert calls == {"open": 1, "_iter_records": 1}
+
     def test_a_doubted_jsonl_block_is_checked_row_by_row_from_its_start(
         self, monkeypatch, tmp_path
     ):
@@ -535,13 +551,14 @@ class TestBlockPath:
         lines[BLOCK + 7] = " " + lines[BLOCK + 7]
         path = write(tmp_path, "s.jsonl", "".join(lines))
         assert len(parse_signals(path)) == len(lines)
-        rest = lines[BLOCK:]
-        r_ms = sum('"r_m"' in line for line in rest)
+        doubted = lines[BLOCK : 2 * BLOCK]  # and no line after it
+        r_ms = sum('"r_m"' in line for line in doubted)
         assert calls == {
             "open": 1,
             "_iter_records": 1,
-            "_parse_unit_interval": 4 * len(rest) + r_ms,
-            "_parse_binary": len(rest),
+            "_as_string": BLOCK,
+            "_parse_unit_interval": 4 * BLOCK + r_ms,
+            "_parse_binary": BLOCK,
         }
 
     def test_an_integer_r_m_keeps_the_block_path_and_reads_as_a_float(
@@ -556,9 +573,9 @@ class TestBlockPath:
         assert (rows[3][-1], type(rows[3][-1])) == (0.0, float)
         assert calls == {"open": 1, "_iter_records": 1}
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @NEEDS_FD
     @pytest.mark.parametrize("bad", [False, True])
-    def test_a_pipe_takes_the_exact_path_alone(self, tmp_path, bad):
+    def test_a_pipe_takes_the_block_path(self, monkeypatch, tmp_path, bad):
         rows = _clean_rows(BLOCK + 5)
         if bad:
             rows[BLOCK + 1] = "s,nan,1,A"
@@ -569,6 +586,7 @@ class TestBlockPath:
         try:
             with os.fdopen(write_end, "w", encoding="utf-8") as fh:
                 fh.write(text)  # within the pipe's buffer
+            calls = self._count(monkeypatch)
             outcome = _outcome(parse_predictions, pipe)
         finally:
             os.close(read_end)
@@ -576,6 +594,52 @@ class TestBlockPath:
         if bad:
             expected = (expected[0], expected[1].replace(path, pipe), expected[2])
         assert outcome == expected
+        # The first block is vouched for; the second is checked row by row
+        # up to its bad row, the second one.
+        per_row = {"_as_string": 3, "_parse_unit_interval": 2, "_parse_binary": 1}
+        assert calls == {"open": 1, "_iter_records": 1, **(per_row if bad else {})}
+
+    @pytest.mark.parametrize("pipe", [False, pytest.param(True, marks=NEEDS_FD)],
+                             ids=["file", "pipe"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("kind", ["predictions", "signals"])
+    def test_each_input_is_read_once_and_only_a_doubted_block_row_by_row(
+        self, monkeypatch, tmp_path, kind, fmt, pipe
+    ):
+        # " 1" is a label or event the exact path takes and no block check does.
+        lines = _jsonl_lines(kind, 2 * BLOCK + 10, seed=4)
+        binary = {"predictions": "label", "signals": "remediation_event"}[kind]
+        lines[BLOCK + 3] = _line(kind, **{binary: " 1"})
+        text = _csv_text(kind, lines) if fmt == "csv" else "".join(lines)
+        path = write(tmp_path, f"p.{fmt}", text)
+        calls = self._count(monkeypatch)
+        counted_open, seen = deployassure.io.open, []
+        monkeypatch.setattr(
+            deployassure.io, "open", lambda *a, **k: _Lines(counted_open(*a, **k), seen)
+        )
+        parse = parse_signals if kind == "signals" else parse_predictions
+        if pipe:  # more than a pipe buffer, so it is fed as it is read
+            read_end, write_end = os.pipe()
+            writer = threading.Thread(target=_feed, args=(write_end, text))
+            writer.start()
+            try:
+                parsed = parse(f"/dev/fd/{read_end}")
+            finally:
+                writer.join(timeout=30)
+                os.close(read_end)
+            assert not writer.is_alive()
+        else:
+            parsed = parse(path)
+        assert len(parsed) == len(lines)
+        assert "".join(seen) == text  # every line read, and once
+        r_ms = sum('"r_m"' in line for line in lines[BLOCK : 2 * BLOCK])
+        per_row = {
+            "predictions": {"_as_string": 2 * BLOCK, "_parse_unit_interval": BLOCK},
+            "signals": {"_as_string": BLOCK, "_parse_unit_interval": 4 * BLOCK + r_ms},
+        }[kind]
+        assert calls == {
+            "open": 1, "_iter_records": 1, **per_row, "_parse_binary": BLOCK
+        }
 
     @staticmethod
     def _count(monkeypatch):
@@ -584,7 +648,7 @@ class TestBlockPath:
         for name, real in [
             ("open", open),
             *((n, getattr(module, n)) for n in
-              ("_iter_records", "_parse_unit_interval", "_parse_binary")),
+              ("_iter_records", "_as_string", "_parse_unit_interval", "_parse_binary")),
         ]:
             def counting(*args, _name=name, _real=real, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -592,6 +656,32 @@ class TestBlockPath:
 
             monkeypatch.setattr(module, name, counting, raising=False)
         return calls
+
+
+def _feed(fd, text):
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+class _Lines:
+    """A text file that puts each line it gives out into ``seen``."""
+
+    def __init__(self, fh, seen):
+        self.fh, self.seen = fh, seen
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self.fh)
+        self.seen.append(line)
+        return line
 
 
 # --- JSON-lines blocks against the per-line oracles ---------------------
@@ -624,6 +714,33 @@ def _line(kind, **changes):
     return json.dumps({k: v for k, v in record.items() if v is not ...}) + "\n"
 
 
+COLUMNS = {"signals": SIGNALS_COLUMNS + ("r_m",), "predictions": PREDICTIONS_COLUMNS}
+
+
+def _csv_text(kind, lines):
+    """A header, then each JSON line's record as a CSV row of JSON values.
+
+    A null or absent value is an empty cell. A line that is no JSON object
+    is kept as it is, and so is each line's ending.
+    """
+    out = io.StringIO()
+    out.write(",".join(COLUMNS[kind]) + "\n")
+    for line in lines:
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError):
+            record = None
+        if not isinstance(record, dict):
+            out.write(line)
+            continue
+        values = map(record.get, COLUMNS[kind])
+        cells = ["" if v is None else v if isinstance(v, str) else json.dumps(v)
+                 for v in values]
+        ending = line[len(line.rstrip("\r\n")):]
+        csv.writer(out, lineterminator=ending).writerow(cells)
+    return out.getvalue()
+
+
 def _parsed(parse, path):
     try:
         return "ok", parse(path)
@@ -641,9 +758,9 @@ ORACLES = {
 }
 
 
-def assert_blocks_as_oracle(tmp_path_factory, kind, data):
+def assert_blocks_as_oracle(tmp_path_factory, kind, data, suffix="jsonl"):
     """Same rows, or the same first error and row, as the per-line oracle."""
-    path = tmp_path_factory.mktemp("blocks") / f"{kind}.jsonl"
+    path = tmp_path_factory.mktemp("blocks") / f"{kind}.{suffix}"
     if isinstance(data, str):
         data = data.encode("utf-8")
     path.write_bytes(data)
@@ -735,6 +852,28 @@ class TestJsonBlocksAgainstOracles:
             with pytest.raises(EngineError, match="not UTF-8"):
                 list(rows)
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("kind", list(ORACLES))
+    def test_a_bad_row_before_a_non_utf8_byte_in_its_block(self, tmp_path, kind, fmt):
+        # Row 600 and the byte near row 1000 share the second block, but
+        # (with long ids) not the chunk the decoder fails on: so the bad row
+        # is the first error.
+        records = map(json.loads, _jsonl_lines(kind, 2 * BLOCK, seed=7))
+        id_key = COLUMNS[kind][0]
+        lines = [
+            json.dumps({**r, id_key: f"{i:060d}"}) + "\n" for i, r in enumerate(records)
+        ]
+        lines[599] = _line(kind, **{"fdi" if kind == "signals" else "score": 2.0})
+        if fmt == "csv":  # the header is row 1
+            lines = _csv_text(kind, lines[1:]).splitlines(keepends=True)
+        path = tmp_path / f"p.{fmt}"
+        head, tail = "".join(lines[:990]).encode(), "".join(lines[990:]).encode()
+        path.write_bytes(head + b'{"\xff": 1}\n' + tail)
+        parse, oracle = ORACLES[kind]
+        outcome = _parsed(parse, str(path))
+        assert outcome == _parsed(oracle, str(path))
+        assert outcome[::2] == (MalformedRowError, 600)
+
     @pytest.mark.parametrize(
         "changes",
         [dict(score=float("nan")), dict(label=True), dict(label="1"), dict(label=1.0),
@@ -785,6 +924,47 @@ class TestJsonBlocksAgainstOracles:
         if data.draw(st.booleans()):
             lines[-1] = lines[-1].rstrip("\n")
         event(assert_blocks_as_oracle(tmp_path_factory, kind, "".join(lines)))
+
+
+# CSV rows after the header, on which a doubted block must number its
+# rows from the line breaks in its cells, each with its first error's row.
+CSV_ROW_CASES = {
+    # The cell "A\n" holds a line break that no further line follows.
+    "unclosed-quote-at-the-end": ('s0,0.5,1,A\ns1,2.0,1,"A\n', 3),
+    "bad-label-then-two-blank-lines": (
+        "s0,0.5,1,A\ns1,0.5,1,A\ns2,0.5,1,A\ns3,0.5,2,A\n\n\n", 5
+    ),
+    "quoted-cr": ('"a\rb",0.5,1,A\ns1,0.5,1,"x\ry"\ns2,0.5,2,A\n', 6),
+    "quoted-crlf": ('"a\r\nb",0.5,1,A\r\ns1,0.5,1,"x\r\n\ry"\r\ns2,nan,1,A\r\n', 7),
+    "bad-row-then-field-over-the-limit": (
+        f"s0,0.5,1,A\ns1,0.5,2,A\ns2,0.5,1,{'A' * (csv.field_size_limit() + 1)}\n", 3
+    ),
+    "field-over-the-limit": (f"s0,0.5,1,{'A' * (csv.field_size_limit() + 1)}\n", 2),
+}
+
+
+class TestCsvRowsAgainstOracles:
+    """A doubted CSV block gives each record the physical row the oracle gives."""
+
+    @pytest.mark.parametrize("case", list(CSV_ROW_CASES))
+    @pytest.mark.parametrize("clean", [0, BLOCK + 3], ids=str)  # rows before it
+    def test_rows_of_a_doubted_block(self, tmp_path_factory, case, clean):
+        body, row = CSV_ROW_CASES[case]
+        text = "\n".join([HEADER, *_clean_rows(clean)]) + "\n" + body
+        path = tmp_path_factory.mktemp("rows") / "p.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        outcome = _outcome(parse_predictions, str(path))
+        assert outcome == _outcome(dictreader_parse_predictions, str(path))
+        assert outcome[::2] == (MalformedRowError, row + clean)
+
+    @pytest.mark.parametrize("name", list(SIGNAL_CORPUS))
+    @pytest.mark.parametrize("at", [0, BLOCK - 1, BLOCK, -1], ids=str)
+    def test_signal_corpus(self, tmp_path_factory, name, at):
+        lines = _jsonl_lines("signals", 2 * BLOCK + 10, seed=5)
+        at = len(lines) if at == -1 else at
+        lines[at:at] = SIGNAL_CORPUS[name]
+        text = _csv_text("signals", lines)
+        assert_blocks_as_oracle(tmp_path_factory, "signals", text, suffix="csv")
 
 
 def test_huge_json_integer_is_a_row_error(tmp_path):
