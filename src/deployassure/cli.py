@@ -37,12 +37,15 @@ from .evaluation import GAP_METRICS, check_threshold, compute_confusion, macro_m
 from .io import iter_signals, parse_predictions
 from .lifecycle import (
     DEFAULT_INITIAL_STATE,
+    _REAL,
     RulesConfig,
     _round4,
     csv_writer,
     fold_trace,
     format_real,
     json_bytes,
+    json_rows,
+    json_string,
 )
 from .stability import (
     assess_at_threshold,
@@ -184,8 +187,8 @@ def _scored(path: str, rules: RulesConfig) -> Iterator[tuple]:
     weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
     for snapshot_id, *signals, _, r_m in iter_signals(path):
         das = das_of(*signals, weights)
-        ges = ges_of(*signals, r_m, cuts).value
-        yield snapshot_id, (*signals, das), ges, band_of(das, bands).value
+        ges = ges_of(*signals, r_m, cuts)._value_
+        yield snapshot_id, (*signals, das), ges, band_of(das, bands)._value_
 
 
 def cmd_score(args: argparse.Namespace) -> bytes:
@@ -193,13 +196,13 @@ def cmd_score(args: argparse.Namespace) -> bytes:
     reals = ("fdi", "delta_fpr", "delta_fnr", "tsz", "das")
     columns = ("snapshot_id", *reals, "ges", "drc")
     if args.format == "json":
-        return json_bytes(
-            [],
-            (
-                dict(zip(columns, (sid, *map(_round4, values), ges, drc)))
-                for sid, values, ges, drc in scored
-            ),
+        shape = dict.fromkeys(columns, 0) | {"ges": "", "drc": ""}
+        cells = (  # in sorted-key order
+            (float(_REAL % das), float(_REAL % dfnr), float(_REAL % dfpr), drc,
+             float(_REAL % fdi), ges, json_string(sid), float(_REAL % tsz))
+            for sid, (fdi, dfpr, dfnr, tsz, das), ges, drc in scored
         )
+        return json_rows(shape, cells)
     rows = ((s, *map(format_real, values), ges, drc) for s, values, ges, drc in scored)
     return _csv_bytes(itertools.chain([columns], rows))
 

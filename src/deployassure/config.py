@@ -128,7 +128,7 @@ def load_config(path: str | None = None) -> EngineConfig:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        raw = json.loads(data.decode("utf-8"))
+        raw = json.loads(data.decode("utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
         raise ConfigInvalidError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

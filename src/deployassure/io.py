@@ -63,11 +63,12 @@ def _iter_records(
     so a value it refuses (nested too deep for it, or an integer past the
     int digit limit) is invalid JSON too.
 
-    A file that is not UTF-8 raises :class:`EngineError` with the file name
-    and no row (it is decoded in chunks), once the records before it are yielded.
+    A leading byte order mark is skipped. A file that is not UTF-8 raises
+    :class:`EngineError` with the file name and no row (it is decoded in
+    chunks), once the records before it are yielded.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             for row, line in enumerate(fh, 1):
                 if line.strip():
                     break

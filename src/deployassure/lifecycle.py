@@ -310,40 +310,42 @@ def _round4(value: float | None) -> float | None:
 
 
 _JSON = json.JSONEncoder(indent=2, sort_keys=True)
+json_string = json.encoder.encode_basestring_ascii  # a str as _JSON writes it
+_SLOT, _STRING_SLOT = re.compile(r": 0(?=,?\n)"), re.compile(r': ""(?=,?\n)')
 
 
-def json_bytes(payload: object, rows: Iterable[dict] | None = None) -> bytes:
-    """The engine's JSON output: sorted keys, 2-space indent, a final newline.
+def json_bytes(payload: object) -> bytes:
+    """The engine's JSON output: sorted keys, 2-space indent, a final newline."""
+    return (_JSON.encode(payload) + "\n").encode("utf-8")
 
-    With ``rows``, the text of ``payload`` must end in an empty array (the
-    payload itself, or its value under the key that sorts last), and the
-    row objects fill that array. Each row is encoded on its own into one
-    buffer, with the indent of its depth, so no row's object or encoder
-    chunks outlive its own text; the bytes are those of the payload with
-    the rows in it. A row of scalars goes through the C encoder: no encoded
-    value holds a raw newline, so its item separator can carry the indent.
+
+def _json_template(shape: dict, indent: str) -> str:
+    """``_JSON``'s text of ``shape`` as a ``%`` template, lines indented by ``indent``.
+
+    A value 0 becomes ``%s`` and a value "" becomes ``"%s"``. A string's
+    text holds no raw line break, so no string is taken for a placeholder.
     """
-    text = _JSON.encode(payload)
-    if rows is None:
-        return (text + "\n").encode("utf-8")
-    cut = text.rindex("[]")
-    head, tail = text[:cut], text[cut + 2 :]
-    # Each enclosing level closes on a line of its own after the array.
-    outer = "\n" + "  " * tail.count("\n")
-    indent, inner = outer + "  ", outer + "    "
-    flat = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode
+    text = _SLOT.sub(": %s", _JSON.encode(shape).replace("%", "%%"))
+    return _STRING_SLOT.sub(': "%s"', text).replace("\n", indent)
+
+
+def json_rows(
+    shape: dict, rows: Iterable[tuple], depth: int = 0, head: str = "", tail: str = "\n"
+) -> bytes:
+    """``head``, an array of row objects at nesting ``depth``, ``tail``, in UTF-8.
+
+    Each row fills one template of ``shape`` in ``_JSON``'s layout, with a
+    cell per key in sorted key order: its JSON text for a 0 value (a real as
+    its 4-decimal float), a string that needs no escape for a "" value.
+    """
+    indent = "\n" + "  " * depth
+    row = indent + "  " + _json_template(shape, indent + "  ")
     buffer = io.StringIO()
-    write = buffer.write
-    write(head + "[")
-    separator = indent
-    for row in rows:
-        if row and not any(isinstance(v, (dict, list, tuple)) for v in row.values()):
-            write(separator + "{" + inner + flat(row)[1:-1] + indent + "}")
-        else:
-            write(separator + _JSON.encode(row).replace("\n", indent))
-        separator = "," + indent
-    write("]" if separator is indent else outer + "]")
-    write(tail + "\n")
+    write, separator = buffer.write, head + "["
+    for cells in rows:
+        write(separator + row % cells)
+        separator = ","
+    write((indent if separator == "," else separator) + "]" + tail)
     return buffer.getvalue().encode("utf-8")
 
 
@@ -394,6 +396,13 @@ def _entry_row(entry: TraceEntry) -> tuple:
     )
 
 
+# A JSON trace, and its rows' shape: its enum values (TRACE_COLUMNS[6:9]) are
+# strings. A row's keys sit at depth 3, and so do the lines of its transition.
+_TRACE_JSON = _json_template({"config_fingerprint": 0, "entries": 0}, "\n") + "\n"
+_TRACE_HEAD, _TRACE_TAIL = _TRACE_JSON.rsplit("%s", 1)
+_TRACE_ROW = dict.fromkeys(TRACE_COLUMNS, 0) | dict.fromkeys(TRACE_COLUMNS[6:9], "")
+
+
 def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
     """Trace rows to CSV or JSON bytes; every row is read before any byte is out.
 
@@ -404,8 +413,10 @@ def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
     written straight into the buffer. The id is the only free-text cell:
     when it holds a character the csv module quotes (or NUL), the whole row
     goes through :func:`csv_writer`, so the csv module decides its quoting
-    on every Python version. Enum values are read from ``_value_``; the
-    ``value`` property costs ten times as much per read.
+    on every Python version. A JSON row fills one :func:`json_rows` template,
+    its transition one kept per states and reasons: the bytes of
+    ``json_bytes`` over the whole trace. Enum values are read from
+    ``_value_``; the ``value`` property costs ten times as much per read.
     """
     if format == "csv":
         buffer = io.StringIO()
@@ -431,30 +442,24 @@ def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
                 writer.writerow((sid, *cells.split(",")))
         return buffer.getvalue().encode("utf-8")
     if format == "json":
-        entries = (
-            {
-                "snapshot_id": sid,
-                "fdi": _round4(fdi),
-                "delta_fpr": _round4(dfpr),
-                "delta_fnr": _round4(dfnr),
-                "tsz": _round4(tsz),
-                "das": _round4(das),
-                "ges": ges.value,
-                "stateless_drc": drc.value,
-                "governed_state": state.value,
-                "transition": None
-                if t is None
-                else {
-                    "from_state": t[0].value,
-                    "to_state": t[1].value,
-                    "trigger_reasons": list(t[2]),
-                    "r_p": _round4(t[3]),
-                },
-                "r_p": _round4(r_p),
-            }
+        templates: dict[tuple, str] = {}
+
+        def transition(t: tuple) -> str:
+            if (template := templates.get(key := (t[0], t[1], *t[2]))) is None:
+                shape = {"from_state": t[0]._value_, "to_state": t[1]._value_}
+                shape.update(trigger_reasons=list(t[2]), r_p=0)
+                template = templates[key] = _json_template(shape, "\n" + "  " * 3)
+            return template % ("null" if t[3] is None else float(_REAL % t[3]))
+
+        cells = (  # in sorted-key order
+            (float(_REAL % das), float(_REAL % dfnr), float(_REAL % dfpr),
+             float(_REAL % fdi), ges._value_, state._value_,
+             "null" if r_p is None else float(_REAL % r_p), json_string(sid),
+             drc._value_, "null" if t is None else transition(t), float(_REAL % tsz))
             for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows
         )
-        return json_bytes({"config_fingerprint": fingerprint, "entries": []}, entries)
+        head = _TRACE_HEAD % _JSON.encode(fingerprint)
+        return json_rows(_TRACE_ROW, cells, 1, head, _TRACE_TAIL)
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
@@ -486,19 +491,9 @@ def _fold(
         r_m = _backfilled_r_m(event, r_m, r_p)
         drc = band_of(das, bands)
         new, reasons = _advance(current, drc, None, event, r_m, das, rules)
-        yield (
-            snapshot_id,
-            fdi,
-            dfpr,
-            dfnr,
-            tsz,
-            das,
-            ges_of(fdi, dfpr, dfnr, tsz, r_m, cuts),
-            drc,
-            new,
-            (current, new, reasons, r_p) if reasons else None,
-            r_p,
-        )
+        ges = ges_of(fdi, dfpr, dfnr, tsz, r_m, cuts)
+        transition = (current, new, reasons, r_p) if reasons else None
+        yield snapshot_id, fdi, dfpr, dfnr, tsz, das, ges, drc, new, transition, r_p
         current, prev_das = new, das
 
 

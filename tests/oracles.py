@@ -185,7 +185,7 @@ def _records(
 def _decoded_records(
     path: str, required: Sequence[str]
 ) -> Iterator[tuple[int, dict[str, Any]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         row = 0
         for line in fh:
             row += 1

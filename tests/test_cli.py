@@ -811,6 +811,71 @@ def test_json_the_decoder_refuses_is_a_row_error(capsys, tmp_path, command, line
     assert len(err.splitlines()) == 1
 
 
+# Commands per input kind. A spreadsheet's "CSV UTF-8" export, and some
+# JSON-lines writers, start the file with a UTF-8 byte order mark.
+BOM_COMMANDS = {
+    "predictions": [["evaluate", "--threshold", "0.5"], ["sweep"]],
+    "signals": [["score"], ["lifecycle"]],
+}
+
+
+def _bom_records(kind, n):
+    rng = random.Random(kind)
+    if kind == "predictions":
+        return [
+            {"sample_id": f"s{i}", "score": rng.randint(0, 1000) / 1000,
+             "label": rng.randint(0, 1), "subgroup": "AB"[i % 2]}
+            for i in range(n)
+        ]
+    keys = ("fdi", "delta_fpr", "delta_fnr", "tsz")
+    return [
+        {"snapshot_id": f"s{i}", **{k: rng.randint(0, 1000) / 1000 for k in keys},
+         "remediation_event": 0}
+        for i in range(n)
+    ]
+
+
+def _write_records(path, records, encoding):
+    if path.suffix == ".jsonl":
+        text = "".join(json.dumps(r) + "\n" for r in records)
+    else:
+        text = ",".join(records[0]) + "\n"
+        text += "".join(",".join(map(str, r.values())) + "\n" for r in records)
+    path.write_text(text, encoding=encoding)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("kind", list(BOM_COMMANDS))
+def test_a_leading_bom_is_skipped(capsys, tmp_path, kind, fmt):
+    records = _bom_records(kind, 600)  # more than one block
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"bom.{fmt}"
+    _write_records(plain, records, "utf-8")
+    _write_records(marked, records, "utf-8-sig")
+    assert marked.read_bytes()[3:] == plain.read_bytes()
+    for command in BOM_COMMANDS[kind]:
+        for output in FORMATS:
+            argv = [*command, "--format", output, f"--{kind}"]
+            expected = run(capsys, *argv, str(plain))
+            assert expected[0] == 0
+            assert run(capsys, *argv, str(marked)) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("kind", list(BOM_COMMANDS))
+def test_a_bad_row_after_a_bom_keeps_its_row(capsys, tmp_path, kind, fmt):
+    records = _bom_records(kind, 600)
+    records[3]["score" if kind == "predictions" else "tsz"] = 1.5
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"bom.{fmt}"
+    _write_records(plain, records, "utf-8")
+    _write_records(marked, records, "utf-8-sig")
+    argv = [*BOM_COMMANDS[kind][0], f"--{kind}"]
+    code, out, err = run(capsys, *argv, str(marked))
+    assert (code, out) == (1, "")
+    row = 4 if fmt == "jsonl" else 5  # the CSV header is row 1
+    assert err.startswith(f"error: {marked}: row {row}: ")
+    assert run(capsys, *argv, str(plain)) == (1, "", err.replace("bom.", "plain."))
+
+
 @pytest.mark.parametrize("command", ["evaluate", "sweep", "score", "lifecycle"])
 @pytest.mark.parametrize("jsonl", [False, True], ids=["csv-input", "jsonl-input"])
 def test_input_that_is_not_utf8_exits_one(capsys, tmp_path, command, jsonl):

@@ -73,6 +73,12 @@ class TestLoading:
         assert config.panel.mode == "verdict"
         assert config.panel.default_tolerance == 0.2
 
+    def test_a_leading_bom_is_skipped(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"hysteresis": 0.05}), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(str(path)).rules.hysteresis == 0.05
+
     def test_weights_not_summing_to_one_rejected(self, tmp_path):
         path = write_config(
             tmp_path,

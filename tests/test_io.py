@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import csv
+import gc
 import io
 import json
 import os
@@ -22,7 +24,7 @@ from deployassure import (
     parse_signals,
 )
 import deployassure.io
-from deployassure.io import PREDICTIONS_COLUMNS, SIGNALS_COLUMNS
+from deployassure.io import PREDICTIONS_COLUMNS, SIGNALS_COLUMNS, iter_signals
 from deployassure.lifecycle import format_real
 
 from oracles import dictreader_parse_predictions, staged_parse_signals
@@ -989,3 +991,51 @@ def test_csv_reader_error_is_a_row_error(tmp_path):
     with pytest.raises(MalformedRowError, match="invalid CSV") as excinfo:
         parse_predictions(path)
     assert excinfo.value.row == 3
+
+
+# --- Garbage collection on the block path ------------------------------
+
+
+@pytest.fixture
+def default_gc():
+    """CPython's default collector thresholds, whatever the process had."""
+    threshold, enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(700, 10, 10)
+    gc.enable()
+    yield
+    gc.set_threshold(*threshold)
+    if not enabled:
+        gc.disable()
+
+
+def _gen0_collections(read):
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    read()
+    return gc.get_stats()[0]["collections"] - before
+
+
+class TestBlockPathCollections:
+    """A clean read lets go of each block before checking the next one.
+
+    The block loop's speed hangs on that: checking a block while the one
+    before it is still held set off a gen-0 collection for nearly every
+    block (356 on 200k rows, against 3), and made the parse 15-20% slower.
+    """
+
+    ROWS = 40 * BLOCK
+
+    def test_clean_csv_predictions(self, default_gc, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join([HEADER, *_clean_rows(self.ROWS)]) + "\n")
+        count = _gen0_collections(lambda: parse_predictions(str(path)))
+        assert count <= self.ROWS // BLOCK // 8
+
+    def test_clean_jsonl_signals(self, default_gc, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text("".join(_jsonl_lines("signals", self.ROWS, seed=12)))
+
+        def read():  # each row is let go as it comes, as the lifecycle fold does
+            collections.deque(iter_signals(str(path)), maxlen=0)
+
+        assert _gen0_collections(read) <= self.ROWS // BLOCK // 8

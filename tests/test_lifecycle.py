@@ -37,7 +37,16 @@ from deployassure import (
     step,
 )
 from deployassure.cli import main
-from deployassure.lifecycle import json_bytes
+from deployassure.lifecycle import (
+    REASON_DAS_BAND,
+    REASON_FAILED_REMEDIATION,
+    REASON_FRAGILITY,
+    REASON_RECOVERY_GATED,
+    GovernanceTrace,
+    TraceEntry,
+    json_bytes,
+    json_rows,
+)
 
 import oracles
 from conftest import CSV_WRITES_NUL, REFERENCE_ROWS
@@ -516,20 +525,111 @@ json_values = st.recursive(
     | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=6,
 )
-json_rows = st.lists(st.dictionaries(st.text(), json_values, max_size=5), max_size=4)
+# Any key: one holding "%", '": 0' or '": ""' is no placeholder.
+json_keys = st.text(max_size=8) | st.sampled_from(["%", "%s", 'a": 0', 'b": ""'])
+
+
+@st.composite
+def json_tables(draw):
+    """A row shape, each row's cells as ``json_rows`` takes them, and the rows.
+
+    A ``0`` key's cell is its value's JSON text; a ``""`` key's is a string
+    that needs no escape.
+    """
+    keys = draw(st.lists(json_keys, min_size=1, max_size=5, unique=True))
+    plain = {k for k in keys if draw(st.booleans())}
+    shape = {k: "" if k in plain else 0 for k in keys}
+    rows = [
+        {
+            k: draw(st.text("ABCxyz_ ", max_size=6) if k in plain else json_scalars)
+            for k in keys
+        }
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    cells = [
+        tuple(r[k] if k in plain else json.dumps(r[k]) for k in sorted(keys))
+        for r in rows
+    ]
+    return shape, cells, rows
 
 
 class TestJsonRowsMatchWholeEncoding:
-    """Rows encoded one at a time give the bytes of the whole payload."""
+    """Rows written one at a time give the bytes of the whole payload."""
 
-    @given(rows=json_rows)
+    @given(table=json_tables())
     @settings(max_examples=200, deadline=None)
-    def test_top_level_array(self, rows):
-        assert json_bytes([], iter(rows)) == json_bytes(rows)
+    def test_top_level_array(self, table):
+        shape, cells, rows = table
+        assert json_rows(shape, iter(cells)) == json_bytes(rows)
 
-    @given(rows=json_rows, head=json_values)
+    @given(table=json_tables(), head=json_values)
     @settings(max_examples=200, deadline=None)
-    def test_array_under_the_last_key(self, rows, head):
-        payload = {"config_fingerprint": head, "entries": []}
-        whole = json_bytes({**payload, "entries": rows})
-        assert json_bytes(payload, iter(rows)) == whole
+    def test_array_under_the_last_key(self, table, head):
+        shape, cells, rows = table
+        # The text around the array is the encoder's, with the array empty.
+        around = json_bytes({"config_fingerprint": head, "entries": []}).decode()
+        before, after = around[: -len("[]\n}\n")], "\n}\n"
+        written = json_rows(shape, iter(cells), 1, before, after)
+        assert written == json_bytes({"config_fingerprint": head, "entries": rows})
+
+
+# Ids holding what a JSON string escapes: quotes, backslashes, control
+# characters, non-ASCII, and lone surrogates, which st.text() never draws.
+ESCAPED = ['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "\u2028", "\U0001f600"]
+surrogates = st.integers(0xD800, 0xDFFF).map(chr)
+json_ids = st.lists(
+    st.text(max_size=3) | st.sampled_from(ESCAPED + ["%", "%s"]) | surrogates,
+    max_size=4,
+).map("".join)
+# None, one that rounds to -0.0, and any other.
+r_ps = st.none() | st.just(-0.00004) | st.floats(-1, 1)
+units = st.floats(0, 1)
+REASONS = [REASON_DAS_BAND, REASON_FRAGILITY, REASON_RECOVERY_GATED]
+REASONS += [REASON_FAILED_REMEDIATION, 'a "r_p": 0, %s']
+
+
+@st.composite
+def trace_entries(draw):
+    """A hand-built trace entry: any states, any transition shape."""
+    signals = AssuranceSignals(*(draw(units) for _ in range(4)))
+    a = SnapshotAssessment(
+        draw(json_ids),
+        signals,
+        draw(units),
+        draw(st.sampled_from(D)),
+        draw(st.sampled_from(EscalationLevel)),
+        draw(r_ps),
+    )
+    transition = None
+    if draw(st.booleans()):
+        reasons = draw(st.lists(st.sampled_from(REASONS), min_size=1, max_size=3))
+        states = draw(st.tuples(st.sampled_from(D), st.sampled_from(D)))
+        transition = TransitionRecord(*states, tuple(reasons), draw(r_ps))
+    return TraceEntry(a, draw(st.sampled_from(D)), transition)
+
+
+class TestJsonRowsMatchJsonDumps:
+    """The row writer gives ``json.dumps(whole, indent=2, sort_keys=True)``."""
+
+    @given(entries=st.lists(trace_entries(), max_size=6), fingerprint=json_ids)
+    @settings(max_examples=200, deadline=None)
+    def test_trace_rows(self, entries, fingerprint):
+        trace = GovernanceTrace(tuple(entries), fingerprint)
+        assert emit_trace(trace, "json") == oracles.staged_emit_trace(trace, "json")
+
+    @given(
+        ids=st.lists(json_ids, min_size=1, max_size=6),
+        values=st.lists(st.tuples(units, units, units, units), min_size=6, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_score_rows(self, ids, values):
+        rows = [(sid, AssuranceSignals(*v)) for sid, v in zip(ids, values)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "signals.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                for sid, v in zip(ids, values):
+                    record = dict(zip(oracles.SIGNALS_COLUMNS, (sid, *v, 0)))
+                    fh.write(json.dumps(record) + "\n")
+            code, out, err = _run_cli(["score", "--signals", path, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == oracles.staged_score(rows, RulesConfig(), "json")
