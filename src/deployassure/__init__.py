@@ -19,13 +19,10 @@ from .assurance import (
     classify_drc,
     compute_das,
     compute_ges,
-    less_favorable,
     remediation_progression,
-    validate_weights,
 )
 from .config import EngineConfig, load_config
 from .disagreement import (
-    DEFAULT_PANEL_METRICS,
     DisparityPanel,
     FdiValue,
     PanelConfig,

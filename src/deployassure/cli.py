@@ -11,9 +11,10 @@ Commands:
 * ``lifecycle``: governed state trace over a signals file.
 * ``classify``:  readiness state for a single assurance score.
 
-Each command returns its whole output as UTF-8 bytes, and :func:`main`
-alone writes them to stdout, so nothing reaches stdout unless the
-command succeeds, and the bytes do not depend on the locale.
+Each command writes its whole output into a text buffer that :func:`main`
+hands it. :func:`main` alone encodes the buffer as UTF-8 and writes it to
+stdout, so nothing reaches stdout unless the command succeeds, and the
+bytes do not depend on the locale.
 
 Exit codes: 0 success, 1 validation error (including usage, and a value
 that CSV output cannot write), 2 I/O error.
@@ -24,11 +25,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import sys
 from dataclasses import replace
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .assurance import DeploymentState, band_of, classify_drc, das_of, ges_of
 from .config import load_config
@@ -37,15 +37,17 @@ from .evaluation import GAP_METRICS, check_threshold, compute_confusion, macro_m
 from .io import iter_signals, parse_predictions
 from .lifecycle import (
     DEFAULT_INITIAL_STATE,
+    TRACE_COLUMNS,
     _REAL,
     RulesConfig,
     _round4,
+    csv_rows,
     csv_writer,
     fold_trace,
     format_real,
-    json_bytes,
     json_rows,
     json_string,
+    json_text,
 )
 from .stability import (
     assess_at_threshold,
@@ -79,15 +81,6 @@ def _cell(value: float | None) -> str:
     return "" if value is None else format_real(value)
 
 
-def _csv_bytes(rows: Iterable[Sequence]) -> bytes:
-    """CSV rows as UTF-8 bytes, every row written before any byte is out."""
-    buffer = io.StringIO()
-    out = csv_writer(buffer)
-    for row in rows:
-        out.writerow(row)
-    return buffer.getvalue().encode("utf-8")
-
-
 def _parse_range(raw: str) -> tuple[float, float, float]:
     parts = raw.split(":")
     if len(parts) != 3:
@@ -100,7 +93,7 @@ def _parse_range(raw: str) -> tuple[float, float, float]:
     return t_min, t_max, step
 
 
-def cmd_evaluate(args: argparse.Namespace) -> bytes:
+def cmd_evaluate(args: argparse.Namespace, out: TextIO) -> None:
     panel_config = load_config(args.config).panel
     check_threshold(args.threshold)
     predictions = parse_predictions(args.predictions)
@@ -116,7 +109,7 @@ def cmd_evaluate(args: argparse.Namespace) -> bytes:
     ]
     means = {r: macro_mean(rates, r) for r in ("fpr", "fnr")}
     if args.format == "json":
-        return json_bytes(
+        out.write(json_text(
             {
                 "threshold": args.threshold,
                 "subgroups": {
@@ -129,7 +122,8 @@ def cmd_evaluate(args: argparse.Namespace) -> bytes:
                 "fdi": _round4(fdi.value),
                 "fdi_mode": fdi.mode,
             }
-        )
+        ))
+        return
 
     rows = [("subgroup", *counts, *rate_names)]
     rows += ((g, *n, *map(_cell, r)) for g, n, r in table)
@@ -140,10 +134,12 @@ def cmd_evaluate(args: argparse.Namespace) -> bytes:
         *((metric, format_real(gaps.value(metric))) for metric in GAP_METRICS),
         ("fdi", format_real(fdi.value)),
     ]
-    return _csv_bytes(rows)
+    writerow = csv_writer(out).writerow
+    for row in rows:
+        writerow(row)
 
 
-def cmd_sweep(args: argparse.Namespace) -> bytes:
+def cmd_sweep(args: argparse.Namespace, out: TextIO) -> None:
     config = load_config(args.config)
     if args.range is not None:
         t_min, t_max, step = _parse_range(args.range)
@@ -163,7 +159,7 @@ def cmd_sweep(args: argparse.Namespace) -> bytes:
     tsz, aggregation, s_ref = scalar.value, scalar.aggregation, scalar.s_ref
     harshest = worst_zone(sens).value
     if args.format == "json":
-        return json_bytes(
+        out.write(json_text(
             {
                 "points": [
                     dict(zip(columns, (*map(_round4, reals), zone)))
@@ -171,7 +167,8 @@ def cmd_sweep(args: argparse.Namespace) -> bytes:
                 ],
                 **dict(zip(metrics, (_round4(tsz), aggregation, s_ref, harshest))),
             }
-        )
+        ))
+        return
 
     rows = [columns, *((*map(format_real, reals), zone) for *reals, zone in table)]
     rows += [
@@ -179,45 +176,47 @@ def cmd_sweep(args: argparse.Namespace) -> bytes:
         ("metric", "value"),
         *zip(metrics, (format_real(tsz), aggregation, format_real(s_ref), harshest)),
     ]
-    return _csv_bytes(rows)
+    writerow = csv_writer(out).writerow
+    for row in rows:
+        writerow(row)
 
 
 def _scored(path: str, rules: RulesConfig) -> Iterator[tuple]:
-    """Score each signals row on its own: GES reads r_m, never backfilled."""
+    """Flat ``score`` rows; GES reads each row's own r_m, never backfilled."""
     weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
-    for snapshot_id, *signals, _, r_m in iter_signals(path):
-        das = das_of(*signals, weights)
-        ges = ges_of(*signals, r_m, cuts)._value_
-        yield snapshot_id, (*signals, das), ges, band_of(das, bands)._value_
+    for sid, fdi, dfpr, dfnr, tsz, _, r_m in iter_signals(path):
+        das = das_of(fdi, dfpr, dfnr, tsz, weights)
+        ges = ges_of(fdi, dfpr, dfnr, tsz, r_m, cuts)._value_
+        yield sid, fdi, dfpr, dfnr, tsz, das, ges, band_of(das, bands)._value_
 
 
-def cmd_score(args: argparse.Namespace) -> bytes:
-    scored = _scored(args.signals, load_config(args.config).rules)
-    reals = ("fdi", "delta_fpr", "delta_fnr", "tsz", "das")
-    columns = ("snapshot_id", *reals, "ges", "drc")
+def cmd_score(args: argparse.Namespace, out: TextIO) -> None:
+    rows = _scored(args.signals, load_config(args.config).rules)
+    columns = (*TRACE_COLUMNS[:7], "drc")
     if args.format == "json":
         shape = dict.fromkeys(columns, 0) | {"ges": "", "drc": ""}
         cells = (  # in sorted-key order
             (float(_REAL % das), float(_REAL % dfnr), float(_REAL % dfpr), drc,
              float(_REAL % fdi), ges, json_string(sid), float(_REAL % tsz))
-            for sid, (fdi, dfpr, dfnr, tsz, das), ges, drc in scored
+            for sid, fdi, dfpr, dfnr, tsz, das, ges, drc in rows
         )
-        return json_rows(shape, cells)
-    rows = ((s, *map(format_real, values), ges, drc) for s, values, ges, drc in scored)
-    return _csv_bytes(itertools.chain([columns], rows))
+        json_rows(out, shape, cells)
+    else:  # five reals, then GES and the DRC
+        template = ",".join([_REAL] * 5 + ["%s"] * 2)
+        csv_rows(out, columns, ((row[0], template % row[1:]) for row in rows))
 
 
-def cmd_lifecycle(args: argparse.Namespace) -> bytes:
+def cmd_lifecycle(args: argparse.Namespace, out: TextIO) -> None:
     rules = load_config(args.config).rules
     if args.gating is not None:
         rules = replace(rules, recovery_gating=args.gating == "on")
     records = iter_signals(args.signals)
-    return fold_trace(records, DeploymentState(args.initial), rules, args.format)
+    fold_trace(out, records, DeploymentState(args.initial), rules, args.format)
 
 
-def cmd_classify(args: argparse.Namespace) -> bytes:
+def cmd_classify(args: argparse.Namespace, out: TextIO) -> None:
     state = classify_drc(args.das, load_config(args.config).rules.bands)
-    return f"{state.value}\n".encode("utf-8")
+    out.write(f"{state.value}\n")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -281,16 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = io.StringIO()
     try:
-        output = args.handler(args)
+        args.handler(args, out)
+        output = out.getvalue().encode("utf-8")
         # A text-only stdout (a StringIO, say) has no buffer; it takes the text.
         stream = getattr(sys.stdout, "buffer", None)
         if stream is None:
-            sys.stdout.write(output.decode("utf-8"))
-            sys.stdout.flush()
-        else:
-            stream.write(output)
-            stream.flush()
+            stream, output = sys.stdout, output.decode("utf-8")
+        stream.write(output)
+        stream.flush()
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -314,9 +314,9 @@ json_string = json.encoder.encode_basestring_ascii  # a str as _JSON writes it
 _SLOT, _STRING_SLOT = re.compile(r": 0(?=,?\n)"), re.compile(r': ""(?=,?\n)')
 
 
-def json_bytes(payload: object) -> bytes:
+def json_text(payload: object) -> str:
     """The engine's JSON output: sorted keys, 2-space indent, a final newline."""
-    return (_JSON.encode(payload) + "\n").encode("utf-8")
+    return _JSON.encode(payload) + "\n"
 
 
 def _json_template(shape: dict, indent: str) -> str:
@@ -330,9 +330,9 @@ def _json_template(shape: dict, indent: str) -> str:
 
 
 def json_rows(
-    shape: dict, rows: Iterable[tuple], depth: int = 0, head: str = "", tail: str = "\n"
-) -> bytes:
-    """``head``, an array of row objects at nesting ``depth``, ``tail``, in UTF-8.
+    out: TextIO, shape: dict, rows: Iterable[tuple], depth=0, head="", tail="\n"
+) -> None:
+    """Write ``head``, an array of row objects at nesting ``depth``, ``tail``.
 
     Each row fills one template of ``shape`` in ``_JSON``'s layout, with a
     cell per key in sorted key order: its JSON text for a 0 value (a real as
@@ -340,13 +340,11 @@ def json_rows(
     """
     indent = "\n" + "  " * depth
     row = indent + "  " + _json_template(shape, indent + "  ")
-    buffer = io.StringIO()
-    write, separator = buffer.write, head + "["
+    write, separator = out.write, head + "["
     for cells in rows:
         write(separator + row % cells)
         separator = ","
     write((indent if separator == "," else separator) + "]" + tail)
-    return buffer.getvalue().encode("utf-8")
 
 
 class _LineFeedRows:
@@ -370,6 +368,25 @@ def csv_writer(stream: TextIO) -> Any:
     over one whole row per ``write`` call.
     """
     return csv.writer(_LineFeedRows(stream))
+
+
+def csv_rows(out: TextIO, columns: Sequence[str], rows: Iterable[tuple]) -> None:
+    """Write a CSV header, then each ``(id, cells)`` row as ``id,cells``.
+
+    ``cells`` is the row's text after its id, a filled ``%`` template, and
+    holds no character the csv module quotes. The id is the only free-text
+    cell: when it holds one (or NUL), the whole row goes through
+    :func:`csv_writer`, so the csv module decides its quoting on every
+    Python version.
+    """
+    writer = csv_writer(out)
+    writer.writerow(columns)
+    write, needs_quoting = out.write, _CSV_TRIGGERS.search
+    for sid, cells in rows:
+        if needs_quoting(sid) is None:
+            write(f"{sid},{cells}\n")
+        else:
+            writer.writerow((sid, *cells.split(",")))
 
 
 def _transition_cell(transition: tuple | None) -> str:
@@ -403,45 +420,28 @@ _TRACE_HEAD, _TRACE_TAIL = _TRACE_JSON.rsplit("%s", 1)
 _TRACE_ROW = dict.fromkeys(TRACE_COLUMNS, 0) | dict.fromkeys(TRACE_COLUMNS[6:9], "")
 
 
-def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
-    """Trace rows to CSV or JSON bytes; every row is read before any byte is out.
+def _serialise(
+    out: TextIO, rows: Iterable[tuple], format: str, fingerprint: str
+) -> None:
+    """Write trace rows into ``out`` as CSV or JSON.
 
     A trace row holds the TRACE_COLUMNS values unformatted, in that order;
     its transition is None or (from_state, to_state, trigger_reasons, r_p).
 
-    A CSV row is one ``%`` template over the cells after the snapshot id,
-    written straight into the buffer. The id is the only free-text cell:
-    when it holds a character the csv module quotes (or NUL), the whole row
-    goes through :func:`csv_writer`, so the csv module decides its quoting
-    on every Python version. A JSON row fills one :func:`json_rows` template,
-    its transition one kept per states and reasons: the bytes of
-    ``json_bytes`` over the whole trace. Enum values are read from
-    ``_value_``; the ``value`` property costs ten times as much per read.
+    A CSV row fills one ``%`` template and goes through :func:`csv_rows`. A
+    JSON row fills one :func:`json_rows` template, its transition one kept
+    per states and reasons: the text of ``json_text`` over the whole trace.
+    Enum values are read from ``_value_``; the ``value`` property costs ten
+    times as much per read.
     """
     if format == "csv":
-        buffer = io.StringIO()
-        writer = csv_writer(buffer)
-        writer.writerow(TRACE_COLUMNS)
-        write, needs_quoting = buffer.write, _CSV_TRIGGERS.search
-        for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows:
-            cells = _TRACE_CELLS % (
-                fdi,
-                dfpr,
-                dfnr,
-                tsz,
-                das,
-                ges._value_,
-                drc._value_,
-                state._value_,
-                _transition_cell(t),
-                "" if r_p is None else _REAL % r_p,
-            )
-            if needs_quoting(sid) is None:
-                write(f"{sid},{cells}\n")
-            else:
-                writer.writerow((sid, *cells.split(",")))
-        return buffer.getvalue().encode("utf-8")
-    if format == "json":
+        cells = (
+            (sid, _TRACE_CELLS % (fdi, dfpr, dfnr, tsz, das, ges._value_, drc._value_,
+             state._value_, _transition_cell(t), "" if r_p is None else _REAL % r_p))
+            for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows
+        )
+        csv_rows(out, TRACE_COLUMNS, cells)
+    elif format == "json":
         templates: dict[tuple, str] = {}
 
         def transition(t: tuple) -> str:
@@ -459,8 +459,9 @@ def _serialise(rows: Iterable[tuple], format: str, fingerprint: str) -> bytes:
             for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows
         )
         head = _TRACE_HEAD % _JSON.encode(fingerprint)
-        return json_rows(_TRACE_ROW, cells, 1, head, _TRACE_TAIL)
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+        json_rows(out, _TRACE_ROW, cells, 1, head, _TRACE_TAIL)
+    else:
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
 def emit_trace(trace: GovernanceTrace, format: str = "csv") -> bytes:
@@ -469,7 +470,9 @@ def emit_trace(trace: GovernanceTrace, format: str = "csv") -> bytes:
     The CSV column order is fixed; reals carry 4 decimal places. Repeated
     serialisation of the same trace is byte-identical.
     """
-    return _serialise(map(_entry_row, trace.entries), format, trace.config_fingerprint)
+    out = io.StringIO()
+    _serialise(out, map(_entry_row, trace.entries), format, trace.config_fingerprint)
+    return out.getvalue().encode("utf-8")
 
 
 def _fold(
@@ -498,16 +501,14 @@ def _fold(
 
 
 def fold_trace(
-    records: Iterable[tuple],
-    initial_state: DeploymentState,
-    rules: RulesConfig,
-    format: str,
-) -> bytes:
-    """Trace bytes for validated signal rows, as :func:`emit_trace` writes them.
+    out: TextIO, records: Iterable[tuple], initial_state: DeploymentState,
+    rules: RulesConfig, format: str
+) -> None:
+    """Write the trace of validated signal rows into ``out``, as :func:`emit_trace`.
 
-    ``records`` are ``io.iter_signals`` rows. The result equals the staged
-    ``emit_trace(replay(build_assessments(...)))`` path; a row error
-    surfaces before any byte is returned.
+    ``records`` are ``io.iter_signals`` rows. The text equals the staged
+    ``emit_trace(replay(build_assessments(...)))`` path; a row error is
+    raised with part of the trace written.
     """
     fingerprint = rules.fingerprint() if format == "json" else ""  # CSV prints none
-    return _serialise(_fold(records, initial_state, rules), format, fingerprint)
+    _serialise(out, _fold(records, initial_state, rules), format, fingerprint)

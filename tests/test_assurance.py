@@ -21,9 +21,8 @@ from deployassure import (
     compute_das,
     compute_ges,
     remediation_progression,
-    validate_weights,
 )
-from deployassure.assurance import BY_FAVORABILITY
+from deployassure.assurance import BY_FAVORABILITY, validate_weights
 
 unit = st.floats(0, 1)
 

@@ -697,13 +697,14 @@ def test_signals_commands_build_no_per_row_objects(
     assert replaced
 
 
+@pytest.mark.parametrize("command", ["lifecycle", "score"])
 def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
-    monkeypatch, capsys, tmp_path
+    monkeypatch, capsys, tmp_path, command
 ):
-    # Counts, not timings: the csv writer writes the header and the rows
-    # whose id it must quote. json.loads decodes each block of clean lines
-    # once; only the lines of a block the block checks doubt are decoded one
-    # at a time.
+    # Counts, not timings: in both commands the csv writer writes the header
+    # and the rows whose id it must quote. json.loads decodes each block of
+    # clean lines once; only the lines of a block the block checks doubt are
+    # decoded one at a time.
     written, loaded = [], []
     real_write, real_loads = deployassure.lifecycle._LineFeedRows.write, json.loads
 
@@ -720,7 +721,7 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
     signals = {"fdi": 0.1, "delta_fpr": 0.2, "delta_fnr": 0.3, "tsz": 0.4}
     path = tmp_path / "signals.jsonl"
 
-    def lifecycle(snapshot_ids, padded=()):
+    def signals_command(snapshot_ids, padded=()):
         records = (
             {"snapshot_id": s, **signals, "remediation_event": 0} for s in snapshot_ids
         )
@@ -730,25 +731,25 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
         path.write_text("".join(lines), encoding="utf-8")
         for counts in (written, loaded):
             counts.clear()
-        code, out, err = run(capsys, "lifecycle", "--signals", str(path))
+        code, out, err = run(capsys, command, "--signals", str(path))
         assert (code, err) == (0, "")
         assert len(list(csv.reader(io.StringIO(out)))) == 1 + len(snapshot_ids)
 
     block = deployassure.io._BLOCK_ROWS
     many = [f"s{i}" for i in range(2 * block + 10)]
-    lifecycle(["s0", "s1", "s2"])
+    signals_command(["s0", "s1", "s2"])
     assert (len(written), len(loaded)) == (1, 1)
-    lifecycle(many)
+    signals_command(many)
     assert (len(written), len(loaded)) == (1, 3)
     assert all(text.startswith("[") for text in loaded)
     # A padded line in the second block: the first and third blocks are
     # decoded whole, and each line of the second on its own.
-    lifecycle(many, padded={block + 5})
+    signals_command(many, padded={block + 5})
     assert len(loaded) == 2 + block
     assert [text[0] for text in loaded] == ["[", *"{" * 5, " ", *"{" * (block - 6), "["]
     # The patches are live: quoted ids go through the csv writer, and
     # padded lines through json.loads.
-    lifecycle(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], padded=range(6))
+    signals_command(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], padded=range(6))
     assert (len(written), len(loaded)) == (5, 6)
 
 

@@ -13,7 +13,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deployassure import (
@@ -44,8 +44,8 @@ from deployassure.lifecycle import (
     REASON_RECOVERY_GATED,
     GovernanceTrace,
     TraceEntry,
-    json_bytes,
     json_rows,
+    json_text,
 )
 
 import oracles
@@ -553,34 +553,45 @@ def json_tables(draw):
     return shape, cells, rows
 
 
+def _json_rows(*args) -> str:
+    out = io.StringIO()
+    json_rows(out, *args)
+    return out.getvalue()
+
+
 class TestJsonRowsMatchWholeEncoding:
-    """Rows written one at a time give the bytes of the whole payload."""
+    """Rows written one at a time give the text of the whole payload."""
 
     @given(table=json_tables())
     @settings(max_examples=200, deadline=None)
     def test_top_level_array(self, table):
         shape, cells, rows = table
-        assert json_rows(shape, iter(cells)) == json_bytes(rows)
+        assert _json_rows(shape, iter(cells)) == json_text(rows)
 
     @given(table=json_tables(), head=json_values)
     @settings(max_examples=200, deadline=None)
     def test_array_under_the_last_key(self, table, head):
         shape, cells, rows = table
         # The text around the array is the encoder's, with the array empty.
-        around = json_bytes({"config_fingerprint": head, "entries": []}).decode()
+        around = json_text({"config_fingerprint": head, "entries": []})
         before, after = around[: -len("[]\n}\n")], "\n}\n"
-        written = json_rows(shape, iter(cells), 1, before, after)
-        assert written == json_bytes({"config_fingerprint": head, "entries": rows})
+        written = _json_rows(shape, iter(cells), 1, before, after)
+        assert written == json_text({"config_fingerprint": head, "entries": rows})
 
 
 # Ids holding what a JSON string escapes: quotes, backslashes, control
-# characters, non-ASCII, and lone surrogates, which st.text() never draws.
+# characters, non-ASCII, and lone surrogates, which st.text() never draws;
+# and what a CSV cell quotes.
 ESCAPED = ['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "\u2028", "\U0001f600"]
 surrogates = st.integers(0xD800, 0xDFFF).map(chr)
-json_ids = st.lists(
-    st.text(max_size=3) | st.sampled_from(ESCAPED + ["%", "%s"]) | surrogates,
-    max_size=4,
-).map("".join)
+pieces = (
+    st.text(max_size=3)
+    | st.sampled_from(ESCAPED + ["%", "%s"])
+    | st.sampled_from([",", '"', "\r", "\n"])
+)
+json_ids = st.lists(pieces | surrogates, max_size=4).map("".join)
+# Ids that UTF-8 can encode, so that CSV output can hold them.
+text_ids = st.lists(pieces, max_size=4).map("".join)
 # None, one that rounds to -0.0, and any other.
 r_ps = st.none() | st.just(-0.00004) | st.floats(-1, 1)
 units = st.floats(0, 1)
@@ -617,19 +628,31 @@ class TestJsonRowsMatchJsonDumps:
         trace = GovernanceTrace(tuple(entries), fingerprint)
         assert emit_trace(trace, "json") == oracles.staged_emit_trace(trace, "json")
 
+    @pytest.mark.parametrize("output", ["csv", "json"])
     @given(
-        ids=st.lists(json_ids, min_size=1, max_size=6),
+        ids=st.lists(text_ids | json_ids, min_size=1, max_size=6),
         values=st.lists(st.tuples(units, units, units, units), min_size=6, max_size=6),
     )
+    @example(ids=["a,b", 'q"', "x\ry", "x\ny", "é"], values=[(0.5,) * 4] * 6)
     @settings(max_examples=100, deadline=None)
-    def test_score_rows(self, ids, values):
-        rows = [(sid, AssuranceSignals(*v)) for sid, v in zip(ids, values)]
+    def test_score_rows(self, output, ids, values):
+        # What the file gives back: JSON joins an escaped surrogate pair.
+        read = [json.loads(json.dumps(sid)) for sid in ids]
+        rows = [(sid, AssuranceSignals(*v)) for sid, v in zip(read, values)]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "signals.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
                 for sid, v in zip(ids, values):
                     record = dict(zip(oracles.SIGNALS_COLUMNS, (sid, *v, 0)))
                     fh.write(json.dumps(record) + "\n")
-            code, out, err = _run_cli(["score", "--signals", path, "--format", "json"])
+            code, out, err = _run_cli(["score", "--signals", path, "--format", output])
+        try:
+            expected = oracles.staged_score(rows, RulesConfig(), output)
+        except (csv.Error, UnicodeEncodeError):
+            # A lone surrogate, or a NUL on Python 3.10, in a CSV cell.
+            assert output == "csv" and (code, out) == (1, b"")
+            assert err.startswith("error: cannot write CSV output: ")
+            assert len(err.splitlines()) == 1
+            return
         assert (code, err) == (0, "")
-        assert out == oracles.staged_score(rows, RulesConfig(), "json")
+        assert out == expected
