@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -23,6 +22,7 @@ from .errors import (
     NegativeWeightError,
     WeightSumError,
 )
+from .record import Record
 from .stability import ZoneLabel
 
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -72,8 +72,7 @@ for _rank, _level in enumerate(_LEVEL_BY_SEVERITY):
     _level.severity = _rank
 
 
-@dataclass(frozen=True)
-class AssuranceSignals:
+class AssuranceSignals(Record):
     """The four instability signals feeding the assurance score.
 
     ``r_m`` is the effectiveness of the most recent remediation (its
@@ -100,8 +99,7 @@ class AssuranceSignals:
                 raise ValueError(OUT_OF_RANGE.format("r_m", *R_M_RANGE, self.r_m))
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """DAS weights; construction checks the simplex (see validate_weights)."""
 
     alpha: float
@@ -134,8 +132,7 @@ def validate_weights(weights: WeightVector) -> None:
 DEFAULT_WEIGHTS = WeightVector(0.25, 0.25, 0.25, 0.25)
 
 
-@dataclass(frozen=True)
-class DrcBands:
+class DrcBands(Record):
     """Lower score boundaries of the four non-blocked readiness states."""
 
     b_deployable: float = 0.85
@@ -229,8 +226,7 @@ def fragility_cap(
     return state
 
 
-@dataclass(frozen=True)
-class GesThresholds:
+class GesThresholds(Record):
     """Per-signal severity cut points (three ascending cuts per signal)."""
 
     fdi: tuple[float, float, float] = (0.25, 0.50, 0.75)

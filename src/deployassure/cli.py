@@ -26,7 +26,6 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import replace
 from operator import attrgetter
 from typing import Iterator, Sequence, TextIO
 
@@ -49,6 +48,7 @@ from .lifecycle import (
     json_string,
     json_text,
 )
+from .record import replace
 from .stability import (
     assess_at_threshold,
     check_sweep_range,

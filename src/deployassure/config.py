@@ -10,14 +10,13 @@ unknown keys are rejected, and each value is checked by its owning type.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .assurance import DrcBands, GesThresholds, WeightVector
 from .disagreement import PanelConfig
 from .errors import ConfigInvalidError, DomainError, EngineError
-from .fingerprint import canonical_fingerprint
 from .lifecycle import RulesConfig
+from .record import Record, canonical_fingerprint
 from .stability import (
     DEFAULT_S_REF,
     DEFAULT_SWEEP_STEP,
@@ -30,8 +29,7 @@ from .stability import (
 )
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record):
     """Fully validated engine configuration.
 
     ``rules`` drives scoring and replay, ``panel`` the FDI; the other

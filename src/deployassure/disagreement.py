@@ -9,11 +9,11 @@ in [0, 1] and equal 0 exactly when the panel fully agrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigInvalidError, InsufficientPanelError, MissingToleranceError
 from .evaluation import DEFAULT_MIN_SUPPORT, GAP_METRICS, DisparityGaps
+from .record import Record
 
 MODE_CONTINUOUS = "continuous"
 MODE_VERDICT = "verdict"
@@ -23,22 +23,19 @@ DEFAULT_PANEL_METRICS = tuple(GAP_METRICS)
 DEFAULT_VERDICT_TOLERANCE = 0.1
 
 
-@dataclass(frozen=True)
-class DisparityPanel:
+class DisparityPanel(Record):
     """Named disparities in [0, 1], with optional per-metric tolerances."""
 
     entries: tuple[tuple[str, float], ...]
     tolerances: Mapping[str, float] | None = None
 
 
-@dataclass(frozen=True)
-class FdiValue:
+class FdiValue(Record):
     value: float
     mode: str
 
 
-@dataclass(frozen=True)
-class PanelConfig:
+class PanelConfig(Record):
     """Recipe for evaluating a disagreement index from raw samples.
 
     Errors name the config-file key that sets the field: ``panel_metrics``,

@@ -10,7 +10,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     InsufficientSubgroupsError,
     MalformedSampleError,
 )
+from .record import Record
 
 DEFAULT_MIN_SUPPORT = 30
 
@@ -34,8 +34,7 @@ GAP_METRICS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Record):
     """One scored, labelled, subgroup-annotated prediction."""
 
     sample_id: str
@@ -44,8 +43,7 @@ class Sample:
     subgroup: str
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(Record):
     tp: int = 0
     fp: int = 0
     tn: int = 0
@@ -61,8 +59,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class RatePanel:
+class RatePanel(Record):
     """Rates for one subgroup; ``None`` marks a zero-denominator rate.
 
     ``fpr`` is defined iff the subgroup has negatives, ``fnr``/``tpr`` iff
@@ -76,8 +73,7 @@ class RatePanel:
     selection_rate: float | None
 
 
-@dataclass(frozen=True)
-class DisparityGaps:
+class DisparityGaps(Record):
     """Max-minus-min spread of each rate across eligible subgroups.
 
     ``excluded_subgroups`` records, per excluded subgroup, why it was left

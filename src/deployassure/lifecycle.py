@@ -27,7 +27,6 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .assurance import (
@@ -51,7 +50,7 @@ from .assurance import (
     remediation_progression,
 )
 from .errors import ConfigInvalidError, EmptySequenceError
-from .fingerprint import canonical_fingerprint
+from .record import Record, canonical_fingerprint, replace
 from .stability import ZoneLabel
 
 REASON_DAS_BAND = "das_band_change"
@@ -77,8 +76,7 @@ TRACE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RulesConfig:
+class RulesConfig(Record):
     """Scoring and replay inputs: bands, gating, hysteresis, weights, GES cuts."""
 
     bands: DrcBands = DEFAULT_BANDS
@@ -97,8 +95,7 @@ class RulesConfig:
         return canonical_fingerprint(self)
 
 
-@dataclass(frozen=True)
-class SnapshotAssessment:
+class SnapshotAssessment(Record):
     """One snapshot's signals plus its derived scores and classifications."""
 
     snapshot_id: str
@@ -109,8 +106,7 @@ class SnapshotAssessment:
     r_p: float | None = None
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(Record):
     from_state: DeploymentState
     to_state: DeploymentState
     trigger_reasons: tuple[str, ...]
@@ -121,15 +117,13 @@ class TransitionRecord:
             raise ValueError("a state change requires at least one trigger reason")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(Record):
     assessment: SnapshotAssessment
     governed_state: DeploymentState
     transition: TransitionRecord | None
 
 
-@dataclass(frozen=True)
-class GovernanceTrace:
+class GovernanceTrace(Record):
     entries: tuple[TraceEntry, ...]
     config_fingerprint: str
 
@@ -482,7 +476,7 @@ def _fold(
 
     Per row: DAS, the stateless DRC, ``r_p`` and the ``r_m`` backfill,
     GES, then the transition; the same rules :func:`build_assessments`
-    and :func:`replay` apply, with no dataclass built per row. A file has
+    and :func:`replay` apply, with no record built per row. A file has
     no ``worst_zone``, so no fragility cap applies.
     """
     weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -37,6 +36,7 @@ from .evaluation import (
     compute_rates,
     subgroup_sizes,
 )
+from .record import Record
 
 DEFAULT_SWEEP_T_MIN = 0.20
 DEFAULT_SWEEP_T_MAX = 0.90
@@ -67,8 +67,7 @@ for _rank, _zone in enumerate(_ZONE_BY_SEVERITY):
     _zone.severity = _rank
 
 
-@dataclass(frozen=True)
-class ZoneConfig:
+class ZoneConfig(Record):
     """Zone boundaries, in disagreement-per-unit-threshold units."""
 
     z1: float = 0.25
@@ -87,8 +86,7 @@ class ZoneConfig:
 DEFAULT_ZONES = ZoneConfig()
 
 
-@dataclass(frozen=True)
-class FdiProfile:
+class FdiProfile(Record):
     """Disagreement index on a uniform threshold grid of step ``h``."""
 
     points: tuple[tuple[float, float], ...]
@@ -119,20 +117,17 @@ class FdiProfile:
         return tuple(f for _, f in self.points)
 
 
-@dataclass(frozen=True)
-class SensitivityPoint:
+class SensitivityPoint(Record):
     threshold: float
     s: float
     zone: ZoneLabel
 
 
-@dataclass(frozen=True)
-class SensitivityProfile:
+class SensitivityProfile(Record):
     points: tuple[SensitivityPoint, ...]
 
 
-@dataclass(frozen=True)
-class TszScalar:
+class TszScalar(Record):
     """Normalised [0, 1] summary of a sensitivity profile."""
 
     value: float

@@ -19,15 +19,20 @@ and emission, with its own DAS, DRC and GES rules. Its one change is the
 DAS clamp, which fixed a perfect snapshot exiting 1 under simplex weights
 whose float sum exceeds 1. ``staged_score`` is ``score``'s output built
 from the same staged rules, each row on its own.
+
+``DATACLASS_TWINS`` maps each record type to the frozen dataclass it was
+before records replaced the dataclass decorator: the same fields,
+defaults, ``__post_init__`` and methods. ``to_twin`` rebuilds a record,
+nested records included, as its twins.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
-from dataclasses import replace
 from typing import Any, Iterable, Iterator, Sequence
 
 from deployassure import (
@@ -67,6 +72,7 @@ from deployassure.lifecycle import (
     TRACE_COLUMNS,
     csv_writer,
 )
+from deployassure.record import Record, replace
 from deployassure.stability import (
     _SPACING_TOLERANCE,
     assess_at_threshold,
@@ -622,3 +628,34 @@ def staged_score(
         for snapshot_id, values, ges, drc in scored
     ]
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def dataclass_twin(cls: type[Record]) -> type:
+    """The frozen dataclass with ``cls``'s fields, defaults and methods."""
+    specs = []
+    for name in cls._fields:
+        annotation = cls.__annotations__[name]
+        if name in vars(cls):
+            specs.append((name, annotation, dataclasses.field(default=vars(cls)[name])))
+        else:
+            specs.append((name, annotation))
+    machinery = {"__init__", "__dict__", "__weakref__", "__module__", "_fields"}
+    namespace = {
+        key: value
+        for key, value in vars(cls).items()
+        if key not in machinery and key not in cls._fields and key != "__match_args__"
+    }
+    return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=True)
+
+
+DATACLASS_TWINS = {cls: dataclass_twin(cls) for cls in Record.__subclasses__()}
+
+
+def to_twin(value: Any) -> Any:
+    """``value`` with every record in it rebuilt as its dataclass twin."""
+    if isinstance(value, Record):
+        fields = {name: to_twin(getattr(value, name)) for name in value._fields}
+        return DATACLASS_TWINS[type(value)](**fields)
+    if isinstance(value, tuple):
+        return tuple(map(to_twin, value))
+    return value

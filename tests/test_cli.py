@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -37,6 +36,7 @@ from deployassure import (
     replay,
 )
 from deployassure.cli import FORMATS, main
+from deployassure.record import replace
 
 from conftest import CSV_WRITES_NUL, SIGNALS_CSV, make_dataset
 from oracles import dictreader_parse_predictions
@@ -148,7 +148,8 @@ for argv in json.loads(sys.argv[2]):
     sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     code = main(argv)
     out = sys.stdout.buffer.getvalue().decode("utf-8")
-    report.append([code, "_hashlib" in sys.modules, "hashlib" in sys.modules, out])
+    names = ("_hashlib", "hashlib", "dataclasses", "inspect")
+    report.append([code, *(name in sys.modules for name in names), out])
 sys.__stdout__.write(json.dumps(report))
 """
 
@@ -169,9 +170,12 @@ def test_only_a_printed_fingerprint_loads_openssl(predictions_file, signals_file
         capture_output=True,
         check=True,
     )
-    *csv_runs, (code, _, hashed, out) = json.loads(result.stdout)
-    assert [run[:3] for run in csv_runs] == [[0, False, False]] * 5
+    *csv_runs, (code, _, hashed, *slow_imports, out) = json.loads(result.stdout)
+    assert [run[:5] for run in csv_runs] == [[0, False, False, False, False]] * 5
     assert (code, hashed) == (0, True)  # the probe sees hashlib once it loads
+    # Records compile nothing and the fingerprint needs no dataclass: no
+    # run pays for importing dataclasses and the inspect module under it.
+    assert slow_imports == [False, False]
     assert json.loads(out)["config_fingerprint"] == DEFAULT_TRACE_FINGERPRINT
 
 
@@ -678,7 +682,7 @@ def test_signals_commands_build_no_per_row_objects(
 
     def counting_replace(obj, **changes):
         replaced.append(type(obj).__name__)
-        return dataclasses.replace(obj, **changes)
+        return replace(obj, **changes)
 
     for module in (deployassure.cli, deployassure.lifecycle):
         monkeypatch.setattr(module, "replace", counting_replace)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -47,6 +46,7 @@ from deployassure.lifecycle import (
     json_rows,
     json_text,
 )
+from deployassure.record import replace
 
 import oracles
 from conftest import CSV_WRITES_NUL, REFERENCE_ROWS
@@ -445,7 +445,7 @@ class TestFoldMatchesStaged:
 
             rules = load_config(config_path).rules
             if gating is not None:
-                rules = dataclasses.replace(rules, recovery_gating=gating == "on")
+                rules = replace(rules, recovery_gating=gating == "on")
             try:
                 rows = oracles.staged_parse_signals(path)
             except oracles.MalformedRowError as exc:
@@ -484,7 +484,7 @@ class TestFoldMatchesStaged:
         assert emit_trace(trace, output) == expected
         # replay fills r_p and backfills r_m itself when they are missing.
         bare = [
-            dataclasses.replace(a, signals=signals, r_p=None)
+            replace(a, signals=signals, r_p=None)
             for a, (_, signals) in zip(assessments, rows)
         ]
         staged = oracles.staged_replay(bare, initial, rules)

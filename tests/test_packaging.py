@@ -8,7 +8,6 @@ raises its bound.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import inspect
 import sys
 from pathlib import Path
@@ -52,9 +51,9 @@ def test_exports_and_config_fields_stay_within_their_bounds():
         if not name.startswith("_") and not inspect.ismodule(value)
     ]
     fields = [
-        f"{config.__name__}.{field.name}"
+        f"{config.__name__}.{field}"
         for config in (EngineConfig, RulesConfig, PanelConfig)
-        for field in dataclasses.fields(config)
+        for field in config._fields
     ]
     assert len(exported) <= 68, sorted(exported)
     assert len(fields) <= 18, fields
@@ -63,4 +62,4 @@ def test_exports_and_config_fields_stay_within_their_bounds():
 def test_source_lines_stay_within_their_bound():
     # Physical lines, as ``wc -l src/deployassure/*.py`` counts them.
     lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
-    assert lines <= 2783, lines
+    assert lines <= 2870, lines
