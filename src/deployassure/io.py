@@ -276,11 +276,23 @@ def _prediction_block(columns: list[list[Any]]) -> tuple[array, bytes, list[str]
     return scores, bytes(_bounded(_typed(labels, _BINARY))), subgroups
 
 
+def _reals(column: list[Any]) -> list[float]:
+    """A column of numbers in [0, 1] as floats, or :class:`_Doubt`.
+
+    ``float.__float__`` takes an exact float and refuses a bool or an int:
+    a column of floats passes as it is; only one holding ints is converted.
+    """
+    try:
+        return _bounded(list(map(float.__float__, column)))
+    except TypeError:
+        return list(map(float, _bounded(_typed(column, _NUMBERS))))
+
+
 def _signal_rows(columns: list[list[Any]]) -> Iterator[tuple]:
     """A decoded block's rows as :func:`iter_signals` yields them, or _Doubt."""
     ids, *signals, events, r_ms = columns
     _typed(ids, {str})
-    signals = [array("d", _bounded(_typed(column, _NUMBERS))) for column in signals]
+    signals = list(map(_reals, signals))
     _bounded(_typed(events, _BINARY))
     present = list(map(operator.is_not, r_ms, itertools.repeat(None)))
     if any(present):  # r_m: a number in [-1, 1], only on an event row
@@ -376,7 +388,9 @@ def iter_signals(
     ``remediation_event`` is 1. Any das/drc columns present are ignored.
 
     Like :func:`parse_predictions`, it reads the file once, a block at a
-    time, and only a doubted block row by row; a pipe too.
+    time, and only a doubted block row by row; a pipe too. The rows of a
+    vouched block are handed on by ``itertools.chain``, which runs no
+    Python code per row.
 
     Raises:
         MissingColumnError: a required column/key is absent.
@@ -385,13 +399,19 @@ def iter_signals(
         EmptyFileError: no data rows.
         OSError: unreadable path.
     """
-    row = None
     columns, required = SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS)
     records = _iter_records(path, columns, required, (_signal_cells, _signal_rows))
+    return itertools.chain.from_iterable(_signal_blocks(records, path))
+
+
+def _signal_blocks(records: Iterator[tuple[int, Any]], path: str) -> Iterator[Any]:
+    """The rows of :func:`iter_signals` as iterables: a vouched block's own
+    rows, and each row checked on its own as a 1-tuple."""
+    row = None
     try:
         for row, values in records:
             if not row:  # a block of rows that _signal_rows vouched for
-                yield from values
+                yield values
                 continue
             snapshot_id, fdi, delta_fpr, delta_fnr, tsz, event, raw_r_m = values
             snapshot_id = _as_string(snapshot_id, "snapshot_id")
@@ -405,7 +425,7 @@ def iter_signals(
                 r_m = _parse_unit_interval(raw_r_m, "r_m", R_M_RANGE)
                 if not remediation:
                     raise _BadValue("r_m present but remediation_event is 0")
-            yield snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m
+            yield ((snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m),)
     except _BadValue as exc:
         raise MalformedRowError(path, row, str(exc)) from None
     if row is None:

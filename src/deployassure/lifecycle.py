@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -50,6 +51,7 @@ from .assurance import (
     remediation_progression,
 )
 from .errors import ConfigInvalidError, EmptySequenceError
+from .io import _BLOCK_ROWS
 from .record import Record, canonical_fingerprint, replace
 from .stability import ZoneLabel
 
@@ -369,23 +371,28 @@ def csv_rows(out: TextIO, columns: Sequence[str], rows: Iterable[tuple]) -> None
 
     ``cells`` is the row's text after its id, a filled ``%`` template, and
     holds no character the csv module quotes. The id is the only free-text
-    cell: when it holds one (or NUL), the whole row goes through
-    :func:`csv_writer`, so the csv module decides its quoting on every
-    Python version.
+    cell. Rows are checked and written ``_BLOCK_ROWS`` at a time: one
+    search over the block's ids, then one write. Only a block in which an
+    id holds such a character (or NUL) is written row by row, and each such
+    row goes through :func:`csv_writer`, so the csv module decides its
+    quoting on every Python version.
     """
     writer = csv_writer(out)
     writer.writerow(columns)
     write, needs_quoting = out.write, _CSV_TRIGGERS.search
-    for sid, cells in rows:
-        if needs_quoting(sid) is None:
-            write(f"{sid},{cells}\n")
-        else:
-            writer.writerow((sid, *cells.split(",")))
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        if needs_quoting("".join([sid for sid, _ in block])) is None:
+            write("".join([f"{sid},{cells}\n" for sid, cells in block]))
+            continue
+        for sid, cells in block:
+            if needs_quoting(sid) is None:
+                write(f"{sid},{cells}\n")
+            else:
+                writer.writerow((sid, *cells.split(",")))
 
 
-def _transition_cell(transition: tuple | None) -> str:
-    if transition is None:
-        return ""
+def _transition_cell(transition: tuple) -> str:
     from_state, to_state, reasons, _ = transition
     return f"{from_state._value_}->{to_state._value_}[{'|'.join(reasons)}]"
 
@@ -431,7 +438,8 @@ def _serialise(
     if format == "csv":
         cells = (
             (sid, _TRACE_CELLS % (fdi, dfpr, dfnr, tsz, das, ges._value_, drc._value_,
-             state._value_, _transition_cell(t), "" if r_p is None else _REAL % r_p))
+             state._value_, "" if t is None else _transition_cell(t),
+             "" if r_p is None else _REAL % r_p))
             for sid, fdi, dfpr, dfnr, tsz, das, ges, drc, state, t, r_p in rows
         )
         csv_rows(out, TRACE_COLUMNS, cells)
@@ -476,8 +484,10 @@ def _fold(
 
     Per row: DAS, the stateless DRC, ``r_p`` and the ``r_m`` backfill,
     GES, then the transition; the same rules :func:`build_assessments`
-    and :func:`replay` apply, with no record built per row. A file has
-    no ``worst_zone``, so no fragility cap applies.
+    and :func:`replay` apply, each called once per row, with no record
+    built. A file has no ``worst_zone``, so the fragility cap never binds.
+    A trace row holds its transition unformatted: only the writer formats
+    it, and only on a transition row.
     """
     weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
     current = initial_state

@@ -8,7 +8,10 @@ written into a temporary directory:
 * edge files whose ids or subgroups hold a comma, a quote, ``\\r``,
   ``\\n``, NUL, a lone surrogate or non-ASCII text;
 * files with a leading BOM, and with a blank line or one bad row at row
-  1, 512 or 513 (either side of the readers' 512-row block).
+  1, 512 or 513 (either side of the readers' 512-row block);
+* signals files whose one id, at row 1, 512 or 513, holds a comma, so
+  that the trace writer's clean and quoted blocks meet in one file; and
+  one whose signal values include the JSON integers 0 and 1, and -0.0.
 
 Every command runs in both output formats, ``lifecycle`` also with
 ``--gating off`` and each ``--initial``. ``golden.json`` holds, per
@@ -197,6 +200,23 @@ def invocations(tmp: Path) -> list[list[str]]:
                 lines.insert(row - (ext == "jsonl"), "\n")
                 path.write_text("".join(lines), encoding="utf-8")
                 add(kind, path.name)
+
+    files = {}
+    for row in BAD_ROWS:
+        records = _signals(EDGE_ROWS)
+        records[row - 1]["snapshot_id"] = f"s,{row}"
+        files[f"signals-comma-at-{row}"] = records
+    records = _signals(EDGE_ROWS)
+    for i, record in enumerate(records):
+        if i % 5 == 0:
+            record.update(fdi=0, delta_fnr=1)
+        elif i % 5 == 2:
+            record.update(delta_fpr=1, tsz=-0.0)
+    files["signals-int-values"] = records
+    for ext in ("csv", "jsonl"):
+        for name, records in files.items():
+            _write(tmp / f"{name}.{ext}", SIGNAL_COLUMNS, records, ext == "jsonl")
+            add("signals", f"{name}.{ext}")
 
     for das in ("0", "0.3", "0.5", "0.85", "1", "1.5", "nan"):
         runs.append(["classify", "--das", das, "--config", str(config)])

@@ -20,6 +20,12 @@ DAS clamp, which fixed a perfect snapshot exiting 1 under simplex weights
 whose float sum exceeds 1. ``staged_score`` is ``score``'s output built
 from the same staged rules, each row on its own.
 
+``rowwise_csv_rows`` is ``lifecycle.csv_rows`` as it was before it wrote
+a block of rows at a time: one id check and one write per row.
+``typed_signal_rows`` is ``io._signal_rows`` as it was before a column of
+exact floats was kept as ``json.loads`` made it: every column
+type-checked, then copied through an ``array('d')``.
+
 ``DATACLASS_TWINS`` maps each record type to the frozen dataclass it was
 before records replaced the dataclass decorator: the same fields,
 defaults, ``__post_init__`` and methods. ``to_twin`` rebuilds a record,
@@ -33,6 +39,10 @@ import dataclasses
 import io
 import itertools
 import json
+import math
+import operator
+import re
+from array import array
 from typing import Any, Iterable, Iterator, Sequence
 
 from deployassure import (
@@ -62,7 +72,7 @@ from deployassure import (
     WeightVector,
     ZoneLabel,
 )
-from deployassure.assurance import BY_FAVORABILITY, DrcBands, less_favorable
+from deployassure.assurance import BY_FAVORABILITY, R_M_RANGE, DrcBands, less_favorable
 from deployassure.evaluation import ScoreIndex, check_threshold
 from deployassure.lifecycle import (
     REASON_DAS_BAND,
@@ -628,6 +638,53 @@ def staged_score(
         for snapshot_id, values, ges, drc in scored
     ]
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+_CSV_TRIGGERS = re.compile(r'[,"\r\n\x00]')
+
+
+def rowwise_csv_rows(out: Any, columns: Sequence[str], rows: Iterable[tuple]) -> None:
+    """A CSV header, then each ``(id, cells)`` row, checked and written alone."""
+    writer = csv_writer(out)
+    writer.writerow(columns)
+    for sid, cells in rows:
+        if _CSV_TRIGGERS.search(sid) is None:
+            out.write(f"{sid},{cells}\n")
+        else:
+            writer.writerow((sid, *cells.split(",")))
+
+
+class Doubt(ValueError):
+    """``typed_signal_rows`` cannot vouch for a block."""
+
+
+def _typed(values: list[Any], types: set[type]) -> list[Any]:
+    if set(map(type, values)) <= types:
+        return values
+    raise Doubt
+
+
+def _bounded(values: list[Any], low: float = 0.0, high: float = 1.0) -> list[Any]:
+    if low <= min(values) and max(values) <= high and not math.isnan(sum(values)):
+        return values
+    raise Doubt
+
+
+def typed_signal_rows(columns: list[list[Any]]) -> Iterator[tuple]:
+    """A decoded block's signal rows, or ``Doubt``: each column type-checked."""
+    ids, *signals, events, r_ms = columns
+    numbers, binary = {int, float}, {int, bool}
+    _typed(ids, {str})
+    signals = [array("d", _bounded(_typed(column, numbers))) for column in signals]
+    _bounded(_typed(events, binary))
+    present = list(map(operator.is_not, r_ms, itertools.repeat(None)))
+    if any(present):
+        given = _typed(list(itertools.compress(r_ms, present)), numbers)
+        if not all(itertools.compress(events, present)):
+            raise Doubt
+        if int in set(map(type, _bounded(given, *R_M_RANGE))):
+            r_ms = [r if r is None else float(r) for r in r_ms]
+    return zip(ids, *signals, map(bool, events), r_ms)
 
 
 def dataclass_twin(cls: type[Record]) -> type:

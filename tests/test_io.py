@@ -16,18 +16,24 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from deployassure import (
+    DeploymentState,
     EmptyFileError,
     EngineError,
     MalformedRowError,
     MissingColumnError,
+    RulesConfig,
     parse_predictions,
     parse_signals,
 )
 import deployassure.io
 from deployassure.io import PREDICTIONS_COLUMNS, SIGNALS_COLUMNS, iter_signals
-from deployassure.lifecycle import format_real
+from deployassure.lifecycle import fold_trace, format_real
 
-from oracles import dictreader_parse_predictions, staged_parse_signals
+from oracles import (
+    dictreader_parse_predictions,
+    staged_parse_signals,
+    typed_signal_rows,
+)
 
 
 def columns(parsed):
@@ -928,6 +934,41 @@ class TestJsonBlocksAgainstOracles:
         event(assert_blocks_as_oracle(tmp_path_factory, kind, "".join(lines)))
 
 
+# Signal values as JSON decodes them: exact floats (-0.0 among them), and
+# what the exact-float check refuses: ints, one past float range among
+# them, bools, None, strings.
+EXACT_REALS = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0, 1)
+SIGNAL_VALUES = EXACT_REALS | st.sampled_from(
+    [0, 1, 2, 2**1024, True, False, None, "0.5", "", float("nan"), -1e-9]
+)
+
+
+def _vouched_rows(check, columns):
+    """A block check's rows, each value as its repr, or "doubt"."""
+    try:
+        return [tuple(map(repr, row)) for row in check([list(c) for c in columns])]
+    except (LookupError, ValueError):  # what the reader takes for doubt
+        return "doubt"
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_exact_float_columns_match_the_typed_check(data):
+    n = data.draw(st.integers(1, 6), label="rows")
+
+    def column(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    signals = [data.draw(column(EXACT_REALS) | column(SIGNAL_VALUES)) for _ in range(4)]
+    events = data.draw(column(st.sampled_from([0, 1])), label="events")
+    r_m = st.none() | EXACT_REALS | st.sampled_from([-1, 0, 1, -0.5])
+    r_ms = [data.draw(r_m) if e else None for e in events]
+    columns = [[f"s{i}" for i in range(n)], *signals, events, r_ms]
+    expected = _vouched_rows(typed_signal_rows, columns)
+    assert _vouched_rows(deployassure.io._signal_rows, columns) == expected
+    event("doubt" if expected == "doubt" else "rows")
+
+
 # CSV rows after the header, on which a doubted block must number its
 # rows from the line breaks in its cells, each with its first error's row.
 CSV_ROW_CASES = {
@@ -1021,6 +1062,8 @@ class TestBlockPathCollections:
     The block loop's speed hangs on that: checking a block while the one
     before it is still held set off a gen-0 collection for nearly every
     block (356 on 200k rows, against 3), and made the parse 15-20% slower.
+    The trace writer, which holds a block of rows too, must not bring
+    those collections back.
     """
 
     ROWS = 40 * BLOCK
@@ -1039,3 +1082,14 @@ class TestBlockPathCollections:
             collections.deque(iter_signals(str(path)), maxlen=0)
 
         assert _gen0_collections(read) <= self.ROWS // BLOCK // 8
+
+    def test_clean_csv_trace(self, default_gc, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text("".join(_jsonl_lines("signals", self.ROWS, seed=12)))
+        initial = DeploymentState.REASSESSMENT_REQUIRED
+
+        def fold():  # read, fold and write, each a block of rows at a time
+            rows = iter_signals(str(path))
+            fold_trace(io.StringIO(), rows, initial, RulesConfig(), "csv")
+
+        assert _gen0_collections(fold) <= self.ROWS // BLOCK // 8

@@ -36,13 +36,16 @@ from deployassure import (
     step,
 )
 from deployassure.cli import main
+from deployassure.io import _BLOCK_ROWS
 from deployassure.lifecycle import (
     REASON_DAS_BAND,
     REASON_FAILED_REMEDIATION,
     REASON_FRAGILITY,
     REASON_RECOVERY_GATED,
+    TRACE_COLUMNS,
     GovernanceTrace,
     TraceEntry,
+    csv_rows,
     json_rows,
     json_text,
 )
@@ -656,3 +659,46 @@ class TestJsonRowsMatchJsonDumps:
             return
         assert (code, err) == (0, "")
         assert out == expected
+
+
+# Rows either side of the writer's block edges, and the cells after an id:
+# any text with no character the csv module quotes, empty cells included.
+WRITER_ROWS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 6]
+odd_ids = st.lists(pieces | surrogates, min_size=1, max_size=4).map("".join)
+trace_cells = st.text(st.characters(exclude_characters=',"\r\n\x00'), max_size=6)
+
+
+@st.composite
+def csv_row_blocks(draw):
+    """Clean ``(id, cells)`` rows, a few ids swapped for odd ones, often at
+    a block's first, middle or last row."""
+    n = draw(st.sampled_from(WRITER_ROWS))
+    cells = draw(st.lists(st.lists(trace_cells, max_size=4).map(",".join), min_size=1))
+    rows = [(f"s{i}", cells[i % len(cells)]) for i in range(n)]
+    if n:
+        edges = [i for i in range(n) if i % _BLOCK_ROWS in (0, _BLOCK_ROWS // 2)]
+        edges += [i for i in range(n) if (i + 1) % _BLOCK_ROWS == 0 or i == n - 1]
+        at = st.sampled_from(edges) | st.integers(0, n - 1)
+        for i in draw(st.lists(at, max_size=4)):
+            rows[i] = (draw(odd_ids), rows[i][1])
+    return rows
+
+
+def _csv_written(write_rows, rows) -> tuple[str, str | None]:
+    out = io.StringIO()
+    try:
+        write_rows(out, TRACE_COLUMNS, iter(rows))
+    except csv.Error as exc:  # a NUL on Python 3.10
+        return out.getvalue(), repr(exc)
+    return out.getvalue(), None
+
+
+@given(rows=csv_row_blocks())
+@example(rows=[("s0", "0.5000,,")] * (_BLOCK_ROWS - 1) + [("a,b", "")])
+@example(rows=[("s0", "")] * _BLOCK_ROWS + [("\0", "x,y"), ("s1", "")])
+@settings(max_examples=150, deadline=None)
+def test_block_csv_rows_match_the_row_writer(rows):
+    expected = _csv_written(oracles.rowwise_csv_rows, rows)
+    assert _csv_written(csv_rows, rows) == expected
+    refused = not CSV_WRITES_NUL and any("\0" in sid for sid, _ in rows)
+    assert (expected[1] is not None) == refused
