@@ -220,7 +220,9 @@ def _parse_binary(value: Any, name: str) -> int:
 
 # Rows per block. Small on purpose: a larger block keeps more row lists
 # alive for the garbage collector to walk and in memory; CSV blocks of
-# 4096 rows or more parsed slower than 512.
+# 4096 rows or more parsed slower than 512. `lifecycle.csv_rows` writes
+# blocks of this size too, so a retune moves the writer's memory and
+# collections as well; tests/test_io.py TestBlockPathCollections bounds both.
 _BLOCK_ROWS = 512
 # The label cells the CSV block path takes; any other (" 1", "2") is doubt.
 _LABELS = {"0": 0, "1": 1}

@@ -372,10 +372,11 @@ def csv_rows(out: TextIO, columns: Sequence[str], rows: Iterable[tuple]) -> None
     ``cells`` is the row's text after its id, a filled ``%`` template, and
     holds no character the csv module quotes. The id is the only free-text
     cell. Rows are checked and written ``_BLOCK_ROWS`` at a time: one
-    search over the block's ids, then one write. Only a block in which an
-    id holds such a character (or NUL) is written row by row, and each such
-    row goes through :func:`csv_writer`, so the csv module decides its
-    quoting on every Python version.
+    search over the block's ids, then one write. A block in which an id
+    holds such a character (or NUL) goes through :func:`csv_writer` whole,
+    so the csv module decides its quoting on every Python version; it
+    leaves the clean ids and the cells as they are. If ``rows`` raises,
+    only the whole blocks before the failing row have been written.
     """
     writer = csv_writer(out)
     writer.writerow(columns)
@@ -385,11 +386,7 @@ def csv_rows(out: TextIO, columns: Sequence[str], rows: Iterable[tuple]) -> None
         if needs_quoting("".join([sid for sid, _ in block])) is None:
             write("".join([f"{sid},{cells}\n" for sid, cells in block]))
             continue
-        for sid, cells in block:
-            if needs_quoting(sid) is None:
-                write(f"{sid},{cells}\n")
-            else:
-                writer.writerow((sid, *cells.split(",")))
+        writer.writerows((sid, *cells.split(",")) for sid, cells in block)
 
 
 def _transition_cell(transition: tuple) -> str:
@@ -511,8 +508,9 @@ def fold_trace(
     """Write the trace of validated signal rows into ``out``, as :func:`emit_trace`.
 
     ``records`` are ``io.iter_signals`` rows. The text equals the staged
-    ``emit_trace(replay(build_assessments(...)))`` path; a row error is
-    raised with part of the trace written.
+    ``emit_trace(replay(build_assessments(...)))`` path. A row error is
+    raised with part of the trace written: in JSON every row before the
+    failing one, in CSV only the whole :func:`csv_rows` blocks before it.
     """
     fingerprint = rules.fingerprint() if format == "json" else ""  # CSV prints none
     _serialise(out, _fold(records, initial_state, rules), format, fingerprint)

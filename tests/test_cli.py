@@ -706,9 +706,9 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
     monkeypatch, capsys, tmp_path, command
 ):
     # Counts, not timings: in both commands the csv writer writes the header
-    # and the rows whose id it must quote. json.loads decodes each block of
-    # clean lines once; only the lines of a block the block checks doubt are
-    # decoded one at a time.
+    # and every row of a block in which some id must be quoted. json.loads
+    # decodes each block of clean lines once; only the lines of a block the
+    # block checks doubt are decoded one at a time.
     written, loaded = [], []
     real_write, real_loads = deployassure.lifecycle._LineFeedRows.write, json.loads
 
@@ -751,10 +751,10 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
     signals_command(many, padded={block + 5})
     assert len(loaded) == 2 + block
     assert [text[0] for text in loaded] == ["[", *"{" * 5, " ", *"{" * (block - 6), "["]
-    # The patches are live: quoted ids go through the csv writer, and
-    # padded lines through json.loads.
+    # The patches are live: a block with quoted ids goes through the csv
+    # writer whole, its clean ids too, and padded lines through json.loads.
     signals_command(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], padded=range(6))
-    assert (len(written), len(loaded)) == (5, 6)
+    assert (len(written), len(loaded)) == (7, 6)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -925,6 +925,10 @@ def test_csv_write_error_exits_one(
             if self.rows == 3:
                 raise csv.Error("need to escape, but no escapechar set")
             return self.writer.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
 
     for module in (deployassure.cli, deployassure.lifecycle):
         monkeypatch.setattr(module, "csv_writer", RefusingWriter)
