@@ -51,10 +51,6 @@ for _rank, _state in enumerate(BY_FAVORABILITY):
     _state.favorability = _rank
 
 
-def less_favorable(a: DeploymentState, b: DeploymentState) -> DeploymentState:
-    return a if a.favorability <= b.favorability else b
-
-
 class EscalationLevel(Enum):
     """Escalation level, mildest to harshest."""
 
@@ -99,7 +95,12 @@ class AssuranceSignals(Record):
 
 
 class WeightVector(Record):
-    """DAS weights; construction checks the simplex (see validate_weights)."""
+    """DAS weights; construction checks the simplex.
+
+    Raises:
+        NegativeWeightError: any coefficient below zero, or NaN.
+        WeightSumError: coefficients do not sum to 1 within 1e-9.
+    """
 
     alpha: float
     beta: float
@@ -107,25 +108,15 @@ class WeightVector(Record):
     delta: float
 
     def __post_init__(self) -> None:
-        validate_weights(self)
+        for name, value in zip(("alpha", "beta", "gamma", "delta"), self.as_tuple()):
+            if not value >= 0:  # NaN fails too
+                raise NegativeWeightError(f"{name} must be >= 0, got {value!r}")
+        total = sum(self.as_tuple())
+        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+            raise WeightSumError(total)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta)
-
-
-def validate_weights(weights: WeightVector) -> None:
-    """Check the simplex constraints: non-negative, summing to one.
-
-    Raises:
-        NegativeWeightError: any coefficient below zero, or NaN.
-        WeightSumError: coefficients do not sum to 1 within 1e-9.
-    """
-    for name, value in zip(("alpha", "beta", "gamma", "delta"), weights.as_tuple()):
-        if not value >= 0:  # NaN fails too
-            raise NegativeWeightError(f"{name} must be >= 0, got {value!r}")
-    total = sum(weights.as_tuple())
-    if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-        raise WeightSumError(total)
 
 
 DEFAULT_WEIGHTS = WeightVector(0.25, 0.25, 0.25, 0.25)
@@ -225,7 +216,8 @@ def fragility_cap(
 ) -> DeploymentState:
     """Cap a state at EscalatedGovernance when the sweep hit GovernanceFragility."""
     if worst_zone is _FRAGILITY:
-        return less_favorable(state, DeploymentState.ESCALATED_GOVERNANCE)
+        cap = DeploymentState.ESCALATED_GOVERNANCE
+        return state if state.favorability <= cap.favorability else cap
     return state
 
 

@@ -4,10 +4,11 @@ Both readers accept CSV (with a header row) or JSON-lines (one object
 per line, same keys as the CSV columns); the format is detected from the
 first non-blank line. Extra columns are ignored; in particular, score
 and classification columns on a signals file are recomputed, never
-trusted. All diagnostics carry the file name, and all but a decoding
-error (the file is not UTF-8) the 1-based physical row number. A file
-is read once, a block of rows at a time, by C-level iterators; only a
-block they doubt is checked row by row, with the same results and errors.
+trusted. All diagnostics carry the file name, and a bad value or record
+its 1-based physical row number; a missing column, an empty file and a
+decoding error (the file is not UTF-8) carry no row. A file is read
+once, a block at a time, by C-level iterators; only a block they doubt
+is checked row by row, with the same results and errors.
 """
 
 from __future__ import annotations
@@ -44,16 +45,18 @@ def _iter_records(
     path: str,
     columns: tuple[str, ...],
     required: int,
-    checks: tuple[Callable[[tuple], Any], Callable[[list[list[Any]]], Any]],
-) -> Iterator[tuple[int, Any]]:
-    """Read a file once, ``_BLOCK_ROWS`` records at a time.
+    checks: tuple[Callable[..., Any], ...],
+) -> Iterator[Any]:
+    """Read a file once, ``_BLOCK_ROWS`` records at a time, and check it.
 
-    ``checks`` is a check of a CSV block's ``columns`` cells, picked from
-    its transposed rows, and a check of a JSON-lines block's
-    :func:`_decode_block` columns. What a check returns is yielded with row
-    0. A block that a check doubts (see :func:`_vouched`) is yielded record
-    by record instead: each record's ``columns`` values with its 1-based
-    physical row. Then reading goes back to blocks.
+    ``checks`` are one kind's checks of a CSV block's ``columns`` cells
+    (picked from its transposed rows), of a JSON-lines block's
+    :func:`_decode_block` columns, and of one record's ``columns`` values.
+    All three return a block in the same types, which is yielded: the row
+    check a block of one. A block its check doubts (see :func:`_vouched`)
+    goes through the row check record by record; then reading goes back to
+    blocks. The row check's :class:`_BadValue` is raised as a
+    :class:`MalformedRowError` with the record's 1-based physical row.
 
     The first ``required`` columns must be in the header (CSV) or in the
     first record (JSON-lines). An absent value reads as ``None``. CSV is
@@ -61,7 +64,8 @@ def _iter_records(
     row's missing cells are ``None``, and of two header cells with the
     same name the last one counts. A JSON line is read by ``json.loads``,
     so a value it refuses (nested too deep for it, or an integer past the
-    int digit limit) is invalid JSON too.
+    int digit limit) is invalid JSON too. A file with no data row but
+    blank ones, after a CSV header or not, raises :class:`EmptyFileError`.
 
     A leading byte order mark is skipped. A file that is not UTF-8 raises
     :class:`EngineError` with the file name and no row (it is decoded in
@@ -77,32 +81,31 @@ def _iter_records(
             lines = itertools.chain((line,), fh)
 
             if line.lstrip().startswith("{"):
-                first = row
+                first = end = row
 
                 def decoded(block: list[str]) -> Any:
                     return checks[1](_decode_block(block, columns))
 
                 for block in _blocks(lines):
-                    start, row = row, row + len(block)
+                    start, end = end, end + len(block)
                     if (checked := _vouched(decoded, block)) is not None:
-                        yield 0, checked
+                        yield checked
                         continue
-                    for line_num, line in enumerate(block, start):
+                    for row, line in enumerate(block, start):
                         if not line.strip():
                             continue
                         try:
                             record = json.loads(line)
                         except (ValueError, RecursionError) as exc:
                             message = f"invalid JSON: {exc}"
-                            raise MalformedRowError(path, line_num, message) from exc
+                            raise MalformedRowError(path, row, message) from exc
                         if not isinstance(record, dict):
-                            message = "record is not an object"
-                            raise MalformedRowError(path, line_num, message)
-                        if line_num == first:  # the first line is never blank
+                            raise MalformedRowError(path, row, "record is not an object")
+                        if row == first:  # the first line is never blank
                             missing = [c for c in columns[:required] if c not in record]
                             if missing:
                                 raise MissingColumnError(path, missing)
-                        yield line_num, tuple(map(record.get, columns))
+                        yield checks[2](tuple(map(record.get, columns)))
                 return
 
             reader = csv.reader(lines)
@@ -122,11 +125,12 @@ def _iter_records(
                 cells = pick(tuple(zip(*filter(None, block))))
                 return checks[0](cells + ((None,) * len(cells[0]),) * absent)
 
-            end = offset + reader.line_num
+            end, data = offset + reader.line_num, False
             for block in _blocks(reader):
                 row, end = end, offset + reader.line_num
+                data = data or any(block)  # blank rows yield nothing
                 if (checked := _vouched(picked, block)) is not None:
-                    yield 0, checked
+                    yield checked
                     continue
                 for cells in block:
                     # A record's row is its last line, one more than the line
@@ -137,7 +141,11 @@ def _iter_records(
                     row += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
                     row = min(row, end)
                     if cells:  # a short row's missing cells and absent columns are None
-                        yield row, list(map(dict(enumerate(cells)).get, positions))
+                        yield checks[2](list(map(dict(enumerate(cells)).get, positions)))
+            if not data:
+                raise EmptyFileError(path)
+    except _BadValue as exc:
+        raise MalformedRowError(path, row, str(exc)) from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         row = offset + reader.line_num
         raise MalformedRowError(path, row, f"invalid CSV: {exc}") from exc
@@ -323,47 +331,44 @@ def _signal_cells(columns: tuple) -> Iterator[tuple]:
     return _signal_rows([ids, *signals, list(map(_LABELS.__getitem__, events)), r_ms])
 
 
-def _parse_rows(records: Iterator[tuple[int, Any]], path: str) -> Predictions:
-    """Predictions from records, each checked on its own, in file order.
+def _prediction_row(values: Sequence[Any]) -> tuple[array, bytes, list[str]]:
+    """One record's values as :func:`_prediction_block` returns a block."""
+    sample_id, score, label, subgroup = values
+    _as_string(sample_id, "sample_id")
+    score = _parse_unit_interval(score, "score")
+    label = _parse_binary(label, "label")
+    subgroup = _as_string(subgroup, "subgroup")
+    if not subgroup:
+        raise _BadValue("subgroup is empty")
+    return array("d", (score,)), bytes((label,)), [subgroup]
 
-    Each record comes with its physical row, so the first bad value is
-    reported with its row; a block of columns already checked, with row 0.
-    """
-    out = Predictions()
-    add_score, add_label = out.scores.append, out.labels.append
-    add_subgroup = out.subgroups.append
-    # One string object per distinct subgroup, not one per row.
-    subgroups: dict[str, str] = {}
-    try:
-        for row, values in records:
-            if not row:  # a block of checked columns
-                out.scores += values[0]
-                out.labels += values[1]
-                out.subgroups += map(subgroups.setdefault, values[2], values[2])
-                continue
-            sample_id, score, label, subgroup = values
-            _as_string(sample_id, "sample_id")
-            add_score(_parse_unit_interval(score, "score"))
-            add_label(_parse_binary(label, "label"))
-            subgroup = _as_string(subgroup, "subgroup")
-            if not subgroup:
-                raise _BadValue("subgroup is empty")
-            add_subgroup(subgroups.setdefault(subgroup, subgroup))
-    except _BadValue as exc:
-        raise MalformedRowError(path, row, str(exc)) from None
-    if not out:
-        raise EmptyFileError(path)
-    return out
+
+def _signal_row(values: Sequence[Any]) -> tuple[tuple]:
+    """One record's values as a block of one :func:`iter_signals` row."""
+    snapshot_id, fdi, delta_fpr, delta_fnr, tsz, event, raw_r_m = values
+    snapshot_id = _as_string(snapshot_id, "snapshot_id")
+    fdi = _parse_unit_interval(fdi, "fdi")
+    delta_fpr = _parse_unit_interval(delta_fpr, "delta_fpr")
+    delta_fnr = _parse_unit_interval(delta_fnr, "delta_fnr")
+    tsz = _parse_unit_interval(tsz, "tsz")
+    remediation = bool(_parse_binary(event, "remediation_event"))
+    r_m: float | None = None
+    if raw_r_m is not None and raw_r_m != "":
+        r_m = _parse_unit_interval(raw_r_m, "r_m", R_M_RANGE)
+        if not remediation:
+            raise _BadValue("r_m present but remediation_event is 0")
+    return ((snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m),)
 
 
 def parse_predictions(path: str) -> Predictions:
     """Read and validate a predictions file into columns, in file order.
 
     The file is read once, a block at a time, in both formats (see
-    :func:`_iter_records`). Only a block the block checks doubt is checked
-    row by row, which gives the first error its row or accepts what the
-    blocks were too strict for (a label of ``" 1"``). So a pipe takes the
-    block path too.
+    :func:`_iter_records`): :func:`_prediction_cells` checks a CSV block,
+    :func:`_prediction_block` a JSON-lines one, and :func:`_prediction_row`
+    each row of a block they doubt. That gives the first error its row or
+    accepts what the blocks were too strict for (a label of ``" 1"``). So
+    a pipe takes the block path too.
 
     Each ``sample_id`` is checked (a row too short to hold one is an
     error) but not stored.
@@ -375,8 +380,16 @@ def parse_predictions(path: str) -> Predictions:
         EmptyFileError: no data rows.
         OSError: unreadable path.
     """
-    columns, checks = PREDICTIONS_COLUMNS, (_prediction_cells, _prediction_block)
-    return _parse_rows(_iter_records(path, columns, len(columns), checks), path)
+    columns = PREDICTIONS_COLUMNS
+    checks = (_prediction_cells, _prediction_block, _prediction_row)
+    out = Predictions()
+    # One string object per distinct subgroup, not one per row.
+    subgroups: dict[str, str] = {}
+    for scores, labels, names in _iter_records(path, columns, len(columns), checks):
+        out.scores += scores
+        out.labels += labels
+        out.subgroups += map(subgroups.setdefault, names, names)
+    return out
 
 
 def iter_signals(
@@ -390,9 +403,10 @@ def iter_signals(
     ``remediation_event`` is 1. Any das/drc columns present are ignored.
 
     Like :func:`parse_predictions`, it reads the file once, a block at a
-    time, and only a doubted block row by row; a pipe too. The rows of a
-    vouched block are handed on by ``itertools.chain``, which runs no
-    Python code per row.
+    time, a pipe too: :func:`_signal_cells` checks a CSV block,
+    :func:`_signal_rows` a JSON-lines one, and :func:`_signal_row` each row
+    of a block they doubt. The rows of a vouched block are handed on by
+    ``itertools.chain``, which runs no Python code per row.
 
     Raises:
         MissingColumnError: a required column/key is absent.
@@ -402,36 +416,8 @@ def iter_signals(
         OSError: unreadable path.
     """
     columns, required = SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS)
-    records = _iter_records(path, columns, required, (_signal_cells, _signal_rows))
-    return itertools.chain.from_iterable(_signal_blocks(records, path))
-
-
-def _signal_blocks(records: Iterator[tuple[int, Any]], path: str) -> Iterator[Any]:
-    """The rows of :func:`iter_signals` as iterables: a vouched block's own
-    rows, and each row checked on its own as a 1-tuple."""
-    row = None
-    try:
-        for row, values in records:
-            if not row:  # a block of rows that _signal_rows vouched for
-                yield values
-                continue
-            snapshot_id, fdi, delta_fpr, delta_fnr, tsz, event, raw_r_m = values
-            snapshot_id = _as_string(snapshot_id, "snapshot_id")
-            fdi = _parse_unit_interval(fdi, "fdi")
-            delta_fpr = _parse_unit_interval(delta_fpr, "delta_fpr")
-            delta_fnr = _parse_unit_interval(delta_fnr, "delta_fnr")
-            tsz = _parse_unit_interval(tsz, "tsz")
-            remediation = bool(_parse_binary(event, "remediation_event"))
-            r_m: float | None = None
-            if raw_r_m is not None and raw_r_m != "":
-                r_m = _parse_unit_interval(raw_r_m, "r_m", R_M_RANGE)
-                if not remediation:
-                    raise _BadValue("r_m present but remediation_event is 0")
-            yield ((snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m),)
-    except _BadValue as exc:
-        raise MalformedRowError(path, row, str(exc)) from None
-    if row is None:
-        raise EmptyFileError(path)
+    checks = (_signal_cells, _signal_rows, _signal_row)
+    return itertools.chain.from_iterable(_iter_records(path, columns, required, checks))
 
 
 def parse_signals(path: str) -> list[tuple[str, AssuranceSignals]]:

@@ -72,7 +72,7 @@ from deployassure import (
     WeightVector,
     ZoneLabel,
 )
-from deployassure.assurance import BY_FAVORABILITY, R_M_RANGE, DrcBands, less_favorable
+from deployassure.assurance import BY_FAVORABILITY, R_M_RANGE, DrcBands
 from deployassure.evaluation import ScoreIndex, check_threshold
 from deployassure.lifecycle import (
     REASON_DAS_BAND,
@@ -373,6 +373,10 @@ def staged_classify_drc(
     else:
         state = DeploymentState.BLOCKED_DEPLOYMENT
     return staged_fragility_cap(state, worst_zone)
+
+
+def less_favorable(a: DeploymentState, b: DeploymentState) -> DeploymentState:
+    return min(a, b, key=BY_FAVORABILITY.index)
 
 
 def staged_fragility_cap(

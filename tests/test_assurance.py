@@ -22,7 +22,7 @@ from deployassure import (
     compute_ges,
     remediation_progression,
 )
-from deployassure.assurance import BY_FAVORABILITY, validate_weights
+from deployassure.assurance import BY_FAVORABILITY
 
 unit = st.floats(0, 1)
 
@@ -115,20 +115,20 @@ class TestSignalsValidation:
 
 class TestValidateWeights:
     def test_equal_split_ok(self):
-        validate_weights(WeightVector(0.25, 0.25, 0.25, 0.25))
+        WeightVector(0.25, 0.25, 0.25, 0.25)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeightError):
-            validate_weights(WeightVector(0.5, 0.5, 0.5, -0.5))
+            WeightVector(0.5, 0.5, 0.5, -0.5)
 
     def test_nan_weight_rejected(self):
         # A NaN sum fails no tolerance test, so the per-weight check must catch it.
         with pytest.raises(NegativeWeightError, match="delta must be >= 0, got nan"):
-            validate_weights(WeightVector(0.5, 0.25, 0.25, float("nan")))
+            WeightVector(0.5, 0.25, 0.25, float("nan"))
 
     def test_sum_not_one_reports_actual(self):
         with pytest.raises(WeightSumError) as excinfo:
-            validate_weights(WeightVector(0.3, 0.3, 0.3, 0.0))
+            WeightVector(0.3, 0.3, 0.3, 0.0)
         assert excinfo.value.actual_sum == pytest.approx(0.9)
         assert "0.9" in str(excinfo.value)
 

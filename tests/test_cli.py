@@ -648,6 +648,9 @@ SIGNALS_ERRORS = {
         "row 2: r_m out of range [-1, 1]: '-1.5'",
     ),
     "header-only": ("s.csv", f"{_SIGNALS_HEADER}\n", "no data rows"),
+    # More blank lines than one 512-row block holds.
+    "header-blank-lines": ("s.csv", _SIGNALS_HEADER + "\n" * 601, "no data rows"),
+    "header-blank-lines-crlf": ("s.csv", _SIGNALS_HEADER + "\r\n" * 601, "no data rows"),
 }
 
 
@@ -662,6 +665,17 @@ def test_signals_error_exits_one_with_its_message(
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, command, "--signals", str(path))
     assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "argv", [("evaluate", "--threshold", "0.5"), ("sweep",)], ids=["evaluate", "sweep"]
+)
+def test_predictions_of_a_header_and_blank_lines_exit_one(capsys, tmp_path, argv, end):
+    path = tmp_path / "p.csv"
+    path.write_text("sample_id,score,label,subgroup" + end * 601, encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--predictions", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: no data rows\n")
 
 
 @pytest.mark.parametrize("command", ["lifecycle", "score"])

@@ -67,9 +67,16 @@ class TestParsePredictions:
         assert "score" in str(excinfo.value)
 
     def test_header_only_is_empty(self, tmp_path):
-        path = write(tmp_path, "p.csv", "sample_id,score,label,subgroup\n")
-        with pytest.raises(EmptyFileError):
-            parse_predictions(path)
+        # Blank lines are no data rows, also past the first block.
+        readers = [
+            (PREDICTIONS_COLUMNS, parse_predictions),
+            (SIGNALS_COLUMNS, lambda path: list(iter_signals(path))),
+        ]
+        for names, read in readers:
+            for end, blanks in [("\n", 0), ("\n", 600), ("\r\n", 600)]:
+                path = write(tmp_path, "p.csv", ",".join(names) + end * (1 + blanks))
+                with pytest.raises(EmptyFileError):
+                    read(path)
 
     def test_zero_byte_file_is_empty(self, tmp_path):
         path = write(tmp_path, "p.csv", "")
