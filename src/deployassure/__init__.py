@@ -7,18 +7,12 @@ state traces across remediation lifecycles.
 """
 
 from .assurance import (
-    DEFAULT_BANDS,
-    DEFAULT_GES_THRESHOLDS,
-    DEFAULT_WEIGHTS,
-    AssuranceSignals,
     DeploymentState,
     DrcBands,
     EscalationLevel,
     GesThresholds,
     WeightVector,
     classify_drc,
-    compute_das,
-    compute_ges,
     remediation_progression,
 )
 from .config import EngineConfig, load_config
@@ -58,18 +52,8 @@ from .evaluation import (
     macro_mean,
     subgroup_sizes,
 )
-from .io import parse_predictions, parse_signals
-from .lifecycle import (
-    GovernanceTrace,
-    RulesConfig,
-    SnapshotAssessment,
-    TraceEntry,
-    TransitionRecord,
-    build_assessments,
-    emit_trace,
-    replay,
-    step,
-)
+from .io import iter_signals, parse_predictions
+from .lifecycle import RulesConfig, fold_trace
 from .stability import (
     FdiProfile,
     SensitivityPoint,
@@ -77,7 +61,6 @@ from .stability import (
     TszScalar,
     ZoneConfig,
     ZoneLabel,
-    classify_zone,
     fdi_at_threshold,
     sensitivity,
     sweep,

@@ -134,9 +134,7 @@ def cmd_evaluate(args: argparse.Namespace, out: TextIO) -> None:
         *((metric, format_real(gaps.value(metric))) for metric in GAP_METRICS),
         ("fdi", format_real(fdi.value)),
     ]
-    writerow = csv_writer(out).writerow
-    for row in rows:
-        writerow(row)
+    csv_writer(out).writerows(rows)
 
 
 def cmd_sweep(args: argparse.Namespace, out: TextIO) -> None:
@@ -176,9 +174,7 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> None:
         ("metric", "value"),
         *zip(metrics, (format_real(tsz), aggregation, format_real(s_ref), harshest)),
     ]
-    writerow = csv_writer(out).writerow
-    for row in rows:
-        writerow(row)
+    csv_writer(out).writerows(rows)
 
 
 def _scored(path: str, rules: RulesConfig) -> Iterator[tuple]:

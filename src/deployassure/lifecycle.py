@@ -505,12 +505,22 @@ def fold_trace(
     out: TextIO, records: Iterable[tuple], initial_state: DeploymentState,
     rules: RulesConfig, format: str
 ) -> None:
-    """Write the trace of validated signal rows into ``out``, as :func:`emit_trace`.
+    """Write the governed trace of signal records into ``out``, as ``lifecycle`` does.
 
-    ``records`` are ``io.iter_signals`` rows. The text equals the staged
-    ``emit_trace(replay(build_assessments(...)))`` path. A row error is
-    raised with part of the trace written: in JSON every row before the
-    failing one, in CSV only the whole :func:`csv_rows` blocks before it.
+    Each record is ``(snapshot_id, fdi, delta_fpr, delta_fnr, tsz,
+    remediation_event, r_m)``, as ``io.iter_signals`` yields it: four reals
+    in [0, 1], a bool, and ``r_m`` a real or None. No value is checked
+    here, so records built in code must hold to that. They are scored and
+    folded from ``initial_state`` under ``rules`` in one pass, and the
+    text equals the staged ``emit_trace(replay(build_assessments(...)))``.
+
+    ``format`` is ``"csv"`` (a header, then one row per record) or
+    ``"json"`` (the rules' ``config_fingerprint`` and an ``entries`` list);
+    anything else raises ValueError with nothing written. Zero records give
+    a header-only CSV or an empty ``entries`` list, where ``replay``
+    raises EmptySequenceError. A row error from ``records`` is raised with
+    part of the trace written: in JSON every row before the failing one,
+    in CSV only the whole :func:`csv_rows` blocks before it.
     """
     fingerprint = rules.fingerprint() if format == "json" else ""  # CSV prints none
     _serialise(out, _fold(records, initial_state, rules), format, fingerprint)

@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from deployassure import AssuranceSignals, Sample
+from deployassure import Sample
+from deployassure.assurance import AssuranceSignals
 
 # Calibration fixture: three lifecycle snapshots (an unmitigated baseline
 # followed by two mitigation attempts) with their target aggregate scores.

@@ -29,7 +29,7 @@ type-checked, then copied through an ``array('d')``.
 ``DATACLASS_TWINS`` maps each record type to the frozen dataclass it was
 before records replaced the dataclass decorator: the same fields,
 defaults, ``__post_init__`` and methods. ``to_twin`` rebuilds a record,
-nested records included, as its twins.
+nested records included, as its twins, one twin per record object.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from array import array
 from typing import Any, Iterable, Iterator, Sequence
 
 from deployassure import (
-    AssuranceSignals,
     ConfusionCounts,
     DeploymentState,
     DomainError,
@@ -57,7 +56,6 @@ from deployassure import (
     EscalationLevel,
     FdiProfile,
     GesThresholds,
-    GovernanceTrace,
     InsufficientSubgroupsError,
     MalformedRowError,
     MalformedSampleError,
@@ -65,14 +63,16 @@ from deployassure import (
     PanelConfig,
     RulesConfig,
     Sample,
-    SnapshotAssessment,
     SweepDegenerateError,
-    TraceEntry,
-    TransitionRecord,
     WeightVector,
     ZoneLabel,
 )
-from deployassure.assurance import BY_FAVORABILITY, R_M_RANGE, DrcBands
+from deployassure.assurance import (
+    BY_FAVORABILITY,
+    R_M_RANGE,
+    AssuranceSignals,
+    DrcBands,
+)
 from deployassure.evaluation import ScoreIndex, check_threshold
 from deployassure.lifecycle import (
     REASON_DAS_BAND,
@@ -80,6 +80,10 @@ from deployassure.lifecycle import (
     REASON_FRAGILITY,
     REASON_RECOVERY_GATED,
     TRACE_COLUMNS,
+    GovernanceTrace,
+    SnapshotAssessment,
+    TraceEntry,
+    TransitionRecord,
     csv_writer,
 )
 from deployassure.record import Record, replace
@@ -712,11 +716,20 @@ def dataclass_twin(cls: type[Record]) -> type:
 DATACLASS_TWINS = {cls: dataclass_twin(cls) for cls in Record.__subclasses__()}
 
 
+# One twin per record object, so that one record held in two fields is one
+# twin there too: ``TransitionRecord`` compares its states by identity.
+# Records are immutable, and each is kept alive beside its twin, so an id is
+# never reused for another record.
+_TWINS: dict[int, tuple[Record, Any]] = {}
+
+
 def to_twin(value: Any) -> Any:
     """``value`` with every record in it rebuilt as its dataclass twin."""
     if isinstance(value, Record):
-        fields = {name: to_twin(getattr(value, name)) for name in value._fields}
-        return DATACLASS_TWINS[type(value)](**fields)
+        if (kept := _TWINS.get(id(value))) is None:
+            fields = {name: to_twin(getattr(value, name)) for name in value._fields}
+            kept = _TWINS[id(value)] = (value, DATACLASS_TWINS[type(value)](**fields))
+        return kept[1]
     if isinstance(value, tuple):
         return tuple(map(to_twin, value))
     return value

@@ -16,24 +16,20 @@ from collections import Counter
 import pytest
 
 from deployassure import (
-    AssuranceSignals,
     DeploymentState,
     DisparityPanel,
     FdiProfile,
     RulesConfig,
     Sample,
-    SnapshotAssessment,
     WeightVector,
-    build_assessments,
     classify_drc,
     compute_confusion,
-    compute_das,
     compute_fdi,
-    compute_ges,
     remediation_progression,
-    replay,
     sensitivity,
 )
+from deployassure.assurance import AssuranceSignals, compute_das, compute_ges
+from deployassure.lifecycle import SnapshotAssessment, build_assessments, replay
 
 from conftest import REFERENCE_DAS, REFERENCE_ROWS
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deployassure import (
-    AssuranceSignals,
     ConfigInvalidError,
     DeploymentState,
     DrcBands,
@@ -18,11 +17,14 @@ from deployassure import (
     WeightVector,
     ZoneLabel,
     classify_drc,
-    compute_das,
-    compute_ges,
     remediation_progression,
 )
-from deployassure.assurance import BY_FAVORABILITY
+from deployassure.assurance import (
+    BY_FAVORABILITY,
+    AssuranceSignals,
+    compute_das,
+    compute_ges,
+)
 
 unit = st.floats(0, 1)
 

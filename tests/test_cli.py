@@ -22,20 +22,22 @@ import deployassure.evaluation
 import deployassure.io
 import deployassure.lifecycle
 from deployassure import (
-    AssuranceSignals,
     Sample,
-    SnapshotAssessment,
-    TraceEntry,
-    TransitionRecord,
-    build_assessments,
     compute_confusion,
     fdi_at_threshold,
     load_config,
     parse_predictions,
-    parse_signals,
+)
+from deployassure.assurance import AssuranceSignals
+from deployassure.cli import FORMATS, main
+from deployassure.io import parse_signals
+from deployassure.lifecycle import (
+    SnapshotAssessment,
+    TraceEntry,
+    TransitionRecord,
+    build_assessments,
     replay,
 )
-from deployassure.cli import FORMATS, main
 from deployassure.record import replace
 
 from conftest import CSV_WRITES_NUL, SIGNALS_CSV, make_dataset

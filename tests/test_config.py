@@ -14,6 +14,9 @@ from deployassure import (
     RulesConfig,
     load_config,
 )
+from deployassure.cli import main
+
+from conftest import SIGNALS_CSV
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -203,3 +206,22 @@ class TestFingerprint:
         base = load_config(None)
         other = load_config(write_config(tmp_path, {"hysteresis": 0.04}))
         assert base.fingerprint() != other.fingerprint()
+
+
+def test_readme_library_example_prints_the_lifecycle_trace(
+    tmp_path, monkeypatch, capsys
+):
+    # Gating off and a wider hysteresis both show in the trace, so the
+    # example is seen to read its config.
+    signals = SIGNALS_CSV + "recovered,0.05,0.02,0.03,0.04,1,0.9\n"
+    (tmp_path / "signals.csv").write_text(signals, encoding="utf-8")
+    (tmp_path / "config.json").write_text(
+        '{"recovery_gating": false, "hysteresis": 0.04}', encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    section = README.read_text(encoding="utf-8").split("## Library use\n")[1]
+    exec(section.split("```python\n")[1].split("```")[0], {})
+    printed = capsys.readouterr().out
+    argv = ["lifecycle", "--signals", "signals.csv", "--config", "config.json"]
+    assert main(argv) == 0
+    assert printed == capsys.readouterr().out

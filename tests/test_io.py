@@ -23,10 +23,14 @@ from deployassure import (
     MissingColumnError,
     RulesConfig,
     parse_predictions,
-    parse_signals,
 )
 import deployassure.io
-from deployassure.io import PREDICTIONS_COLUMNS, SIGNALS_COLUMNS, iter_signals
+from deployassure.io import (
+    PREDICTIONS_COLUMNS,
+    SIGNALS_COLUMNS,
+    iter_signals,
+    parse_signals,
+)
 from deployassure.lifecycle import fold_trace, format_real
 
 from oracles import (

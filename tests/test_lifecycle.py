@@ -16,25 +16,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deployassure import (
-    AssuranceSignals,
     ConfigInvalidError,
     DeploymentState,
     EmptySequenceError,
     EscalationLevel,
     GesThresholds,
     RulesConfig,
-    SnapshotAssessment,
-    TransitionRecord,
     WeightVector,
     ZoneLabel,
-    build_assessments,
     classify_drc,
-    compute_ges,
-    emit_trace,
     load_config,
-    replay,
-    step,
 )
+from deployassure.assurance import AssuranceSignals, compute_ges
 from deployassure.cli import main
 from deployassure.io import _BLOCK_ROWS
 from deployassure.lifecycle import (
@@ -44,10 +37,16 @@ from deployassure.lifecycle import (
     REASON_RECOVERY_GATED,
     TRACE_COLUMNS,
     GovernanceTrace,
+    SnapshotAssessment,
     TraceEntry,
+    TransitionRecord,
+    build_assessments,
     csv_rows,
+    emit_trace,
     json_rows,
     json_text,
+    replay,
+    step,
 )
 from deployassure.record import replace
 

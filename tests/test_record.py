@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import oracles
 from deployassure import (
-    AssuranceSignals,
     ConfigInvalidError,
     ConfusionCounts,
     DeploymentState,
@@ -33,22 +32,25 @@ from deployassure import (
     FdiProfile,
     FdiValue,
     GesThresholds,
-    GovernanceTrace,
     PanelConfig,
     RatePanel,
     RulesConfig,
     Sample,
     SensitivityPoint,
     SensitivityProfile,
-    SnapshotAssessment,
-    TraceEntry,
-    TransitionRecord,
     TszScalar,
     WeightVector,
     ZoneConfig,
     ZoneLabel,
 )
+from deployassure.assurance import AssuranceSignals
 from deployassure.config import load_config
+from deployassure.lifecycle import (
+    GovernanceTrace,
+    SnapshotAssessment,
+    TraceEntry,
+    TransitionRecord,
+)
 from deployassure.record import Record, asdict, canonical_fingerprint, replace
 
 D = DeploymentState

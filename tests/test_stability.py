@@ -20,7 +20,6 @@ from deployassure import (
     SweepDegenerateError,
     ZoneConfig,
     ZoneLabel,
-    classify_zone,
     fdi_at_threshold,
     sensitivity,
     sweep,
@@ -28,7 +27,7 @@ from deployassure import (
     worst_zone,
 )
 from deployassure.disagreement import MODES, PanelConfig
-from deployassure.stability import MAX_SWEEP_STEPS, check_sweep_range
+from deployassure.stability import MAX_SWEEP_STEPS, check_sweep_range, classify_zone
 
 from conftest import make_dataset
 from oracles import fill_flagged, flagging_sweep
