@@ -11,7 +11,11 @@ written into a temporary directory:
   1, 512 or 513 (either side of the readers' 512-row block);
 * signals files whose one id, at row 1, 512 or 513, holds a comma, so
   that the trace writer's clean and quoted blocks meet in one file; and
-  one whose signal values include the JSON integers 0 and 1, and -0.0.
+  one whose signal values include the JSON integers 0 and 1, and -0.0;
+* a verdict-mode config with per-metric tolerances and a two-metric
+  panel, on the bench predictions; and a predictions file in which one
+  gap keeps a single eligible subgroup, so ``sweep`` is degenerate and
+  ``evaluate`` names every exclusion, with either config.
 
 Every command runs in both output formats, ``lifecycle`` also with
 ``--gating off`` and each ``--initial``. ``golden.json`` holds, per
@@ -143,7 +147,7 @@ def invocations(tmp: Path) -> list[list[str]]:
     workloads.write_config(config)
     runs: list[list[str]] = []
 
-    def add(kind: str, name: str, commands=None) -> None:
+    def add(kind: str, name: str, commands=None, config=config) -> None:
         for command in commands or _commands(kind):
             for output in ("csv", "json"):
                 runs.append(
@@ -168,10 +172,36 @@ def invocations(tmp: Path) -> list[list[str]]:
     lifecycles = [("lifecycle", "--gating", g) for g in ("on", "off")]
     lifecycles += [("lifecycle", "--initial", s) for s in STATES]
     sweeps = [("evaluate", "--threshold", "0.5"), ("sweep",)]
-    sweeps += [("sweep", "--range", "0:1:0.005")]
+    sweeps += [("sweep", "--range", "0:1:0.005"), ("sweep", "--range", "0:1:0.001")]
     for ext in ("csv", "jsonl"):
         add("predictions", f"workload-predictions.{ext}", sweeps)
         add("signals", f"workload-signals.{ext}", [("score",), *lifecycles])
+
+    # Verdict mode: tolerances for a panel metric and for one outside the
+    # panel; the other panel metric takes the default tolerance.
+    verdict = tmp / "config-verdict.json"
+    verdict.write_text(json.dumps({
+        **workloads.CONFIG,
+        "fdi": {
+            "mode": "verdict",
+            "tolerances": {"delta_tpr": 0.05, "delta_fpr": 0.2},
+            "default_tolerance": 0.08,
+        },
+        "panel_metrics": ["delta_sr", "delta_tpr"],
+    }), encoding="utf-8")
+    add("predictions", "workload-predictions.csv", sweeps[:3], verdict)
+    # delta_fpr keeps one eligible subgroup: B is below min_support and C,
+    # all positive, has no false positive rate. The verdict panel leaves
+    # delta_fpr out, and is degenerate all the same.
+    records = [
+        {"sample_id": f"{group}{i}", "score": (i * 37 % 100) / 100,
+         "label": 1 if group == "C" else i % 2, "subgroup": group}
+        for group, n in (("A", 40), ("B", 10), ("C", 40))
+        for i in range(n)
+    ]
+    _write(tmp / "predictions-degenerate.csv", PREDICTION_COLUMNS, records, False)
+    for cfg in (config, verdict):
+        add("predictions", "predictions-degenerate.csv", sweeps[:2], cfg)
 
     # Edge files, each kind in both input formats.
     for kind, make, columns in (
