@@ -10,7 +10,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from typing import Iterable, Mapping
+from itertools import repeat
+from operator import attrgetter, sub
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -25,13 +27,14 @@ DEFAULT_MIN_SUPPORT = 30
 EXCLUDE_BELOW_SUPPORT = "below_support"
 EXCLUDE_UNDEFINED_RATE = "undefined_rate"
 
-# Gap name -> the RatePanel attribute it spans.
+# Gap name -> the RatePanel attribute it spans, in the panel's field order.
 GAP_METRICS: dict[str, str] = {
     "delta_fpr": "fpr",
     "delta_fnr": "fnr",
     "delta_tpr": "tpr",
     "delta_sr": "selection_rate",
 }
+_rates_of = attrgetter(*GAP_METRICS.values())  # a RatePanel's rates, in gap order
 
 
 class Sample(Record):
@@ -190,11 +193,13 @@ class ScoreIndex:
 
     Building the index sorts each subgroup's negative and positive scores
     once, and keeps each sorted run as an ``array('d')``: 8 bytes a score
-    rather than a boxed float and a list slot. :meth:`confusion` then
-    counts a subgroup's cells by bisection: ``bisect_left`` counts the
-    scores below ``t``, which are exactly the samples that ``score >= t``
-    predicts negative. A T-point sweep over N samples in G subgroups so
-    costs O(N log N + T*G*log N) rather than T passes over every sample.
+    rather than a boxed float and a list slot. :meth:`counts_below` then
+    counts a subgroup's cells for a whole threshold grid at once, by
+    ``bisect_left`` mapped over the grid: it counts the scores below
+    ``t``, which are exactly the samples that ``score >= t`` predicts
+    negative. A T-point sweep over N samples in G subgroups so costs
+    O(N log N + T*G*log N): two bisections per subgroup and grid point,
+    and no per-subgroup record, rather than T passes over every sample.
     Samples that are not a :class:`Predictions` pass through
     :meth:`Predictions.from_samples` first.
 
@@ -220,70 +225,81 @@ class ScoreIndex:
             groups[group] = tuple(array("d", sorted(scores)) for scores in by_label)
         self._groups = groups
 
+    def counts_below(
+        self, thresholds: Sequence[float]
+    ) -> dict[str, tuple[int, int, list[int], list[int]]]:
+        """Per subgroup, in first-seen order: its counts of negatives and
+        positives, and the columns of how many of each score below each
+        threshold (``tn`` and ``fn``). Raises :class:`DomainError` for a
+        threshold outside [0, 1].
+        """
+        for threshold in thresholds:
+            check_threshold(threshold)
+        return {
+            group: (len(negatives), len(positives),
+                    list(map(bisect_left, repeat(negatives), thresholds)),
+                    list(map(bisect_left, repeat(positives), thresholds)))
+            for group, (negatives, positives) in self._groups.items()
+        }
+
     def confusion(self, threshold: float) -> dict[str, ConfusionCounts]:
-        """Per-subgroup counts at ``threshold``, in first-seen subgroup order.
+        """The one-point case of :meth:`counts_below`, as confusion counts.
 
         Equal, order included, to ``compute_confusion(samples, threshold)``.
 
         Raises:
             DomainError: threshold outside [0, 1].
         """
-        check_threshold(threshold)
-        out: dict[str, ConfusionCounts] = {}
-        for group, (negatives, positives) in self._groups.items():
-            fn = bisect_left(positives, threshold)
-            tn = bisect_left(negatives, threshold)
-            out[group] = ConfusionCounts(
-                tp=len(positives) - fn, fp=len(negatives) - tn, tn=tn, fn=fn
-            )
-        return out
+        below = self.counts_below((threshold,)).items()
+        return {
+            group: ConfusionCounts(tp=positives - fn, fp=negatives - tn, tn=tn, fn=fn)
+            for group, (negatives, positives, (tn,), (fn,)) in below
+        }
 
 
-def compute_rates(counts: ConfusionCounts) -> RatePanel:
-    """Derive the rate panel from confusion counts.
+def rate_columns(
+    negatives: int, positives: int, tn: Sequence[int], fn: Sequence[int]
+) -> tuple[list[float] | None, ...]:
+    """A subgroup's rates at each point of its :meth:`ScoreIndex.counts_below`.
 
-    fpr = fp/(fp+tn), fnr = fn/(fn+tp), tpr = tp/(tp+fn),
-    selection_rate = (tp+fp)/n; a zero denominator yields ``None``.
+    fpr = fp/(fp+tn), fnr = fn/(fn+tp), tpr = tp/(tp+fn) and
+    selection_rate = (tp+fp)/n, in :data:`GAP_METRICS` order; a zero
+    denominator yields ``None`` for the column.
     """
-    negatives = counts.fp + counts.tn
-    positives = counts.tp + counts.fn
-    n = counts.total
-    return RatePanel(
-        fpr=counts.fp / negatives if negatives else None,
-        fnr=counts.fn / positives if positives else None,
-        tpr=counts.tp / positives if positives else None,
-        selection_rate=(counts.tp + counts.fp) / n if n else None,
+    n = negatives + positives
+    return (
+        [(negatives - x) / negatives for x in tn] if negatives else None,
+        [x / positives for x in fn] if positives else None,
+        [(positives - x) / positives for x in fn] if positives else None,
+        [(n - x - y) / n for x, y in zip(tn, fn)] if n else None,
     )
 
 
-def compute_gaps(
-    rates: Mapping[str, RatePanel],
-    counts: Mapping[str, int],
-    min_support: int = DEFAULT_MIN_SUPPORT,
-) -> DisparityGaps:
-    """Compute max-minus-min disparity gaps across subgroups.
+def eligible_columns(
+    rates: Mapping[str, Sequence[Sequence[float] | None]],
+    sizes: Mapping[str, int],
+    min_support: int,
+) -> tuple[list[list[Sequence[float]]], tuple[tuple[str, str], ...]]:
+    """Per gap, the :func:`rate_columns` of its eligible subgroups; and the
+    ``(subgroup, reason)`` exclusions, sorted.
 
-    A subgroup participates in a gap only if its sample count reaches
-    ``min_support`` and the underlying rate is defined; an undefined rate
-    excludes a subgroup from that gap only.
-
-    Raises:
-        InsufficientSubgroupsError: fewer than two eligible subgroups
-            remain for some gap (the error names the gap).
+    A subgroup takes part in a gap only if its size (0 if absent from
+    ``sizes``) reaches ``min_support`` and the gap's rate is defined; an
+    undefined rate excludes it from that gap only. Neither reads a
+    threshold. Fewer than two eligible subgroups for any gap raise
+    :class:`InsufficientSubgroupsError`, which names the gap.
     """
     excluded: dict[tuple[str, str], None] = {}
-    values: dict[str, float] = {}
-    for gap_name, rate_attr in GAP_METRICS.items():
-        eligible: list[float] = []
-        for group in rates:
-            if counts.get(group, 0) < min_support:
+    by_gap = []
+    for rate, gap_name in enumerate(GAP_METRICS):
+        eligible = []
+        for group, columns in rates.items():
+            if sizes.get(group, 0) < min_support:
                 excluded[(group, EXCLUDE_BELOW_SUPPORT)] = None
-                continue
-            rate = getattr(rates[group], rate_attr)
-            if rate is None:
+            elif columns[rate] is None:
                 excluded[(group, EXCLUDE_UNDEFINED_RATE)] = None
-                continue
-            eligible.append(rate)
+            else:
+                eligible.append(columns[rate])
         if len(eligible) < 2:
             detail = "; ".join(f"{g} {reason}" for (g, reason) in excluded)
             raise InsufficientSubgroupsError(
@@ -291,8 +307,39 @@ def compute_gaps(
                 f"needs at least 2 eligible subgroups, found {len(eligible)}"
                 + (f" ({detail})" if detail else ""),
             )
-        values[gap_name] = max(eligible) - min(eligible)
-    return DisparityGaps(**values, excluded_subgroups=tuple(sorted(excluded)))
+        by_gap.append(eligible)
+    return by_gap, tuple(sorted(excluded))
+
+
+def spread(columns: Sequence[Sequence[float]]) -> list[float]:
+    """Max minus min across two or more columns, at each point."""
+    return list(map(sub, map(max, *columns), map(min, *columns)))
+
+
+def compute_rates(counts: ConfusionCounts) -> RatePanel:
+    """Derive the rate panel from confusion counts (see :func:`rate_columns`)."""
+    negatives, positives = counts.fp + counts.tn, counts.tp + counts.fn
+    rates = rate_columns(negatives, positives, (counts.tn,), (counts.fn,))
+    return RatePanel(*(None if rate is None else rate[0] for rate in rates))
+
+
+def compute_gaps(
+    rates: Mapping[str, RatePanel],
+    counts: Mapping[str, int],
+    min_support: int = DEFAULT_MIN_SUPPORT,
+) -> DisparityGaps:
+    """Max-minus-min disparity gaps across the subgroups of sizes ``counts``.
+
+    Raises:
+        InsufficientSubgroupsError: fewer than two eligible subgroups
+            remain for some gap (see :func:`eligible_columns`).
+    """
+    columns = {
+        group: [None if rate is None else (rate,) for rate in _rates_of(panel)]
+        for group, panel in rates.items()
+    }
+    by_gap, excluded = eligible_columns(columns, counts, min_support)
+    return DisparityGaps(*(spread(e)[0] for e in by_gap), excluded_subgroups=excluded)
 
 
 def subgroup_sizes(confusion: Mapping[str, ConfusionCounts]) -> dict[str, int]:

@@ -232,7 +232,8 @@ def _parse_binary(value: Any, name: str) -> int:
 # blocks of this size too, so a retune moves the writer's memory and
 # collections as well; tests/test_io.py TestBlockPathCollections bounds both.
 _BLOCK_ROWS = 512
-# The label cells the CSV block path takes; any other (" 1", "2") is doubt.
+# The 0/1 cells the CSV block path takes, stripped as _parse_binary strips
+# them; any other ("2", "") is doubt.
 _LABELS = {"0": 0, "1": 1}
 # Exact JSON types: a bool is no number; _BINARY in [0, 1] is 0, 1 or a bool.
 _NUMBERS, _BINARY = {int, float}, {int, bool}
@@ -314,13 +315,21 @@ def _signal_rows(columns: list[list[Any]]) -> Iterator[tuple]:
     return zip(ids, *signals, map(bool, events), r_ms)
 
 
+def _binary_cells(cells: Sequence[str]) -> bytes:
+    """A CSV column of 0/1 cells; only a column with a padded cell is stripped."""
+    try:
+        return bytes(map(_LABELS.__getitem__, cells))
+    except KeyError:
+        return bytes(map(_LABELS.__getitem__, map(str.strip, cells)))
+
+
 def _prediction_cells(columns: tuple) -> tuple[array, bytes, Sequence[str]]:
     """A CSV block's cells as :func:`_prediction_block` returns its columns."""
     _, scores, labels, subgroups = columns
     if not all(subgroups):
         raise _Doubt
     scores = array("d", _bounded(list(map(float, scores))))
-    return scores, bytes(map(_LABELS.__getitem__, labels)), subgroups
+    return scores, _binary_cells(labels), subgroups
 
 
 def _signal_cells(columns: tuple) -> Iterator[tuple]:
@@ -328,7 +337,7 @@ def _signal_cells(columns: tuple) -> Iterator[tuple]:
     ids, *signals, events, r_ms = columns
     signals = [list(map(float, column)) for column in signals]
     r_ms = [float(r) if r else None for r in r_ms]  # an empty cell is no r_m
-    return _signal_rows([ids, *signals, list(map(_LABELS.__getitem__, events)), r_ms])
+    return _signal_rows([ids, *signals, _binary_cells(events), r_ms])
 
 
 def _prediction_row(values: Sequence[Any]) -> tuple[array, bytes, list[str]]:
@@ -367,8 +376,8 @@ def parse_predictions(path: str) -> Predictions:
     :func:`_iter_records`): :func:`_prediction_cells` checks a CSV block,
     :func:`_prediction_block` a JSON-lines one, and :func:`_prediction_row`
     each row of a block they doubt. That gives the first error its row or
-    accepts what the blocks were too strict for (a label of ``" 1"``). So
-    a pipe takes the block path too.
+    accepts what the blocks were too strict for (a JSON label ``" 1"``).
+    So a pipe takes the block path too.
 
     Each ``sample_id`` is checked (a row too short to hold one is an
     error) but not stored.

@@ -17,7 +17,9 @@ from bisect import bisect_right
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .disagreement import FdiValue, PanelConfig, compute_fdi, panel_from_gaps
+from .disagreement import (
+    DisparityPanel, FdiValue, PanelConfig, compute_fdi, panel_from_gaps
+)
 from .errors import (
     ConfigInvalidError,
     DomainError,
@@ -25,6 +27,7 @@ from .errors import (
     SweepDegenerateError,
 )
 from .evaluation import (
+    GAP_METRICS,
     ConfusionCounts,
     DisparityGaps,
     Predictions,
@@ -34,6 +37,9 @@ from .evaluation import (
     compute_confusion,
     compute_gaps,
     compute_rates,
+    eligible_columns,
+    rate_columns,
+    spread,
     subgroup_sizes,
 )
 from .record import Record
@@ -190,12 +196,14 @@ def sweep(
 ) -> FdiProfile:
     """Evaluate the disagreement index over a uniform threshold grid.
 
-    A gap without two eligible subgroups fails the sweep as degenerate.
+    A gap without two eligible subgroups fails the sweep as degenerate,
+    whether the panel holds that gap or not.
 
-    The samples are sorted once into a :class:`ScoreIndex` (samples that
-    are not a :class:`Predictions` are checked on the way in), so each
-    grid point costs a bisection per subgroup, not a pass over every
-    sample.
+    The grid runs in columns through the rules :func:`assess_at_threshold`
+    applies at one point: a :class:`ScoreIndex` (which checks samples that
+    are not a :class:`Predictions`) counts every subgroup at every point,
+    eligibility is taken once, and the one record built per point is the
+    panel that :func:`compute_fdi` scores.
 
     Raises:
         DomainError: bad range/step (see :func:`check_sweep_range`).
@@ -211,12 +219,11 @@ def sweep(
     # t_min + i*h can overshoot t_max by an ulp (0.09 + 26*0.035 > 1.0).
     thresholds = [min(t_min + i * h, t_max) for i in range(intervals + 1)]
 
-    index = ScoreIndex(samples)
+    counts = ScoreIndex(samples).counts_below(thresholds)
+    rates = {group: rate_columns(*columns) for group, columns in counts.items()}
+    sizes = {group: columns[0] + columns[1] for group, columns in counts.items()}
     try:
-        values = [
-            assess_at_threshold(index.confusion(t), panel_config)[2].value
-            for t in thresholds
-        ]
+        eligible_by_gap, _ = eligible_columns(rates, sizes, panel_config.min_support)
     except InsufficientSubgroupsError:
         # Eligibility reads subgroup sizes and label counts, never the
         # threshold: one failing grid point means every point fails.
@@ -224,6 +231,13 @@ def sweep(
         raise SweepDegenerateError(
             f"{n} of {n} grid points had insufficient eligible subgroups"
         ) from None
+    eligible = dict(zip(GAP_METRICS, eligible_by_gap))
+    metrics, mode = panel_config.metrics, panel_config.mode
+    tolerances = panel_config.panel_tolerances()
+    values = [
+        compute_fdi(DisparityPanel(tuple(zip(metrics, gaps)), tolerances), mode).value
+        for gaps in zip(*(spread(eligible[m]) for m in metrics))
+    ]
     return FdiProfile(points=tuple(zip(thresholds, values)), h=h)
 
 

@@ -527,21 +527,40 @@ class TestBlockPath:
         assert len(parse_predictions(path)) == len(rows)
         assert calls == {"open": 1, "_iter_records": 1}
 
-    def test_padded_label_takes_the_exact_path_once(self, monkeypatch, tmp_path):
+    def test_padded_label_keeps_the_block_path(self, monkeypatch, tmp_path):
         calls = self._count(monkeypatch)
         rows = _clean_rows(2 * BLOCK + 10)
         rows[BLOCK + 3] = "s,0.5, 1,A"
         path = write(tmp_path, "p.csv", "\n".join([HEADER, *rows]))
         predictions = parse_predictions(path)
         assert (len(predictions), predictions.labels[BLOCK + 3]) == (len(rows), 1)
-        # Only the second block, the one holding the padded label, row by row.
-        assert calls == {
-            "open": 1,
-            "_iter_records": 1,
-            "_as_string": 2 * BLOCK,
-            "_parse_unit_interval": BLOCK,
-            "_parse_binary": BLOCK,
-        }
+        # The block check strips the padded cell, as _parse_binary does.
+        assert calls == {"open": 1, "_iter_records": 1}
+
+    @pytest.mark.parametrize("kind", ["predictions", "signals"])
+    def test_padded_binary_cells_in_every_block_keep_the_block_path(
+        self, monkeypatch, tmp_path, kind
+    ):
+        row_checks = []
+        for name in ("_prediction_row", "_signal_row"):
+            def counted(values, _real=getattr(deployassure.io, name)):
+                row_checks.append(values)
+                return _real(values)
+
+            monkeypatch.setattr(deployassure.io, name, counted)
+        binary = {"predictions": "label", "signals": "remediation_event"}[kind]
+        lines = _jsonl_lines(kind, 3 * BLOCK + 10, seed=4)
+        for i in range(0, len(lines), 97):  # several in each block
+            record = json.loads(lines[i])
+            record[binary] = (" {}", "{} ", "\t{}\t")[i % 3].format(record[binary])
+            lines[i] = json.dumps(record) + "\n"
+        path = write(tmp_path, f"{kind}.csv", _csv_text(kind, lines))
+        if kind == "predictions":
+            got = columns(parse_predictions(path))
+            assert got == columns(dictreader_parse_predictions(path))
+        else:
+            assert parse_signals(path) == staged_parse_signals(path)
+        assert row_checks == []
 
     @pytest.mark.parametrize("kind", ["signals", "predictions"])
     def test_clean_jsonl_makes_no_per_row_calls(self, monkeypatch, tmp_path, kind):
@@ -625,10 +644,16 @@ class TestBlockPath:
     def test_each_input_is_read_once_and_only_a_doubted_block_row_by_row(
         self, monkeypatch, tmp_path, kind, fmt, pipe
     ):
-        # " 1" is a label or event the exact path takes and no block check does.
+        # A row the exact path takes and no block check does: a JSON label
+        # or event of " 1"; in CSV, whose block checks strip a padded 0/1
+        # cell, a signals row short of its r_m cell. A CSV predictions block
+        # doubts no row that the exact path takes: there " 1" is read as a
+        # block, and no row is checked on its own.
         lines = _jsonl_lines(kind, 2 * BLOCK + 10, seed=4)
         binary = {"predictions": "label", "signals": "remediation_event"}[kind]
         lines[BLOCK + 3] = _line(kind, **{binary: " 1"})
+        if (kind, fmt) == ("signals", "csv"):
+            lines[BLOCK + 3] = "s,0.1,0.2,0.3,0.4,1\n"  # kept as it is
         text = _csv_text(kind, lines) if fmt == "csv" else "".join(lines)
         path = write(tmp_path, f"p.{fmt}", text)
         calls = self._count(monkeypatch)
@@ -656,9 +681,11 @@ class TestBlockPath:
             "predictions": {"_as_string": 2 * BLOCK, "_parse_unit_interval": BLOCK},
             "signals": {"_as_string": BLOCK, "_parse_unit_interval": 4 * BLOCK + r_ms},
         }[kind]
-        assert calls == {
-            "open": 1, "_iter_records": 1, **per_row, "_parse_binary": BLOCK
-        }
+        if (kind, fmt) == ("predictions", "csv"):
+            per_row = {}
+        else:
+            per_row["_parse_binary"] = BLOCK
+        assert calls == {"open": 1, "_iter_records": 1, **per_row}
 
     @staticmethod
     def _count(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,13 @@ import deployassure.evaluation
 import deployassure.stability
 from deployassure import (
     ConfigInvalidError,
+    ConfusionCounts,
     DomainError,
     EmptyInputError,
     FdiProfile,
+    InsufficientSubgroupsError,
     MalformedSampleError,
+    RatePanel,
     Sample,
     SensitivityPoint,
     SensitivityProfile,
@@ -27,10 +32,16 @@ from deployassure import (
     worst_zone,
 )
 from deployassure.disagreement import MODES, PanelConfig
-from deployassure.stability import MAX_SWEEP_STEPS, check_sweep_range, classify_zone
+from deployassure.evaluation import GAP_METRICS, ScoreIndex
+from deployassure.stability import (
+    MAX_SWEEP_STEPS,
+    assess_at_threshold,
+    check_sweep_range,
+    classify_zone,
+)
 
 from conftest import make_dataset
-from oracles import fill_flagged, flagging_sweep
+from oracles import fill_flagged, flagging_sweep, naive_confusion
 
 H = 0.05
 
@@ -167,6 +178,32 @@ class TestSweep:
         fdi_at_threshold(samples, 0.5, PanelConfig())
         assert calls == [0.5]
 
+    def test_no_record_per_subgroup_and_grid_point(self, monkeypatch):
+        # Counts, not timings: the grid is counted and rated in columns,
+        # and only the panel of each point is scored on its own.
+        built = collections.Counter()
+        for cls in (ConfusionCounts, RatePanel):
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls.__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        scored = []
+        compute_fdi = deployassure.stability.compute_fdi
+        monkeypatch.setattr(
+            deployassure.stability,
+            "compute_fdi",
+            lambda *args: scored.append(args) or compute_fdi(*args),
+        )
+        samples = make_dataset(groups=("A", "B", "C"))
+        profile = sweep(samples, 0.0, 1.0, 0.005)
+        assert len(profile.points) == len(scored) == 201
+        assert built["ConfusionCounts"] <= 3 and built["RatePanel"] <= 3
+        # The patches are live: one point of the record path builds one of each.
+        built.clear()
+        assess_at_threshold(ScoreIndex(samples).confusion(0.5), PanelConfig())
+        assert built == {"ConfusionCounts": 3, "RatePanel": 3}
+
 
 class TestFillFlagged:
     """The oracle sweep's interpolation, kept in ``tests/oracles.py``."""
@@ -222,6 +259,74 @@ class TestSweepAgainstFlaggingOracle:
                 outcomes.append(("degenerate", str(exc)))
         event(outcomes[0][0])
         assert outcomes[0] == outcomes[1]
+
+
+# (t_min, t_max, h) and its grid, as sweep spaces it: t_min + i*h, capped at t_max.
+GRIDS = {
+    spec: [min(spec[0] + i * spec[2], spec[1]) for i in range(n)]
+    for spec, n in (((0.2, 0.9, 0.05), 15), ((0.0, 1.0, 0.1), 11), ((0.1, 0.3, 0.1), 3),
+                    ((0.09, 1.0, 0.035), 27), ((0.0, 1.0, 0.005), 201))
+}
+
+
+@st.composite
+def tied_sweeps(draw):
+    """A sweep's samples, grid and panel config, drawn to reach every rule.
+
+    Scores mostly sit on the grid's own thresholds, so ``score >= t`` ties
+    at grid points. A subgroup may fall below ``min_support``, or hold
+    only positives or only negatives; the panel may leave out the gap that
+    such a subgroup fails.
+    """
+    spec = draw(st.sampled_from(sorted(GRIDS)))
+    grid = GRIDS[spec]
+    score = st.one_of(st.sampled_from(grid), st.floats(0.0, 1.0))
+    samples = []
+    for g in range(draw(st.integers(1, 5))):
+        labels = draw(st.sampled_from(("mixed", "mixed", "mixed", "positive", "negative")))
+        for i in range(draw(st.integers(1, 12))):
+            label = {"mixed": draw(st.integers(0, 1)), "positive": 1, "negative": 0}[labels]
+            samples.append(Sample(f"g{g}s{i}", draw(score), label, f"g{g}"))
+    gaps = draw(st.permutations(list(GAP_METRICS)))
+    unit = st.floats(0.0, 1.0)
+    config = PanelConfig(
+        metrics=tuple(gaps[: draw(st.integers(2, 4))]),
+        mode=draw(st.sampled_from(MODES)),
+        tolerances=draw(st.dictionaries(st.sampled_from(list(GAP_METRICS)), unit)),
+        default_tolerance=draw(unit),
+        min_support=draw(st.integers(1, 6)),
+    )
+    return samples, spec, config
+
+
+class TestSweepAgainstNaiveOracle:
+    """The column sweep against the record path, point by point.
+
+    Each point of the oracle counts every sample (``naive_confusion``) and
+    then takes rates, gaps and the index through ``assess_at_threshold``.
+    """
+
+    @given(tied_sweeps())
+    @settings(max_examples=300, deadline=None)
+    def test_same_points_or_same_error(self, drawn):
+        samples, spec, config = drawn
+        grid = GRIDS[spec]
+        try:
+            values = [
+                assess_at_threshold(naive_confusion(samples, t), config)[2].value
+                for t in grid
+            ]
+            expected = ("ok", tuple(zip(grid, values)))
+        except InsufficientSubgroupsError:
+            n = len(grid)
+            message = f"{n} of {n} grid points had insufficient eligible subgroups"
+            expected = ("degenerate", message)
+        try:
+            outcome = ("ok", sweep(samples, *spec, config).points)
+        except SweepDegenerateError as exc:
+            outcome = ("degenerate", str(exc))
+        event(f"{outcome[0]}, {config.mode}")
+        assert outcome == expected
 
 
 class TestProfileValidation:
