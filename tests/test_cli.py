@@ -472,6 +472,40 @@ CONFIG_ERRORS = {
         {"ges_thresholds": {"tsz": "x", "fdi": "y"}},
         "ges_thresholds.tsz: expected three numbers, got 'x'",
     ),
+    "default-tolerance-not-number": (
+        {"fdi": {"default_tolerance": "0.1"}},
+        "fdi.default_tolerance: expected a number, got '0.1'",
+    ),
+    "tolerance-not-number": (
+        {"fdi": {"tolerances": {"delta_fpr": 0.1, "delta_sr": [0.2]}}},
+        "fdi.tolerances.delta_sr: expected a number, got [0.2]",
+    ),
+    "unknown-fdi-field": (
+        {"fdi": {"mode": "verdict", "tolerance": 0.1}},
+        "fdi: unknown field(s): tolerance",
+    ),
+    "unknown-ges-thresholds-field": (
+        {"ges_thresholds": {"fdi": [0.25, 0.5, 0.75], "dpd": [0.1, 0.2, 0.3]}},
+        "ges_thresholds: unknown field(s): dpd",
+    ),
+    "s_ref-not-number": (
+        {"tsz": {"s_ref": "2.0"}},
+        "tsz.s_ref: expected a number, got '2.0'",
+    ),
+    "negative-weight": (
+        {"weights": {"alpha": 0.5, "beta": -0.25, "gamma": 0.5, "delta": 0.25}},
+        "weights: beta must be >= 0, got -0.25",
+    ),
+    # default_tolerance is read before tolerances, whatever the file order.
+    "fdi-default-tolerance-before-tolerances": (
+        {"fdi": {"tolerances": [0.1], "default_tolerance": "x"}},
+        "fdi.default_tolerance: expected a number, got 'x'",
+    ),
+    # Unknown keys are found before any value is read.
+    "unknown-key-before-bad-value": (
+        {"hysteresis": "x", "wieghts": {}},
+        "{path}: unknown field(s): wieghts",
+    ),
 }
 
 

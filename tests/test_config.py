@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deployassure import (
     ConfigInvalidError,
@@ -15,10 +19,101 @@ from deployassure import (
     load_config,
 )
 from deployassure.cli import main
+from deployassure.evaluation import GAP_METRICS
+from deployassure.record import asdict
 
 from conftest import SIGNALS_CSV
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+BAND_NAMES = ("deployable", "restricted", "reassessment", "escalated")
+unit = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+cuts = st.lists(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=3, max_size=3, unique=True
+).map(sorted)
+# Every top-level key, each present or absent, with a value its owner takes.
+valid_payloads = st.fixed_dictionaries(
+    {},
+    optional={
+        "weights": st.sampled_from(
+            [(0.25, 0.25, 0.25, 0.25), (1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5)]
+        )
+        .flatmap(st.permutations)
+        .map(lambda w: dict(zip(("alpha", "beta", "gamma", "delta"), w))),
+        "bands": st.lists(
+            st.sampled_from([0.1, 0.3, 0.5, 0.65, 0.85, 0.9]),
+            min_size=4,
+            max_size=4,
+            unique=True,
+        )
+        .map(lambda b: sorted(b, reverse=True))
+        .map(lambda b: dict(zip(BAND_NAMES, b))),
+        "zone_boundaries": st.lists(
+            st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+            min_size=3,
+            max_size=3,
+            unique=True,
+        ).map(sorted),
+        "ges_thresholds": st.dictionaries(
+            st.sampled_from(["fdi", "delta_fpr", "delta_fnr", "tsz"]), cuts
+        ),
+        "sweep": st.fixed_dictionaries(
+            {},
+            optional={
+                "t_min": st.sampled_from([0.0, 0.1, 0.2]),
+                "t_max": st.sampled_from([0.9, 1.0]),
+                "step": st.sampled_from([0.05, 0.1, 0.25]),
+            },
+        ),
+        "fdi": st.fixed_dictionaries(
+            {},
+            optional={
+                "mode": st.sampled_from(["continuous", "verdict"]),
+                "tolerances": st.dictionaries(st.sampled_from(list(GAP_METRICS)), unit),
+                "default_tolerance": unit,
+            },
+        ),
+        "panel_metrics": st.lists(
+            st.sampled_from(list(GAP_METRICS)), min_size=2, unique=True
+        ),
+        "recovery_gating": st.booleans(),
+        "hysteresis": st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0, 10),
+        "min_support": st.integers(1, 100),
+        "tsz": st.fixed_dictionaries(
+            {},
+            optional={
+                "s_ref": st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                "aggregation": st.sampled_from(["mean", "max"]),
+            },
+        ),
+    },
+)
+
+
+def respell(value, rng):
+    """``value`` with keys shuffled at every level, some integral floats as ints."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        rng.shuffle(items)
+        return {key: respell(item, rng) for key, item in items}
+    if isinstance(value, list):
+        return [respell(item, rng) for item in value]
+    if isinstance(value, float) and value.is_integer() and rng.random() < 0.5:
+        return int(value)
+    return value
+
+
+def numbers(value, key=""):
+    """Each number in ``value`` (not a bool), with the key that holds it."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from numbers(item, name)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from numbers(item, key)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield key, value
 
 
 def write_config(tmp_path, payload):
@@ -206,6 +301,22 @@ class TestFingerprint:
         base = load_config(None)
         other = load_config(write_config(tmp_path, {"hysteresis": 0.04}))
         assert base.fingerprint() != other.fingerprint()
+
+    @given(valid_payloads, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_key_order_and_number_spelling_do_not_matter(self, payload, rng):
+        with tempfile.TemporaryDirectory() as tmp:
+            plain, respelled = (os.path.join(tmp, name) for name in "ab")
+            with open(plain, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            with open(respelled, "w", encoding="utf-8") as fh:
+                json.dump(respell(payload, rng), fh)
+            a, b = load_config(plain), load_config(respelled)
+        assert a == b
+        assert a.fingerprint() == b.fingerprint()
+        assert a.rules.fingerprint() == b.rules.fingerprint()
+        reals = [v for k, v in numbers(asdict(b)) if k != "min_support"]
+        assert all(type(v) is float for v in reals), asdict(b)
 
 
 def test_readme_library_example_prints_the_lifecycle_trace(
