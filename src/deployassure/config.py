@@ -3,14 +3,17 @@
 Every tunable the engine exposes has its documented default in the type
 that owns it: ``RulesConfig`` (scoring and replay), ``PanelConfig`` (the
 FDI panel) and ``EngineConfig`` (zones, sweep and TSZ, plus the other
-two). A config file is a JSON object; absent keys keep their defaults,
-unknown keys are rejected, and each value is checked by its owning type.
+two). A config file is a JSON object; absent keys keep their defaults and
+unknown keys are rejected. The loader checks each value's JSON type (a
+number, three numbers, a boolean, a list of strings, an object) and names
+the key; the owning type checks ranges, order and names, and any value
+the loader passes on unread.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .assurance import DrcBands, GesThresholds, WeightVector
 from .disagreement import PanelConfig
@@ -18,6 +21,7 @@ from .errors import ConfigInvalidError, DomainError, EngineError
 from .lifecycle import RulesConfig
 from .record import Record, canonical_fingerprint
 from .stability import (
+    DEFAULT_AGGREGATION,
     DEFAULT_S_REF,
     DEFAULT_SWEEP_STEP,
     DEFAULT_SWEEP_T_MAX,
@@ -43,7 +47,7 @@ class EngineConfig(Record):
     sweep_t_max: float = DEFAULT_SWEEP_T_MAX
     sweep_step: float = DEFAULT_SWEEP_STEP
     s_ref: float = DEFAULT_S_REF
-    aggregation: str = "mean"
+    aggregation: str = DEFAULT_AGGREGATION
 
     def __post_init__(self) -> None:
         try:
@@ -81,25 +85,32 @@ def _as_float(value: Any, where: str) -> float:
     return float(value)
 
 
-def _as_mapping(
-    value: Any, where: str, allowed: Iterable[str], required: bool = False
-) -> Mapping[str, Any]:
-    """A config section: an object with no field outside ``allowed``.
+def _section(
+    value: Any, where: str, readers: Mapping[str, Any], required: bool = False
+) -> dict[str, Any]:
+    """A config section: an object with no field outside ``readers``.
 
-    With ``required``, every ``allowed`` field must be present too. Unknown
-    fields are reported before missing ones, each list sorted by name.
+    With ``required``, every field must be present too. Unknown fields are
+    reported before missing ones, each list sorted by name. Each present
+    field is then read by its reader, in the order ``readers`` lists them,
+    and named ``<where>.<field>`` in errors; a reader of ``None`` passes
+    the value on for the owning config type to check.
     """
     if not isinstance(value, dict):
         raise ConfigInvalidError(f"{where}: expected an object, got {value!r}")
     for problem, names in (
-        ("unknown", set(value).difference(allowed)),
-        ("missing", set(allowed).difference(value) if required else ()),
+        ("unknown", set(value).difference(readers)),
+        ("missing", set(readers).difference(value) if required else ()),
     ):
         if names:
             raise ConfigInvalidError(
                 f"{where}: {problem} field(s): {', '.join(sorted(names))}"
             )
-    return value
+    return {
+        name: value[name] if read is None else read(value[name], f"{where}.{name}")
+        for name, read in readers.items()
+        if name in value
+    }
 
 
 def _three_cuts(value: Any, where: str) -> tuple[float, float, float]:
@@ -107,6 +118,13 @@ def _three_cuts(value: Any, where: str) -> tuple[float, float, float]:
         raise ConfigInvalidError(f"{where}: expected three numbers, got {value!r}")
     a, b, c = (_as_float(v, where) for v in value)
     return (a, b, c)
+
+
+def _tolerances(value: Any, where: str) -> dict[str, float] | None:
+    """``fdi.tolerances``: numbers under any names; ``PanelConfig`` checks them."""
+    names = value if isinstance(value, dict) else ()
+    # An empty map means the same as the default, no tolerances.
+    return _section(value, where, dict.fromkeys(names, _as_float)) or None
 
 
 def load_config(path: str | None = None) -> EngineConfig:
@@ -131,69 +149,46 @@ def load_config(path: str | None = None) -> EngineConfig:
         raise ConfigInvalidError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalidError(f"{path}: top level must be an object")
-    _as_mapping(raw, path, _TOP_LEVEL_KEYS)
+    _section(raw, path, dict.fromkeys(_TOP_LEVEL_KEYS))
 
     rules: dict[str, Any] = {}
     panel: dict[str, Any] = {}
     engine: dict[str, Any] = {}
 
     if "weights" in raw:
-        names = ("alpha", "beta", "gamma", "delta")
-        section = _as_mapping(raw["weights"], "weights", names, required=True)
-        values = [_as_float(section[name], f"weights.{name}") for name in names]
+        readers = dict.fromkeys(WeightVector._fields, _as_float)
+        weights = _section(raw["weights"], "weights", readers, required=True)
         try:
-            rules["weights"] = WeightVector(*values)
+            rules["weights"] = WeightVector(**weights)
         except EngineError as exc:
             raise ConfigInvalidError(f"weights: {exc}") from exc
 
     if "bands" in raw:
-        names = ("deployable", "restricted", "reassessment", "escalated")
-        section = _as_mapping(raw["bands"], "bands", names, required=True)
-        rules["bands"] = DrcBands(
-            **{f"b_{name}": _as_float(section[name], f"bands.{name}") for name in names}
+        readers = dict.fromkeys(
+            ("deployable", "restricted", "reassessment", "escalated"), _as_float
         )
+        bands = _section(raw["bands"], "bands", readers, required=True)
+        rules["bands"] = DrcBands(**{f"b_{name}": b for name, b in bands.items()})
 
     if "zone_boundaries" in raw:
         z1, z2, z3 = _three_cuts(raw["zone_boundaries"], "zone_boundaries")
         engine["zones"] = ZoneConfig(z1=z1, z2=z2, z3=z3)
 
     if "ges_thresholds" in raw:
-        names = {"fdi", "delta_fpr", "delta_fnr", "tsz"}
-        section = _as_mapping(raw["ges_thresholds"], "ges_thresholds", names)
-        cuts = {
-            name: _three_cuts(section[name], f"ges_thresholds.{name}")
-            for name in section
-        }
+        # Known fields, then their cuts in file order: the first bad one wins.
+        section = raw["ges_thresholds"]
+        _section(section, "ges_thresholds", dict.fromkeys(GesThresholds._fields))
+        cuts = _section(section, "ges_thresholds", dict.fromkeys(section, _three_cuts))
         rules["ges_thresholds"] = GesThresholds(**cuts)
 
     if "sweep" in raw:
-        names = ("t_min", "t_max", "step")
-        section = _as_mapping(raw["sweep"], "sweep", names)
-        for name in names:
-            if name in section:
-                engine[f"sweep_{name}"] = _as_float(section[name], f"sweep.{name}")
+        readers = dict.fromkeys(("t_min", "t_max", "step"), _as_float)
+        sweep = _section(raw["sweep"], "sweep", readers)
+        engine.update((f"sweep_{name}", bound) for name, bound in sweep.items())
 
     if "fdi" in raw:
-        section = _as_mapping(
-            raw["fdi"], "fdi", {"mode", "tolerances", "default_tolerance"}
-        )
-        if "mode" in section:
-            panel["mode"] = section["mode"]
-        if "default_tolerance" in section:
-            panel["default_tolerance"] = _as_float(
-                section["default_tolerance"], "fdi.default_tolerance"
-            )
-        if "tolerances" in section:
-            tolerances = section["tolerances"]
-            if not isinstance(tolerances, dict):
-                raise ConfigInvalidError(
-                    f"fdi.tolerances: expected an object, got {tolerances!r}"
-                )
-            # An empty map means the same as the default, no tolerances.
-            panel["tolerances"] = {
-                metric: _as_float(tau, f"fdi.tolerances.{metric}")
-                for metric, tau in tolerances.items()
-            } or None
+        readers = dict(mode=None, default_tolerance=_as_float, tolerances=_tolerances)
+        panel.update(_section(raw["fdi"], "fdi", readers))
 
     if "panel_metrics" in raw:
         metrics = raw["panel_metrics"]
@@ -219,11 +214,8 @@ def load_config(path: str | None = None) -> EngineConfig:
         panel["min_support"] = raw["min_support"]
 
     if "tsz" in raw:
-        section = _as_mapping(raw["tsz"], "tsz", {"s_ref", "aggregation"})
-        if "s_ref" in section:
-            engine["s_ref"] = _as_float(section["s_ref"], "tsz.s_ref")
-        if "aggregation" in section:
-            engine["aggregation"] = section["aggregation"]
+        readers = dict(s_ref=_as_float, aggregation=None)
+        engine.update(_section(raw["tsz"], "tsz", readers))
 
     return EngineConfig(
         rules=RulesConfig(**rules), panel=PanelConfig(**panel), **engine
