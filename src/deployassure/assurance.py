@@ -14,6 +14,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from enum import Enum
+from itertools import repeat
+from operator import sub
+from typing import Sequence
 
 from .errors import (
     ConfigInvalidError,
@@ -133,8 +136,8 @@ class DrcBands(Record):
     def __post_init__(self) -> None:
         b = self
         floors = (0.0, b.b_escalated, b.b_reassessment, b.b_restricted, b.b_deployable)
-        # Every state's floor, by favorability, set as fields are: band_of
-        # reads it per signal row, and a __dict__ write slows every read.
+        # Every state's floor, by favorability, set as fields are: the fold
+        # reads it per recovery, and a __dict__ write slows every read.
         object.__setattr__(self, "_floors", floors)
         ordered = (*floors, 1.0)
         if not all(lo < hi for lo, hi in zip(ordered, ordered[1:])):
@@ -165,19 +168,26 @@ def compute_das(
 def das_of(
     fdi: float, delta_fpr: float, delta_fnr: float, tsz: float, weights: WeightVector
 ) -> float:
-    """:func:`compute_das` on plain signal values in [0, 1].
+    """:func:`compute_das` on plain signal values: :func:`das_column` on one row."""
+    return das_column([(fdi,), (delta_fpr,), (delta_fnr,), (tsz,)], weights)[0]
 
-    Weights sum to 1 only within 1e-9, so the float sum for a perfect
-    snapshot can land a rounding step above 1; it is clamped back. Every
-    term is non-negative, so the sum cannot fall below 0.
+
+def das_column(
+    signals: Sequence[Sequence[float]], weights: WeightVector
+) -> list[float]:
+    """The assurance score of each row of the four signal columns, in [0, 1].
+
+    ``signals`` is the fdi, delta_fpr, delta_fnr and tsz columns. Weights
+    sum to 1 only within 1e-9, so the float sum for a perfect snapshot can
+    land a rounding step above 1; it is clamped back. Every term is
+    non-negative, so the sum cannot fall below 0.
     """
-    score = (
-        weights.alpha * (1.0 - fdi)
-        + weights.beta * (1.0 - delta_fpr)
-        + weights.gamma * (1.0 - delta_fnr)
-        + weights.delta * (1.0 - tsz)
-    )
-    return score if score <= 1.0 else 1.0
+    a, b, c, d = weights.as_tuple()
+    return [
+        score if score <= 1.0 else 1.0
+        for f, p, n, t in zip(*signals)
+        for score in [a * (1.0 - f) + b * (1.0 - p) + c * (1.0 - n) + d * (1.0 - t)]
+    ]
 
 
 def classify_drc(
@@ -199,11 +209,19 @@ def classify_drc(
 
 
 def band_of(das: float, bands: DrcBands) -> DeploymentState:
-    """The band holding a score already known to lie in [0, 1].
+    """:func:`drc_column` on one score."""
+    return drc_column((das,), bands)[0]
 
-    That is the state with the highest floor at or below the score.
+
+def drc_column(das: Sequence[float], bands: DrcBands) -> list[DeploymentState]:
+    """The band holding each score, each already known to lie in [0, 1].
+
+    That is the state with the highest floor at or below the score. The
+    lowest floor is 0, so the state's favorability is the number of the
+    other floors at or below the score.
     """
-    return BY_FAVORABILITY[bisect_right(bands._floors, das) - 1]
+    ranks = map(bisect_right, repeat(bands._floors[1:]), das)
+    return list(map(BY_FAVORABILITY.__getitem__, ranks))
 
 
 # A module constant: reading the member off its Enum class costs about
@@ -265,31 +283,64 @@ def ges_of(
     r_m: float | None,
     thresholds: GesThresholds,
 ) -> EscalationLevel:
-    """:func:`compute_ges` on plain values; ``r_m`` is set only on an event.
+    """:func:`compute_ges` on plain values: :func:`ges_column` on one row."""
+    signals = [(fdi,), (delta_fpr,), (delta_fnr,), (tsz,)]
+    return ges_column(signals, (r_m,), thresholds)[0]
 
-    A signal's severity is the number of its cuts at or below it.
+
+# Levels by severity, and Critical once more for a bump past it.
+_LEVEL_BY_BUMPED = (*_LEVEL_BY_SEVERITY, EscalationLevel.CRITICAL)
+
+
+def ges_column(
+    signals: Sequence[Sequence[float]],
+    r_m: Sequence[float | None],
+    thresholds: GesThresholds,
+) -> list[EscalationLevel]:
+    """The escalation level of each row of the :func:`das_column` signals.
+
+    A signal's severity is the number of its cuts at or below it; a row's
+    is the highest of its four, one more on a negative ``r_m`` (set only on
+    an event).
     """
-    severity = max(
-        bisect_right(thresholds.fdi, fdi),
-        bisect_right(thresholds.delta_fpr, delta_fpr),
-        bisect_right(thresholds.delta_fnr, delta_fnr),
-        bisect_right(thresholds.tsz, tsz),
+    cuts = thresholds._values()
+    severity = map(
+        max, *[map(bisect_right, repeat(c), column) for c, column in zip(cuts, signals)]
     )
-    if r_m is not None and r_m < 0 and severity < 3:
-        severity += 1
-    return _LEVEL_BY_SEVERITY[severity]
+    return [
+        _LEVEL_BY_BUMPED[s + (r is not None and r < 0)] for s, r in zip(severity, r_m)
+    ]
 
 
 def remediation_progression(das_prev: float, das_next: float) -> float:
     """Assurance-score change across an intervention (next minus previous).
 
-    This is ``r_p``; a remediation with no explicit ``r_m`` inherits it.
+    This is ``r_p``; a remediation with no explicit ``r_m`` inherits it. It
+    is :func:`progression_column` of one score after ``das_prev``.
 
     Raises:
         DomainError: either score outside [0, 1].
     """
-    if not 0.0 <= das_prev <= 1.0:
-        raise DomainError(f"das_prev out of range [0, 1]: {das_prev!r}")
-    if not 0.0 <= das_next <= 1.0:
-        raise DomainError(f"das_next out of range [0, 1]: {das_next!r}")
-    return das_next - das_prev
+    return progression_column(das_prev, (das_next,))[0]
+
+
+def progression_column(prev: float | None, das: Sequence[float]) -> list[float | None]:
+    """Each score's ``r_p``: its change from the score before it.
+
+    ``prev`` is the score before the first; where it is None, so is the
+    first ``r_p``.
+
+    Raises:
+        DomainError: a score outside [0, 1] that an ``r_p`` needs, named as
+            :func:`remediation_progression` names the first one.
+    """
+    scores = das if prev is None else [prev, *das]
+    # A NaN can pass min and max; it does not pass the sum.
+    if len(scores) > 1 and not (
+        0.0 <= min(scores) and max(scores) <= 1.0 and not math.isnan(sum(scores))
+    ):
+        i = next(i for i, s in enumerate(scores) if not 0.0 <= s <= 1.0)
+        name = "das_next" if i else "das_prev"
+        raise DomainError(f"{name} out of range [0, 1]: {scores[i]!r}")
+    steps = list(map(sub, scores[1:], scores))
+    return [None, *steps] if prev is None else steps

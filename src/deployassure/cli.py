@@ -25,24 +25,31 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import sys
 from operator import attrgetter
 from typing import Iterator, Sequence, TextIO
 
-from .assurance import DeploymentState, band_of, classify_drc, das_of, ges_of
+from .assurance import (
+    DeploymentState,
+    classify_drc,
+    das_column,
+    drc_column,
+    ges_column,
+)
 from .config import load_config
 from .errors import EngineError
 from .evaluation import GAP_METRICS, check_threshold, compute_confusion, macro_mean
-from .io import iter_signals, parse_predictions
+from .io import parse_predictions, signal_blocks
 from .lifecycle import (
     DEFAULT_INITIAL_STATE,
     TRACE_COLUMNS,
     _REAL,
     RulesConfig,
     _round4,
-    csv_rows,
+    csv_blocks,
     csv_writer,
-    fold_trace,
+    fold_blocks,
     format_real,
     json_rows,
     json_string,
@@ -178,36 +185,36 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> None:
 
 
 def _scored(path: str, rules: RulesConfig) -> Iterator[tuple]:
-    """Flat ``score`` rows; GES reads each row's own r_m, never backfilled."""
+    """Blocks of ``score`` columns; GES reads each row's own r_m, never backfilled."""
     weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
-    for sid, fdi, dfpr, dfnr, tsz, _, r_m in iter_signals(path):
-        das = das_of(fdi, dfpr, dfnr, tsz, weights)
-        ges = ges_of(fdi, dfpr, dfnr, tsz, r_m, cuts)._value_
-        yield sid, fdi, dfpr, dfnr, tsz, das, ges, band_of(das, bands)._value_
+    for ids, *signals, _, r_ms in signal_blocks(path):
+        das = das_column(signals, weights)
+        ges = [level._value_ for level in ges_column(signals, r_ms, cuts)]
+        yield ids, *signals, das, ges, [s._value_ for s in drc_column(das, bands)]
 
 
 def cmd_score(args: argparse.Namespace, out: TextIO) -> None:
-    rows = _scored(args.signals, load_config(args.config).rules)
+    blocks = _scored(args.signals, load_config(args.config).rules)
     columns = (*TRACE_COLUMNS[:7], "drc")
     if args.format == "json":
         shape = dict.fromkeys(columns, 0) | {"ges": "", "drc": ""}
         cells = (  # in sorted-key order
             (float(_REAL % das), float(_REAL % dfnr), float(_REAL % dfpr), drc,
              float(_REAL % fdi), ges, json_string(sid), float(_REAL % tsz))
-            for sid, fdi, dfpr, dfnr, tsz, das, ges, drc in rows
+            for sid, fdi, dfpr, dfnr, tsz, das, ges, drc
+            in itertools.chain.from_iterable(itertools.starmap(zip, blocks))
         )
         json_rows(out, shape, cells)
     else:  # five reals, then GES and the DRC
-        template = ",".join([_REAL] * 5 + ["%s"] * 2)
-        csv_rows(out, columns, ((row[0], template % row[1:]) for row in rows))
+        csv_blocks(out, columns, ",".join([_REAL] * 5 + ["%s"] * 2), blocks)
 
 
 def cmd_lifecycle(args: argparse.Namespace, out: TextIO) -> None:
     rules = load_config(args.config).rules
     if args.gating is not None:
         rules = replace(rules, recovery_gating=args.gating == "on")
-    records = iter_signals(args.signals)
-    fold_trace(out, records, DeploymentState(args.initial), rules, args.format)
+    blocks = signal_blocks(args.signals)
+    fold_blocks(out, blocks, DeploymentState(args.initial), rules, args.format)
 
 
 def cmd_classify(args: argparse.Namespace, out: TextIO) -> None:

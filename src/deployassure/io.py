@@ -19,7 +19,7 @@ import json
 import math
 import operator
 from array import array
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .assurance import OUT_OF_RANGE, R_M_RANGE, UNIT_INTERVAL, AssuranceSignals
 from .errors import (
@@ -299,8 +299,8 @@ def _reals(column: list[Any]) -> list[float]:
         return list(map(float, _bounded(_typed(column, _NUMBERS))))
 
 
-def _signal_rows(columns: list[list[Any]]) -> Iterator[tuple]:
-    """A decoded block's rows as :func:`iter_signals` yields them, or _Doubt."""
+def _signal_rows(columns: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
+    """A decoded block's seven :func:`iter_signals` columns, or _Doubt."""
     ids, *signals, events, r_ms = columns
     _typed(ids, {str})
     signals = list(map(_reals, signals))
@@ -312,7 +312,7 @@ def _signal_rows(columns: list[list[Any]]) -> Iterator[tuple]:
             raise _Doubt
         if int in set(map(type, _bounded(given, R_M_RANGE))):  # as floats, as per row
             r_ms = [r if r is None else float(r) for r in r_ms]
-    return zip(ids, *signals, map(bool, events), r_ms)
+    return [ids, *signals, list(map(bool, events)), r_ms]
 
 
 def _binary_cells(cells: Sequence[str]) -> bytes:
@@ -332,7 +332,7 @@ def _prediction_cells(columns: tuple) -> tuple[array, bytes, Sequence[str]]:
     return scores, _binary_cells(labels), subgroups
 
 
-def _signal_cells(columns: tuple) -> Iterator[tuple]:
+def _signal_cells(columns: tuple) -> list[Sequence[Any]]:
     """A CSV block's cells read as JSON values, then :func:`_signal_rows`."""
     ids, *signals, events, r_ms = columns
     signals = [list(map(float, column)) for column in signals]
@@ -352,8 +352,8 @@ def _prediction_row(values: Sequence[Any]) -> tuple[array, bytes, list[str]]:
     return array("d", (score,)), bytes((label,)), [subgroup]
 
 
-def _signal_row(values: Sequence[Any]) -> tuple[tuple]:
-    """One record's values as a block of one :func:`iter_signals` row."""
+def _signal_row(values: Sequence[Any]) -> list[tuple[Any]]:
+    """One record's values as a one-row block of :func:`_signal_rows` columns."""
     snapshot_id, fdi, delta_fpr, delta_fnr, tsz, event, raw_r_m = values
     snapshot_id = _as_string(snapshot_id, "snapshot_id")
     fdi = _parse_unit_interval(fdi, "fdi")
@@ -366,7 +366,7 @@ def _signal_row(values: Sequence[Any]) -> tuple[tuple]:
         r_m = _parse_unit_interval(raw_r_m, "r_m", R_M_RANGE)
         if not remediation:
             raise _BadValue("r_m present but remediation_event is 0")
-    return ((snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m),)
+    return list(zip((snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m)))
 
 
 def parse_predictions(path: str) -> Predictions:
@@ -411,11 +411,9 @@ def iter_signals(
     none. The optional ``r_m`` column may only carry a value on rows whose
     ``remediation_event`` is 1. Any das/drc columns present are ignored.
 
-    Like :func:`parse_predictions`, it reads the file once, a block at a
-    time, a pipe too: :func:`_signal_cells` checks a CSV block,
-    :func:`_signal_rows` a JSON-lines one, and :func:`_signal_row` each row
-    of a block they doubt. The rows of a vouched block are handed on by
-    ``itertools.chain``, which runs no Python code per row.
+    The rows are those of :func:`signal_blocks`, zipped from each block's
+    columns and handed on by ``itertools.chain``, which runs no Python code
+    per row.
 
     Raises:
         MissingColumnError: a required column/key is absent.
@@ -424,9 +422,92 @@ def iter_signals(
         EmptyFileError: no data rows.
         OSError: unreadable path.
     """
+    blocks = signal_blocks(path)
+    return itertools.chain.from_iterable(itertools.starmap(zip, blocks))
+
+
+def signal_blocks(path: str) -> Iterator[list[Sequence[Any]]]:
+    """Read and validate a signals file a block of rows at a time.
+
+    Each block is the :func:`iter_signals` rows' seven columns: ids, four
+    columns of floats, events as bools, and ``r_m`` a float or None.
+
+    Like :func:`parse_predictions`, it reads the file once, a block at a
+    time, a pipe too: :func:`_signal_cells` checks a CSV block,
+    :func:`_signal_rows` a JSON-lines one, and :func:`_signal_row` each row
+    of a block they doubt; the rows of such a block are joined back into
+    one (:func:`_joined`). It raises what :func:`iter_signals` raises, once
+    the rows before the failing one are yielded.
+    """
     columns, required = SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS)
     checks = (_signal_cells, _signal_rows, _signal_row)
-    return itertools.chain.from_iterable(_iter_records(path, columns, required, checks))
+    return _joined(_iter_records(path, columns, required, checks))
+
+
+def _joined(blocks: Iterator[list[Sequence[Any]]]) -> Iterator[list[Sequence[Any]]]:
+    """Blocks of signal columns, each run of short blocks joined into one.
+
+    A block the checks doubt comes as blocks of one row; joined back into
+    one of ``_BLOCK_ROWS`` rows, its rows cost a block's per-call work once,
+    not once each. Each is added to the joined columns as it comes, so the
+    garbage collector sees no pile of row objects. The rows joined before
+    an error are yielded before it is raised.
+    """
+    joined: list = []
+    try:
+        for block in blocks:
+            if not joined and len(block[0]) >= _BLOCK_ROWS:
+                yield block
+                continue
+            joined = joined or [[] for _ in block]
+            list(map(list.extend, joined, block))
+            if len(joined[0]) >= _BLOCK_ROWS:
+                yield joined
+                joined = []
+    except (EngineError, ValueError):
+        if joined:
+            yield joined
+        raise
+    if joined:
+        yield joined
+
+
+def checked_blocks(records: Iterable[Sequence[Any]]) -> Iterator[list[Sequence[Any]]]:
+    """Signal records built in code, checked as :func:`signal_blocks` checks a file.
+
+    Each record is an :func:`iter_signals` row. A block of ``_BLOCK_ROWS``
+    records goes through the JSON-lines block check, and a block it doubts
+    through the row check, record by record.
+
+    Raises:
+        ValueError: ``"record N: <message>"`` for the first record, 1-based,
+            that fails its row check or does not hold seven values, once
+            the records before it are yielded.
+    """
+    return _joined(_checked_blocks(records))
+
+
+def _checked_blocks(records: Iterable[Sequence[Any]]) -> Iterator[list[Sequence[Any]]]:
+    records, start = iter(records), 1
+    while block := list(itertools.islice(records, _BLOCK_ROWS)):
+        if (checked := _vouched(_record_block, block)) is not None:
+            yield checked
+        else:
+            for n, record in enumerate(block, start):
+                try:
+                    row = _signal_row(record)
+                except (_BadValue, ValueError) as exc:  # ValueError: not 7 values
+                    raise ValueError(f"record {n}: {exc}") from None
+                yield row
+        start += len(block)
+
+
+def _record_block(block: list[Sequence[Any]]) -> list[Sequence[Any]]:
+    """:func:`_signal_rows` over a block of records, or doubt."""
+    columns = list(zip(*block, strict=True))
+    if len(columns) != len(SIGNALS_COLUMNS) + 1:
+        raise _Doubt
+    return _signal_rows(columns)
 
 
 def parse_signals(path: str) -> list[tuple[str, AssuranceSignals]]:

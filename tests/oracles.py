@@ -20,6 +20,13 @@ DAS clamp, which fixed a perfect snapshot exiting 1 under simplex weights
 whose float sum exceeds 1. ``staged_score`` is ``score``'s output built
 from the same staged rules, each row on its own.
 
+``row_fold`` is the lifecycle fold as it was before it ran each rule
+once per block of rows: every rule called once per row, through the
+scalar bodies ``scalar_das_of``, ``scalar_band_of``, ``scalar_ges_of``,
+``scalar_progression`` and ``scalar_backfilled_r_m`` that the engine's
+one-row calls replaced. ``row_trace`` writes its rows with the engine's
+writer, so a comparison with ``fold_trace`` checks the fold alone.
+
 ``rowwise_csv_rows`` is ``lifecycle.csv_rows`` as it was before it wrote
 a block of rows at a time: one id check and one write per row.
 ``typed_signal_rows`` is ``io._signal_rows`` as it was before a column of
@@ -43,6 +50,7 @@ import math
 import operator
 import re
 from array import array
+from bisect import bisect_right
 from typing import Any, Iterable, Iterator, Sequence
 
 from deployassure import (
@@ -84,6 +92,8 @@ from deployassure.lifecycle import (
     SnapshotAssessment,
     TraceEntry,
     TransitionRecord,
+    _advance,
+    _serialise,
     csv_writer,
 )
 from deployassure.record import Record, replace
@@ -646,6 +656,82 @@ def staged_score(
         for snapshot_id, values, ges, drc in scored
     ]
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+# --- The per-row fold ---------------------------------------------------
+
+
+def scalar_das_of(fdi, delta_fpr, delta_fnr, tsz, weights: WeightVector) -> float:
+    score = (
+        weights.alpha * (1.0 - fdi)
+        + weights.beta * (1.0 - delta_fpr)
+        + weights.gamma * (1.0 - delta_fnr)
+        + weights.delta * (1.0 - tsz)
+    )
+    return score if score <= 1.0 else 1.0
+
+
+def scalar_band_of(das: float, bands: DrcBands) -> DeploymentState:
+    return BY_FAVORABILITY[bisect_right(bands._floors, das) - 1]
+
+
+def scalar_ges_of(
+    fdi, delta_fpr, delta_fnr, tsz, r_m, thresholds: GesThresholds
+) -> EscalationLevel:
+    severity = max(
+        bisect_right(thresholds.fdi, fdi),
+        bisect_right(thresholds.delta_fpr, delta_fpr),
+        bisect_right(thresholds.delta_fnr, delta_fnr),
+        bisect_right(thresholds.tsz, tsz),
+    )
+    if r_m is not None and r_m < 0 and severity < 3:
+        severity += 1
+    return list(EscalationLevel)[severity]
+
+
+def scalar_progression(das_prev: float, das_next: float) -> float:
+    if not 0.0 <= das_prev <= 1.0:
+        raise DomainError(f"das_prev out of range [0, 1]: {das_prev!r}")
+    if not 0.0 <= das_next <= 1.0:
+        raise DomainError(f"das_next out of range [0, 1]: {das_next!r}")
+    return das_next - das_prev
+
+
+def scalar_backfilled_r_m(event: bool, r_m: float | None, r_p: float | None):
+    return r_p if event and r_m is None else r_m
+
+
+def row_fold(
+    records: Iterable[tuple], initial_state: DeploymentState, rules: RulesConfig
+) -> Iterator[tuple]:
+    """Signal rows to trace rows, each rule called once per row."""
+    weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
+    current = initial_state
+    prev_das: float | None = None
+    for snapshot_id, fdi, dfpr, dfnr, tsz, event, r_m in records:
+        das = scalar_das_of(fdi, dfpr, dfnr, tsz, weights)
+        r_p = None if prev_das is None else scalar_progression(prev_das, das)
+        r_m = scalar_backfilled_r_m(event, r_m, r_p)
+        drc = scalar_band_of(das, bands)
+        new, reasons = _advance(current, drc, None, event, r_m, das, rules)
+        ges = scalar_ges_of(fdi, dfpr, dfnr, tsz, r_m, cuts)
+        transition = (current, new, reasons, r_p) if reasons else None
+        yield snapshot_id, fdi, dfpr, dfnr, tsz, das, ges, drc, new, transition, r_p
+        current, prev_das = new, das
+
+
+def row_trace(
+    records: Iterable[tuple],
+    initial_state: DeploymentState,
+    rules: RulesConfig,
+    format: str,
+) -> bytes:
+    """``row_fold``'s rows as the engine writes a trace, in one block."""
+    rows = list(row_fold(records, initial_state, rules))
+    out = io.StringIO()
+    fingerprint = rules.fingerprint() if format == "json" else ""
+    _serialise(out, [list(zip(*rows))] if rows else [], format, fingerprint)
+    return out.getvalue().encode("utf-8")
 
 
 _CSV_TRIGGERS = re.compile(r'[,"\r\n\x00]')

@@ -756,7 +756,7 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
     monkeypatch, capsys, tmp_path, command
 ):
     # Counts, not timings: in both commands the csv writer writes the header
-    # and every row of a block in which some id must be quoted. json.loads
+    # and each id that must be quoted, as a one-field row. json.loads
     # decodes each block of clean lines once; only the lines of a block the
     # block checks doubt are decoded one at a time.
     written, loaded = [], []
@@ -801,10 +801,10 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
     signals_command(many, padded={block + 5})
     assert len(loaded) == 2 + block
     assert [text[0] for text in loaded] == ["[", *"{" * 5, " ", *"{" * (block - 6), "["]
-    # The patches are live: a block with quoted ids goes through the csv
-    # writer whole, its clean ids too, and padded lines through json.loads.
+    # The patches are live: the quoted ids go through the csv writer, the
+    # clean ids do not, and padded lines go through json.loads.
     signals_command(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], padded=range(6))
-    assert (len(written), len(loaded)) == (7, 6)
+    assert (len(written), len(loaded)) == (5, 6)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

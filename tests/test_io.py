@@ -599,6 +599,41 @@ class TestBlockPath:
             "_parse_binary": BLOCK,
         }
 
+    def test_a_doubted_block_is_joined_back_into_one(self, tmp_path):
+        # Its rows are checked one at a time, then handed on as one block.
+        lines = _jsonl_lines("signals", 3 * BLOCK, seed=4)
+        lines[BLOCK + 7] = " " + lines[BLOCK + 7]
+        path = write(tmp_path, "s.jsonl", "".join(lines))
+        blocks = list(deployassure.io.signal_blocks(path))
+        assert [len(block[0]) for block in blocks] == [BLOCK] * 3
+        staged = staged_parse_signals(path)
+        assert [row[0] for block in blocks for row in zip(*block)] == [
+            sid for sid, _ in staged
+        ]
+        assert parse_signals(path) == staged
+
+    def test_short_blocks_are_joined_up_to_a_block(self, tmp_path):
+        # A blank line in every block leaves each CSV block a row short.
+        text = _csv_text("signals", _jsonl_lines("signals", 4 * BLOCK, seed=4))
+        rows = text.splitlines(keepends=True)
+        path = write(tmp_path, "s.csv", "".join(
+            row + "\n" * (i % 100 == 5) for i, row in enumerate(rows)
+        ))
+        blocks = list(deployassure.io.signal_blocks(path))
+        assert all(BLOCK <= len(block[0]) < 2 * BLOCK for block in blocks[:-1])
+        assert parse_signals(path) == staged_parse_signals(path)
+
+    def test_rows_before_a_bad_row_of_a_doubted_block_are_yielded(self, tmp_path):
+        lines = _jsonl_lines("signals", 2 * BLOCK, seed=4)
+        lines[BLOCK + 7] = " " + lines[BLOCK + 7]
+        lines[BLOCK + 9] = _line("signals", fdi=2.0)
+        path = write(tmp_path, "s.jsonl", "".join(lines))
+        rows = iter_signals(path)
+        assert len([next(rows) for _ in range(BLOCK + 9)]) == BLOCK + 9
+        with pytest.raises(MalformedRowError) as excinfo:
+            next(rows)
+        assert excinfo.value.row == BLOCK + 10
+
     def test_an_integer_r_m_keeps_the_block_path_and_reads_as_a_float(
         self, monkeypatch, tmp_path
     ):
@@ -1003,7 +1038,8 @@ def test_exact_float_columns_match_the_typed_check(data):
     r_ms = [data.draw(r_m) if e else None for e in events]
     columns = [[f"s{i}" for i in range(n)], *signals, events, r_ms]
     expected = _vouched_rows(typed_signal_rows, columns)
-    assert _vouched_rows(deployassure.io._signal_rows, columns) == expected
+    block = deployassure.io._signal_rows  # a block's columns: zipped, its rows
+    assert _vouched_rows(lambda c: zip(*block(c)), columns) == expected
     event("doubt" if expected == "doubt" else "rows")
 
 

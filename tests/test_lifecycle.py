@@ -10,6 +10,7 @@ import math
 import os
 import random
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,9 +28,23 @@ from deployassure import (
     classify_drc,
     load_config,
 )
-from deployassure.assurance import AssuranceSignals, compute_ges
+import deployassure.io
+import deployassure.lifecycle
+from deployassure.assurance import (
+    AssuranceSignals,
+    band_of,
+    compute_ges,
+    das_column,
+    das_of,
+    drc_column,
+    ges_column,
+    ges_of,
+    progression_column,
+    remediation_progression,
+)
 from deployassure.cli import main
-from deployassure.io import _BLOCK_ROWS
+from deployassure.errors import DomainError
+from deployassure.io import _BLOCK_ROWS, iter_signals
 from deployassure.lifecycle import (
     REASON_DAS_BAND,
     REASON_FAILED_REMEDIATION,
@@ -40,9 +55,12 @@ from deployassure.lifecycle import (
     SnapshotAssessment,
     TraceEntry,
     TransitionRecord,
+    _backfill_column,
+    _backfilled_r_m,
     build_assessments,
     csv_rows,
     emit_trace,
+    fold_trace,
     json_rows,
     json_text,
     replay,
@@ -398,12 +416,18 @@ def score_configs(draw):
     return config
 
 
-def _write_inputs(tmp, records, config, jsonl):
-    """Write a signals file and a config file; return their paths."""
+def _write_inputs(tmp, records, config, jsonl, padded=()):
+    """Write a signals file and a config file; return their paths.
+
+    A JSON line whose index is in ``padded`` starts with a space, which
+    the block check doubts.
+    """
     path = os.path.join(tmp, "signals.jsonl" if jsonl else "signals.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if jsonl:
-            fh.writelines(json.dumps(r) + "\n" for r in records)
+            fh.writelines(
+                " " * (i in padded) + json.dumps(r) + "\n" for i, r in enumerate(records)
+            )
         else:
             columns = [*oracles.SIGNALS_COLUMNS, "r_m"]
             writer = csv.writer(fh)
@@ -518,6 +542,226 @@ class TestScoreMatchesStaged:
                 return
         assert (code, err) == (0, "")
         assert out == oracles.staged_score(rows, rules, output)
+
+
+def _as_records(rows):
+    """Staged ``(snapshot_id, signals)`` rows as ``iter_signals`` records."""
+    return [
+        (sid, s.fdi, s.delta_fpr, s.delta_fnr, s.tsz, s.remediation_event, s.r_m)
+        for sid, s in rows
+    ]
+
+
+def _folded(records, initial, rules, output):
+    out = io.StringIO()
+    fold_trace(out, records, initial, rules, output)
+    return out.getvalue().encode("utf-8")
+
+
+@contextlib.contextmanager
+def _block_rows(n):
+    """Blocks of ``n`` rows in the readers, the record check and the writer."""
+    with mock.patch.object(deployassure.io, "_BLOCK_ROWS", n):
+        with mock.patch.object(deployassure.lifecycle, "_BLOCK_ROWS", n):
+            yield
+
+
+class TestFoldAcrossBlocks:
+    """The fold carries ``r_p`` and the governed state over each block edge."""
+
+    @given(
+        records=signal_records(),
+        rows_per_block=st.integers(1, 6),
+        padded=st.sets(st.integers(0, 24), max_size=3),
+        config=rule_configs(),
+        gating=st.sampled_from([None, "on", "off"]),
+        initial=st.sampled_from(list(D)),
+        jsonl=st.booleans(),
+        output=st.sampled_from(["csv", "json"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_small_blocks(
+        self, records, rows_per_block, padded, config, gating, initial, jsonl, output
+    ):
+        # Padded lines are doubted rows mid-file: each is read on its own.
+        with _block_rows(rows_per_block), tempfile.TemporaryDirectory() as tmp:
+            path, config_path = _write_inputs(tmp, records, config, jsonl, padded)
+            argv = ["--signals", path, "--config", config_path, "--format", output]
+            trace = ["lifecycle", *argv, "--initial", initial.value]
+            trace += [] if gating is None else ["--gating", gating]
+            got, score = _run_cli(trace), _run_cli(["score", *argv])
+            rules = load_config(config_path).rules
+            if gating is not None:
+                rules = replace(rules, recovery_gating=gating == "on")
+            try:
+                rows = oracles.staged_parse_signals(path)
+            except oracles.MalformedRowError as exc:
+                assert got == score == (1, b"", f"error: {exc}\n")
+                return
+            records = _as_records(rows)
+            expected = oracles.staged_trace(rows, initial, rules, output)
+            assert oracles.row_trace(records, initial, rules, output) == expected
+            assert got == (0, expected, "")
+            assert score == (0, oracles.staged_score(rows, rules, output), "")
+            assert _folded(records, initial, rules, output) == expected
+            assert _folded(iter_signals(path), initial, rules, output) == expected
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("gating", ["on", "off"])
+    def test_three_full_blocks(self, tmp_path, output, gating):
+        # 1,100 rows: an id needing quotes at row 600, a padded line (a
+        # doubted block) at row 700, integer signal values at row 800.
+        rng = random.Random(23)
+        lines = []
+        for i in range(1100):
+            record = {"snapshot_id": "s,600" if i == 599 else f"s{i}"}
+            record.update((k, rng.random()) for k in oracles.SIGNALS_COLUMNS[1:5])
+            record["remediation_event"] = int(rng.random() < 0.3)
+            if record["remediation_event"] and rng.random() < 0.5:
+                record["r_m"] = rng.uniform(-0.3, 0.3)
+            if i == 799:
+                record.update(fdi=0, tsz=1)
+            lines.append(" " * (i == 699) + json.dumps(record) + "\n")
+        path = tmp_path / "signals.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        argv = ["lifecycle", "--signals", str(path), "--format", output]
+        code, out, err = _run_cli([*argv, "--gating", gating])
+        rules = RulesConfig(recovery_gating=gating == "on")
+        rows = oracles.staged_parse_signals(str(path))
+        expected = oracles.staged_trace(rows, D.REASSESSMENT_REQUIRED, rules, output)
+        records = _as_records(rows)
+        assert oracles.row_trace(records, D.REASSESSMENT_REQUIRED, rules, output) == (
+            expected
+        )
+        assert (code, out, err) == (0, expected, "")
+        assert _folded(records, D.REASSESSMENT_REQUIRED, rules, output) == expected
+
+
+# Scores on and around the default band floors, and out of [0, 1].
+scores = st.sampled_from([0.0, 0.3, 0.5, 0.65, 0.85, 1.0]) | st.floats(0, 1)
+bad_scores = scores | st.sampled_from([-0.1, 1.5, math.nan, math.inf])
+r_ms = st.none() | st.floats(-1, 1)
+
+
+class TestKernelsMatchTheScalarBodies:
+    """Each rule's column kernel, and its one-row call, give what the
+    per-row body it replaced gave."""
+
+    @given(
+        rows=st.lists(st.tuples(scores, scores, scores, scores, r_ms), min_size=1),
+        config=score_configs(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_das_drc_and_ges(self, rows, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            rules = load_config(_write_inputs(tmp, [], config, True)[1]).rules
+        weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
+        signals = [list(column) for column in zip(*rows)][:4]
+        das = [oracles.scalar_das_of(*row[:4], weights) for row in rows]
+        assert [das_of(*row[:4], weights) for row in rows] == das
+        assert das_column(signals, weights) == das
+        drc = [oracles.scalar_band_of(score, bands) for score in das]
+        assert [band_of(score, bands) for score in das] == drc
+        assert drc_column(das, bands) == drc
+        ges = [oracles.scalar_ges_of(*row, cuts) for row in rows]
+        assert [ges_of(*row, cuts) for row in rows] == ges
+        assert ges_column(signals, [row[4] for row in rows], cuts) == ges
+
+    @given(
+        prev=st.none() | bad_scores,
+        das=st.lists(bad_scores, min_size=1),
+        events=st.lists(st.booleans(), min_size=1),
+        r_m=st.lists(r_ms, min_size=1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_progression_and_backfill(self, prev, das, events, r_m):
+        def outcome(call, *args):
+            try:
+                return call(*args)
+            except DomainError as exc:
+                return str(exc)
+
+        steps = list(zip([prev, *das], das))  # no step into a first score
+        r_p = [
+            None if a is None else outcome(oracles.scalar_progression, a, b)
+            for a, b in steps
+        ]
+        failed = [p for p in r_p if isinstance(p, str)]
+        expected = failed[0] if failed else r_p
+        assert outcome(progression_column, prev, das) == expected
+        for (a, b), p in zip(steps, r_p):
+            if a is not None:
+                assert outcome(remediation_progression, a, b) == p
+        if failed:
+            return
+        rows = list(zip(events, r_m, r_p))
+        backfilled = [oracles.scalar_backfilled_r_m(*row) for row in rows]
+        assert [_backfilled_r_m(*row) for row in rows] == backfilled
+        assert _backfill_column(*zip(*rows)) == backfilled
+
+
+GOOD_RECORD = ("s", 0.1, 0.2, 0.3, 0.4, False, None)
+
+
+class TestFoldTraceChecksRecords:
+    """Records built in code go through the signals file's checks."""
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            (("a", 5.0, 0.1, 0.1, 0.1, False, None), "fdi out of range [0, 1]: 5.0"),
+            (("a", 0.1, math.nan, 0.1, 0.1, False, None),
+             "delta_fpr out of range [0, 1]: nan"),
+            (("a", 0.1, 0.1, True, 0.1, False, None),
+             "delta_fnr is not a number: True"),
+            (("a", 0.1, 0.1, 0.1, None, False, None), "missing value for 'tsz'"),
+            ((7, 0.1, 0.1, 0.1, 0.1, False, None),
+             "snapshot_id must be a string, got 7"),
+            (("a", 0.1, 0.1, 0.1, 0.1, 2, None),
+             "remediation_event must be 0 or 1, got 2"),
+            (("a", 0.1, 0.1, 0.1, 0.1, True, -1.5), "r_m out of range [-1, 1]: -1.5"),
+            (("a", 0.1, 0.1, 0.1, 0.1, False, 0.2),
+             "r_m present but remediation_event is 0"),
+            (("a", 0.1, 0.1, 0.1), "not enough values to unpack (expected 7, got 4)"),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_a_bad_record_names_its_place_and_field(self, record, message, output):
+        out = io.StringIO()
+        records = [GOOD_RECORD] * (_BLOCK_ROWS + 2) + [record, GOOD_RECORD]
+        with pytest.raises(ValueError) as excinfo:
+            fold_trace(out, records, D.DEPLOYABLE, RulesConfig(), output)
+        assert str(excinfo.value) == f"record {_BLOCK_ROWS + 3}: {message}"
+        # The trace of every record before the bad one is written.
+        if output == "csv":
+            assert out.getvalue().count("\n") == 1 + _BLOCK_ROWS + 2
+
+    def test_the_first_record(self):
+        with pytest.raises(ValueError, match=r"^record 1: fdi out of range"):
+            fold_trace(io.StringIO(), [("a", 5.0) + GOOD_RECORD[2:]],
+                       D.DEPLOYABLE, RulesConfig(), "csv")
+
+    def test_clean_records_are_checked_a_block_at_a_time(self, monkeypatch):
+        rows_checked = []
+        real = deployassure.io._signal_row
+        monkeypatch.setattr(
+            deployassure.io, "_signal_row", lambda v: rows_checked.append(v) or real(v)
+        )
+        # Integer values and r_m, and 0/1 events, are what a JSON line holds.
+        records = [("s", 0, 0.5, 1, 0.25, i % 2, -1 if i % 2 else None)
+                   for i in range(2 * _BLOCK_ROWS + 5)]
+        expected = oracles.row_trace(
+            [(r[0], *map(float, r[1:5]), bool(r[5]), None if r[6] is None else -1.0)
+             for r in records], D.DEPLOYABLE, RulesConfig(), "csv"
+        )
+        assert _folded(records, D.DEPLOYABLE, RulesConfig(), "csv") == expected
+        assert rows_checked == []
+
+    def test_the_command_does_not_check_rows_twice(self, monkeypatch, signals_file):
+        expected = _run_cli(["lifecycle", "--signals", signals_file])
+        monkeypatch.setattr(deployassure.lifecycle, "checked_blocks", None)
+        assert _run_cli(["lifecycle", "--signals", signals_file]) == expected
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
