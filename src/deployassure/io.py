@@ -8,7 +8,11 @@ trusted. All diagnostics carry the file name, and a bad value or record
 its 1-based physical row number; a missing column, an empty file and a
 decoding error (the file is not UTF-8) carry no row. A file is read
 once, a block at a time, by C-level iterators; only a block they doubt
-is checked row by row, with the same results and errors.
+is checked row by row, with the same results and errors. A CSV block
+with no quote, ``\\r`` or NUL whose lines all have the header's width is
+split at its commas by one ``str.split``. The csv module reads any other
+block on its own, and the rest of the file from the first block with a
+quote or ``\\r``, as a quoted cell may span lines: all of a CRLF file.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ def _iter_records(
     """Read a file once, ``_BLOCK_ROWS`` records at a time, and check it.
 
     ``checks`` are one kind's checks of a CSV block's ``columns`` cells
-    (picked from its transposed rows), of a JSON-lines block's
+    (picked from its split or transposed rows), of a JSON-lines block's
     :func:`_decode_block` columns, and of one record's ``columns`` values.
     All three return a block in the same types, which is yielded: the row
     check a block of one. A block its check doubts (see :func:`_vouched`)
@@ -109,8 +113,9 @@ def _iter_records(
                 return
 
             reader = csv.reader(lines)
-            offset = row - 1
-            header = {name: i for i, name in enumerate(next(reader))}
+            start = row - 1  # the lines before the reader's first
+            names = next(reader)
+            header = {name: i for i, name in enumerate(names)}
             missing = [c for c in columns[:required] if c not in header]
             if missing:
                 raise MissingColumnError(path, missing)
@@ -118,36 +123,51 @@ def _iter_records(
             present = [i for i in positions if i is not None]
             pick, absent = operator.itemgetter(*present), len(positions) - len(present)
 
-            def picked(block: list[list[str]]) -> Any:
-                # One zip transposes the rows but blank ones, and stops at the
+            def picked(block: str | list[list[str]]) -> Any:
+                # A block's text is split by _split; the csv module's rows are
+                # transposed by one zip, which skips blank rows and stops at the
                 # shortest: a short row leaves pick an IndexError. Absent
                 # columns are optional ones, which come last: they are padded.
-                cells = pick(tuple(zip(*filter(None, block))))
+                if isinstance(block, str):
+                    cells = pick(_split(block, len(names)))
+                else:
+                    cells = pick(tuple(zip(*filter(None, block))))
                 return checks[0](cells + ((None,) * len(cells[0]),) * absent)
 
-            end, data = offset + reader.line_num, False
-            for block in _blocks(reader):
-                row, end = end, offset + reader.line_num
-                data = data or any(block)  # blank rows yield nothing
-                if (checked := _vouched(picked, block)) is not None:
+            end, data = start + reader.line_num, False
+            for part in _blocks(lines):
+                if (checked := _vouched(picked, text := "".join(part))) is not None:
+                    end, data = end + len(part), True
                     yield checked
                     continue
-                for cells in block:
-                    # A record's row is its last line, one more than the line
-                    # breaks in its cells (\n, \r and \r\n one each). The
-                    # reader's count caps it: a file's last record may end in an
-                    # unclosed quote, whose cell holds a break no line follows.
-                    text = ",".join(cells)
-                    row += 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
-                    row = min(row, end)
-                    if cells:  # a short row's missing cells and absent columns are None
-                        yield checks[2](list(map(dict(enumerate(cells)).get, positions)))
+                # A refused block holds whole records, unless a quote may open a
+                # cell that spans lines: then the csv module reads to the end.
+                if '"' in text or "\r" in text:
+                    part = itertools.chain(part, lines)
+                start, reader = end, csv.reader(part)
+                for block in _blocks(reader):
+                    row, end = end, start + reader.line_num
+                    data = data or any(block)  # blank rows yield nothing
+                    if (checked := _vouched(picked, block)) is not None:
+                        yield checked
+                        continue
+                    for cells in block:
+                        # A record's row is its last line, one more than the
+                        # line breaks in its cells (\n, \r and \r\n one each),
+                        # capped by the reader's count: a file's last record may
+                        # end in an unclosed quote, whose cell holds a break.
+                        text = ",".join(cells)
+                        breaks = text.count("\n") + text.count("\r") - text.count("\r\n")
+                        row = min(row + 1 + breaks, end)
+                        if cells:  # missing cells and absent columns are None
+                            values = map(dict(enumerate(cells)).get, positions)
+                            yield checks[2](list(values))
             if not data:
                 raise EmptyFileError(path)
     except _BadValue as exc:
         raise MalformedRowError(path, row, str(exc)) from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        row = offset + reader.line_num
+        row = start + reader.line_num
         raise MalformedRowError(path, row, f"invalid CSV: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise EngineError(f"{path}: not UTF-8 text: {exc.reason}") from exc
@@ -174,7 +194,21 @@ def _blocks(records: Iterator[Any]) -> Iterator[list]:
         yield block
 
 
-def _vouched(check: Callable[[list], Any], block: list) -> Any:
+def _split(text: str, width: int) -> tuple[list[str], ...]:
+    """A block of CSV lines' ``width`` (> 1) columns, as the csv module reads them,
+    if it holds no quote, ``\\r`` or NUL, is shorter than the field size limit
+    and each line holds ``width - 1`` commas; else :class:`_Doubt`."""
+    text += "\n" * (not text.endswith("\n"))  # the file's last line may have none
+    if len(text) >= csv.field_size_limit() or any(map(text.__contains__, '"\r\0')):
+        raise _Doubt
+    ruled = text.encode().translate(None, _NOT_SEPARATORS)  # its commas and \n
+    if ruled != (b"," * (width - 1) + b"\n") * (len(ruled) // width):
+        raise _Doubt
+    cells = text.replace("\n", ",").split(",")
+    return tuple(cells[i:-1:width] for i in range(width))
+
+
+def _vouched(check: Callable[[Any], Any], block: Any) -> Any:
     """What ``check`` returns for a block, or None where it doubts the block."""
     try:
         return check(block)
@@ -226,12 +260,15 @@ def _parse_binary(value: Any, name: str) -> int:
     raise _bad(value, name, f"{name} must be 0 or 1, got {value!r}")
 
 
-# Rows per block. Small on purpose: a larger block keeps more row lists
-# alive for the garbage collector to walk and in memory; CSV blocks of
-# 4096 rows or more parsed slower than 512. `lifecycle.csv_rows` writes
-# blocks of this size too, so a retune moves the writer's memory and
-# collections as well; tests/test_io.py TestBlockPathCollections bounds both.
+# Rows per block. Small on purpose: a larger block keeps more rows alive,
+# in memory and, as the csv module's row lists, for the garbage collector
+# to walk; read by csv.reader, blocks of 4096 rows or more parsed slower
+# than 512. Split by _split, 512 and 2048 parse the same (200k rows, about
+# 104 ms either way, CPython 3.11.7). `lifecycle.csv_blocks` writes the
+# blocks it is given, so a retune moves the writer's memory and collections
+# as well; tests/test_io.py TestBlockPathCollections bounds both.
 _BLOCK_ROWS = 512
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 # The 0/1 cells the CSV block path takes, stripped as _parse_binary strips
 # them; any other ("2", "") is doubt.
 _LABELS = {"0": 0, "1": 1}

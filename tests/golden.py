@@ -12,6 +12,8 @@ written into a temporary directory:
 * signals files whose one id, at row 1, 512 or 513, holds a comma, so
   that the trace writer's clean and quoted blocks meet in one file; and
   one whose signal values include the JSON integers 0 and 1, and -0.0;
+* CSV files of each kind whose first cell that needs quotes comes after
+  row 1,100, so that the readers' split blocks meet the csv module's;
 * a verdict-mode config with per-metric tolerances and a two-metric
   panel, on the bench predictions; and a predictions file in which one
   gap keeps a single eligible subgroup, so ``sweep`` is degenerate and
@@ -49,6 +51,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden.json"
 SEED = 301
 WORKLOAD_ROWS = 3000
 EDGE_ROWS = 1030  # past the second block's first row
+LATE_ROWS = 1200  # into the third block
 BAD_ROWS = (1, 512, 513)
 SPECIALS = {
     "comma": ",",
@@ -247,6 +250,17 @@ def invocations(tmp: Path) -> list[list[str]]:
         for name, records in files.items():
             _write(tmp / f"{name}.{ext}", SIGNAL_COLUMNS, records, ext == "jsonl")
             add("signals", f"{name}.{ext}")
+
+    # The first cell that needs quotes comes after row 1,100: the readers
+    # split two clean blocks, then the csv module reads the rest.
+    for kind, make, columns in (
+        ("predictions", _predictions, PREDICTION_COLUMNS),
+        ("signals", _signals, SIGNAL_COLUMNS),
+    ):
+        records = make(LATE_ROWS)
+        records[1100:] = make(LATE_ROWS, '"')[1100:]
+        _write(tmp / f"{kind}-quote-late.csv", columns, records, False)
+        add(kind, f"{kind}-quote-late.csv")
 
     for das in ("0", "0.3", "0.5", "0.85", "1", "1.5", "nan"):
         runs.append(["classify", "--das", das, "--config", str(config)])

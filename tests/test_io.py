@@ -10,6 +10,7 @@ import json
 import os
 import random
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -722,6 +723,73 @@ class TestBlockPath:
             per_row["_parse_binary"] = BLOCK
         assert calls == {"open": 1, "_iter_records": 1, **per_row}
 
+    @pytest.mark.parametrize("kind", ["predictions", "signals", "signals-no-r_m"])
+    def test_a_clean_file_calls_the_csv_module_for_its_header_only(
+        self, monkeypatch, tmp_path, kind
+    ):
+        if kind == "predictions":
+            text = "\n".join([HEADER, *_clean_rows(2 * BLOCK + 10)]) + "\n"
+        else:
+            lines = _jsonl_lines("signals", 2 * BLOCK + 10, seed=4)
+            text = _csv_text("signals", lines)
+        if kind == "signals-no-r_m":
+            text = "".join(row.rsplit(",", 1)[0] + "\n" for row in text.splitlines())
+        path = write(tmp_path, "p.csv", text)
+        parse, oracle = ORACLES[kind.split("-")[0]]
+        expected = oracle(path)
+        read = self._csv_readers(monkeypatch)
+        assert parse(path) == expected
+        assert read == [[text.partition("\n")[0] + "\n"]]
+
+    @pytest.mark.parametrize("bad", [False, True], ids=["clean", "bad-row-after"])
+    def test_a_quote_in_the_third_block_hands_on_the_rest_of_the_file(
+        self, monkeypatch, tmp_path, bad
+    ):
+        rows = _clean_rows(4 * BLOCK + 10)
+        rows[2 * BLOCK + 5] = 's,0.5,1,"A"'  # read as A
+        if bad:
+            rows[3 * BLOCK + 7] = "s,0.5,2,A"
+        text = "\n".join([HEADER, *rows]) + "\n"
+        path = write(tmp_path, "p.csv", text)
+        expected = _outcome(dictreader_parse_predictions, path)
+        read = self._csv_readers(monkeypatch)
+        outcome = _outcome(parse_predictions, path)
+        assert outcome == expected
+        lines = text.splitlines(keepends=True)
+        assert read[0] == lines[:1] and len(read) == 2
+        if bad:  # at its physical row, after the header and the rows before it
+            assert outcome[::2] == (MalformedRowError, 3 * BLOCK + 9)
+            assert read[1] == lines[1 + 2 * BLOCK : 1 + 4 * BLOCK]
+        else:
+            assert outcome[1][2][2 * BLOCK + 5] == "A"
+            assert read[1] == lines[1 + 2 * BLOCK :]
+
+    def test_a_blank_line_sends_only_its_block_to_the_csv_module(
+        self, monkeypatch, tmp_path
+    ):
+        rows = _clean_rows(3 * BLOCK + 10)
+        rows[BLOCK + 7 : BLOCK + 7] = [""]
+        text = "\n".join([HEADER, *rows]) + "\n"
+        path = write(tmp_path, "p.csv", text)
+        expected = _outcome(dictreader_parse_predictions, path)
+        read = self._csv_readers(monkeypatch)
+        assert _outcome(parse_predictions, path) == expected
+        lines = text.splitlines(keepends=True)
+        assert read == [lines[:1], lines[1 + BLOCK : 1 + 2 * BLOCK]]
+
+    @staticmethod
+    def _csv_readers(monkeypatch):
+        """The lines that each ``csv.reader`` made after this call reads."""
+        read, real = [], csv.reader
+
+        def reader(lines, *args, **kwargs):
+            seen = []
+            read.append(seen)
+            return real((seen.append(line) or line for line in lines), *args, **kwargs)
+
+        monkeypatch.setattr(deployassure.io.csv, "reader", reader)
+        return read
+
     @staticmethod
     def _count(monkeypatch):
         calls = {}
@@ -1082,6 +1150,100 @@ class TestCsvRowsAgainstOracles:
         lines[at:at] = SIGNAL_CORPUS[name]
         text = _csv_text("signals", lines)
         assert_blocks_as_oracle(tmp_path_factory, "signals", text, suffix="csv")
+
+
+# --- Split CSV blocks against the csv module ----------------------------
+
+# Cell text a split block keeps as it is: whitespace, and characters at
+# which str.splitlines ends a line (\x0b, \x1c, \x85, \u2028) but the file
+# iterator and the csv module do not. So a block must never be cut into
+# lines by str.splitlines: it would cut such a record in two.
+CELL_TEXT = ("", "0", "1", "0.5", "A", "é", " ", "\t", "\x0b", "\x1c", "\x85", "\u2028")
+# What breaks a line of cells: a comma too many, a quote, a NUL, a break.
+LINE_BREAKERS = (",", '"', "\0", "\r", "\n", "\r\n")
+# Cells of each column, valid and not.
+HOSTILE_CELLS = {
+    "sample_id": (("s1", "é\u2028", ""), ("\x85",)),
+    "score": (("0.5", "1", "0", " 0.3"), ("nan", "", "\x0b")),
+    "label": (("0", "1", " 1\t"), ("2", "")),
+    "subgroup": (("A", "B", "\x1c", "A\x85B", "é"), ("",)),
+    "snapshot_id": (("s1", "é", "\u2028"), ("",)),
+    **dict.fromkeys(SIGNAL_KEYS, (("0.1", "1", "0", " 0.25"), ("1.5", ""))),
+    "remediation_event": (("0", "1", " 1"), ("2",)),
+    "r_m": (("", "0.5", "-1"), ("2", "x")),
+}
+
+
+@st.composite
+def hostile_lines(draw, names):
+    """Lines of a cell per name, as the file iterator gives them out.
+
+    Now and then a line is blank or holds one of ``LINE_BREAKERS``, ends in
+    ``\\r\\n`` or ``\\r``, or is the last and ends the file.
+    """
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        bad = draw(_mostly(st.none(), st.sampled_from(names)))  # one invalid cell
+        cells = []
+        for name in names:
+            valid, invalid = HOSTILE_CELLS.get(name, (CELL_TEXT, CELL_TEXT))
+            cells.append(draw(st.sampled_from(invalid if name == bad else valid)))
+        line = ",".join(cells)
+        shape = draw(st.integers(0, 11))
+        if shape == 0:
+            line = draw(st.sampled_from(("", " ", "\t")))
+        elif shape == 1:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(LINE_BREAKERS)) + line[at:]
+        end = _mostly(st.just("\n"), st.sampled_from(("\r\n", "\r")))
+        lines.append(line + draw(end))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return list(io.StringIO("".join(lines), newline=""))
+
+
+@st.composite
+def hostile_headers(draw, kind):
+    """4 to 7 columns: a kind's own in any order, and some it does not read."""
+    names = list(draw(st.permutations(COLUMNS[kind][:6])))
+    extras = ["r_m", "note"] if kind == "signals" else ["note", "x", "y"]
+    more = st.lists(st.sampled_from(extras), unique=True, max_size=7 - len(names))
+    for name in draw(more):
+        names.insert(draw(st.integers(0, len(names))), name)
+    return names
+
+
+class TestSplitBlocksAgainstCsvReader:
+    """A block split at its commas reads as ``csv.reader`` reads it."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_split_columns_are_the_csv_modules(self, data):
+        names = data.draw(hostile_headers("predictions"))
+        lines = data.draw(hostile_lines(names))
+        if not lines:
+            return
+        text, rows = "".join(lines), list(csv.reader(lines))
+        try:
+            split = deployassure.io._split(text, len(names))
+        except ValueError:
+            # Refused only where the csv module reads what a split cannot.
+            clean = not any(map(text.__contains__, '"\r\0'))
+            assert not clean or {len(row) for row in rows} != {len(names)}
+            event("refused")
+            return
+        assert {len(row) for row in rows} == {len(names)}
+        assert split == tuple(map(list, zip(*rows)))
+        event("split")
+
+    @given(data=st.data(), kind=st.sampled_from(list(ORACLES)))
+    @settings(max_examples=300, deadline=None)
+    def test_files_read_as_the_oracles_read_them(self, tmp_path_factory, data, kind):
+        names = data.draw(hostile_headers(kind))
+        text = ",".join(names) + "\n" + "".join(data.draw(hostile_lines(names)))
+        rows = data.draw(st.integers(1, 4), label="block rows")
+        with mock.patch.object(deployassure.io, "_BLOCK_ROWS", rows):
+            event(assert_blocks_as_oracle(tmp_path_factory, kind, text, suffix="csv"))
 
 
 def test_huge_json_integer_is_a_row_error(tmp_path):
