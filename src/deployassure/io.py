@@ -56,11 +56,13 @@ def _iter_records(
     ``checks`` are one kind's checks of a CSV block's ``columns`` cells
     (picked from its split or transposed rows), of a JSON-lines block's
     :func:`_decode_block` columns, and of one record's ``columns`` values.
-    All three return a block in the same types, which is yielded: the row
-    check a block of one. A block its check doubts (see :func:`_vouched`)
-    goes through the row check record by record; then reading goes back to
-    blocks. The row check's :class:`_BadValue` is raised as a
-    :class:`MalformedRowError` with the record's 1-based physical row.
+    The block checks return a block of columns, which is yielded; the row
+    check returns one row. A block its check doubts (see :func:`_vouched`)
+    goes through the row check record by record, and its rows are yielded
+    as one block (:func:`_gathered`); then reading goes back to blocks. The
+    row check's :class:`_BadValue` is raised as a :class:`MalformedRowError`
+    with the record's 1-based physical row, once the rows before it are
+    yielded.
 
     The first ``required`` columns must be in the header (CSV) or in the
     first record (JSON-lines). An absent value reads as ``None``. CSV is
@@ -75,6 +77,7 @@ def _iter_records(
     :class:`EngineError` with the file name and no row (it is decoded in
     chunks), once the records before it are yielded.
     """
+    rows: list = []  # a doubted block's checked rows
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             for row, line in enumerate(fh, 1):
@@ -101,15 +104,15 @@ def _iter_records(
                         try:
                             record = json.loads(line)
                         except (ValueError, RecursionError) as exc:
-                            message = f"invalid JSON: {exc}"
-                            raise MalformedRowError(path, row, message) from exc
+                            raise _BadValue(f"invalid JSON: {exc}") from exc
                         if not isinstance(record, dict):
-                            raise MalformedRowError(path, row, "record is not an object")
+                            raise _BadValue("record is not an object")
                         if row == first:  # the first line is never blank
                             missing = [c for c in columns[:required] if c not in record]
                             if missing:
                                 raise MissingColumnError(path, missing)
-                        yield checks[2](tuple(map(record.get, columns)))
+                        rows.append(checks[2](tuple(map(record.get, columns))))
+                    yield from _gathered(rows)
                 return
 
             reader = csv.reader(lines)
@@ -161,11 +164,13 @@ def _iter_records(
                         row = min(row + 1 + breaks, end)
                         if cells:  # missing cells and absent columns are None
                             values = map(dict(enumerate(cells)).get, positions)
-                            yield checks[2](list(values))
+                            rows.append(checks[2](list(values)))
+                    yield from _gathered(rows)
             if not data:
                 raise EmptyFileError(path)
     except _BadValue as exc:
-        raise MalformedRowError(path, row, str(exc)) from None
+        yield from _gathered(rows)
+        raise MalformedRowError(path, row, str(exc)) from exc.__cause__
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         row = start + reader.line_num
         raise MalformedRowError(path, row, f"invalid CSV: {exc}") from exc
@@ -206,6 +211,15 @@ def _split(text: str, width: int) -> tuple[list[str], ...]:
         raise _Doubt
     cells = text.replace("\n", ",").split(",")
     return tuple(cells[i:-1:width] for i in range(width))
+
+
+def _gathered(rows: list) -> Iterator[list]:
+    """A doubted block's checked rows, if any, as one block of columns, in
+    the shape a block check returns; ``rows`` is emptied."""
+    if rows:
+        block = list(zip(*rows))
+        rows.clear()
+        yield block
 
 
 def _vouched(check: Callable[[Any], Any], block: Any) -> Any:
@@ -377,8 +391,9 @@ def _signal_cells(columns: tuple) -> list[Sequence[Any]]:
     return _signal_rows([ids, *signals, _binary_cells(events), r_ms])
 
 
-def _prediction_row(values: Sequence[Any]) -> tuple[array, bytes, list[str]]:
-    """One record's values as :func:`_prediction_block` returns a block."""
+def _prediction_row(values: Sequence[Any]) -> tuple[float, int, str]:
+    """One record's score, label and subgroup, as :func:`_prediction_block`
+    returns a block's columns."""
     sample_id, score, label, subgroup = values
     _as_string(sample_id, "sample_id")
     score = _parse_unit_interval(score, "score")
@@ -386,11 +401,12 @@ def _prediction_row(values: Sequence[Any]) -> tuple[array, bytes, list[str]]:
     subgroup = _as_string(subgroup, "subgroup")
     if not subgroup:
         raise _BadValue("subgroup is empty")
-    return array("d", (score,)), bytes((label,)), [subgroup]
+    return score, label, subgroup
 
 
-def _signal_row(values: Sequence[Any]) -> list[tuple[Any]]:
-    """One record's values as a one-row block of :func:`_signal_rows` columns."""
+def _signal_row(values: Sequence[Any]) -> tuple:
+    """One record's values as an :func:`iter_signals` row, a row of the
+    columns :func:`_signal_rows` returns."""
     snapshot_id, fdi, delta_fpr, delta_fnr, tsz, event, raw_r_m = values
     snapshot_id = _as_string(snapshot_id, "snapshot_id")
     fdi = _parse_unit_interval(fdi, "fdi")
@@ -403,7 +419,7 @@ def _signal_row(values: Sequence[Any]) -> list[tuple[Any]]:
         r_m = _parse_unit_interval(raw_r_m, "r_m", R_M_RANGE)
         if not remediation:
             raise _BadValue("r_m present but remediation_event is 0")
-    return list(zip((snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m)))
+    return snapshot_id, fdi, delta_fpr, delta_fnr, tsz, remediation, r_m
 
 
 def parse_predictions(path: str) -> Predictions:
@@ -432,8 +448,8 @@ def parse_predictions(path: str) -> Predictions:
     # One string object per distinct subgroup, not one per row.
     subgroups: dict[str, str] = {}
     for scores, labels, names in _iter_records(path, columns, len(columns), checks):
-        out.scores += scores
-        out.labels += labels
+        out.scores.extend(scores)
+        out.labels.extend(labels)
         out.subgroups += map(subgroups.setdefault, names, names)
     return out
 
@@ -472,41 +488,13 @@ def signal_blocks(path: str) -> Iterator[list[Sequence[Any]]]:
     Like :func:`parse_predictions`, it reads the file once, a block at a
     time, a pipe too: :func:`_signal_cells` checks a CSV block,
     :func:`_signal_rows` a JSON-lines one, and :func:`_signal_row` each row
-    of a block they doubt; the rows of such a block are joined back into
-    one (:func:`_joined`). It raises what :func:`iter_signals` raises, once
-    the rows before the failing one are yielded.
+    of a block they doubt; the rows of such a block go on as one block. It
+    raises what :func:`iter_signals` raises, once the rows before the
+    failing one are yielded.
     """
     columns, required = SIGNALS_COLUMNS + ("r_m",), len(SIGNALS_COLUMNS)
     checks = (_signal_cells, _signal_rows, _signal_row)
-    return _joined(_iter_records(path, columns, required, checks))
-
-
-def _joined(blocks: Iterator[list[Sequence[Any]]]) -> Iterator[list[Sequence[Any]]]:
-    """Blocks of signal columns, each run of short blocks joined into one.
-
-    A block the checks doubt comes as blocks of one row; joined back into
-    one of ``_BLOCK_ROWS`` rows, its rows cost a block's per-call work once,
-    not once each. Each is added to the joined columns as it comes, so the
-    garbage collector sees no pile of row objects. The rows joined before
-    an error are yielded before it is raised.
-    """
-    joined: list = []
-    try:
-        for block in blocks:
-            if not joined and len(block[0]) >= _BLOCK_ROWS:
-                yield block
-                continue
-            joined = joined or [[] for _ in block]
-            list(map(list.extend, joined, block))
-            if len(joined[0]) >= _BLOCK_ROWS:
-                yield joined
-                joined = []
-    except (EngineError, ValueError):
-        if joined:
-            yield joined
-        raise
-    if joined:
-        yield joined
+    return _iter_records(path, columns, required, checks)
 
 
 def checked_blocks(records: Iterable[Sequence[Any]]) -> Iterator[list[Sequence[Any]]]:
@@ -514,28 +502,25 @@ def checked_blocks(records: Iterable[Sequence[Any]]) -> Iterator[list[Sequence[A
 
     Each record is an :func:`iter_signals` row. A block of ``_BLOCK_ROWS``
     records goes through the JSON-lines block check, and a block it doubts
-    through the row check, record by record.
+    through the row check, record by record; its rows go on as one block.
 
     Raises:
         ValueError: ``"record N: <message>"`` for the first record, 1-based,
             that fails its row check or does not hold seven values, once
             the records before it are yielded.
     """
-    return _joined(_checked_blocks(records))
-
-
-def _checked_blocks(records: Iterable[Sequence[Any]]) -> Iterator[list[Sequence[Any]]]:
-    records, start = iter(records), 1
+    records, start, rows = iter(records), 1, []
     while block := list(itertools.islice(records, _BLOCK_ROWS)):
         if (checked := _vouched(_record_block, block)) is not None:
             yield checked
         else:
             for n, record in enumerate(block, start):
                 try:
-                    row = _signal_row(record)
+                    rows.append(_signal_row(record))
                 except (_BadValue, ValueError) as exc:  # ValueError: not 7 values
+                    yield from _gathered(rows)
                     raise ValueError(f"record {n}: {exc}") from None
-                yield row
+            yield from _gathered(rows)
         start += len(block)
 
 

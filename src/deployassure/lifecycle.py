@@ -54,7 +54,7 @@ from .assurance import (
     remediation_progression,
 )
 from .errors import ConfigInvalidError, EmptySequenceError
-from .io import _BLOCK_ROWS, checked_blocks
+from .io import checked_blocks
 from .record import Record, canonical_fingerprint, replace
 from .stability import ZoneLabel
 
@@ -412,14 +412,6 @@ def csv_blocks(
         write("".join(map(row.__mod__, zip(ids, *cells))))
 
 
-def csv_rows(out: TextIO, columns: Sequence[str], rows: Iterable[tuple]) -> None:
-    """:func:`csv_blocks` over ``(id, cells)`` rows, ``_BLOCK_ROWS`` at a time;
-    ``cells`` is the row's text after its id."""
-    rows = iter(rows)
-    blocks = iter(lambda: list(zip(*itertools.islice(rows, _BLOCK_ROWS))), [])
-    csv_blocks(out, columns, "%s", blocks)
-
-
 def _transition_cell(transition: tuple) -> str:
     from_state, to_state, reasons, _ = transition
     return f"{from_state._value_}->{to_state._value_}[{'|'.join(reasons)}]"
@@ -570,7 +562,7 @@ def fold_trace(
     Each record is ``(snapshot_id, fdi, delta_fpr, delta_fnr, tsz,
     remediation_event, r_m)``, as ``io.iter_signals`` yields it: four reals
     in [0, 1], a bool, and ``r_m`` a real in [-1, 1] or None, set only on
-    an event. The records are checked ``_BLOCK_ROWS`` at a time as a
+    an event. The records are checked a block at a time as a
     signals file is (``io.checked_blocks``); a record that breaks a rule
     raises ValueError ``"record N: <message>"``, N its 1-based place. They
     are scored and folded from ``initial_state`` under ``rules`` a block at

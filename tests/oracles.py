@@ -27,8 +27,9 @@ scalar bodies ``scalar_das_of``, ``scalar_band_of``, ``scalar_ges_of``,
 one-row calls replaced. ``row_trace`` writes its rows with the engine's
 writer, so a comparison with ``fold_trace`` checks the fold alone.
 
-``rowwise_csv_rows`` is ``lifecycle.csv_rows`` as it was before it wrote
-a block of rows at a time: one id check and one write per row.
+``rowwise_csv_rows`` is the trace's CSV writer as it was before
+``lifecycle.csv_blocks`` wrote a block of rows at a time: one id check and
+one write per row.
 ``typed_signal_rows`` is ``io._signal_rows`` as it was before a column of
 exact floats was kept as ``json.loads`` made it: every column
 type-checked, then copied through an ``array('d')``.

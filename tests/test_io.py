@@ -36,6 +36,7 @@ from deployassure.lifecycle import fold_trace, format_real
 
 from oracles import (
     dictreader_parse_predictions,
+    row_trace,
     staged_parse_signals,
     typed_signal_rows,
 )
@@ -317,8 +318,8 @@ JSON_LINE_ENDS = ("\n", "\r\n", "\r")
 def _outcome(parse, path):
     try:
         return "ok", columns(parse(path))
-    except EngineError as exc:
-        return type(exc), str(exc), getattr(exc, "row", None)
+    except EngineError as exc:  # the cause: a JSON, csv or decoding error
+        return type(exc), str(exc), getattr(exc, "row", None), type(exc.__cause__)
 
 
 def assert_same_as_oracle(tmp_path_factory, name, text):
@@ -600,28 +601,45 @@ class TestBlockPath:
             "_parse_binary": BLOCK,
         }
 
-    def test_a_doubted_block_is_joined_back_into_one(self, tmp_path):
+    @pytest.mark.parametrize("source", ["file", "records"])
+    def test_a_doubted_block_is_joined_back_into_one(self, tmp_path, source):
         # Its rows are checked one at a time, then handed on as one block.
         lines = _jsonl_lines("signals", 3 * BLOCK, seed=4)
-        lines[BLOCK + 7] = " " + lines[BLOCK + 7]
-        path = write(tmp_path, "s.jsonl", "".join(lines))
-        blocks = list(deployassure.io.signal_blocks(path))
-        assert [len(block[0]) for block in blocks] == [BLOCK] * 3
-        staged = staged_parse_signals(path)
-        assert [row[0] for block in blocks for row in zip(*block)] == [
-            sid for sid, _ in staged
+        clean = staged_parse_signals(write(tmp_path, "clean.jsonl", "".join(lines)))
+        expected = [
+            (sid, s.fdi, s.delta_fpr, s.delta_fnr, s.tsz, s.remediation_event, s.r_m)
+            for sid, s in clean
         ]
-        assert parse_signals(path) == staged
+        if source == "file":  # a padded line
+            lines[BLOCK + 7] = " " + lines[BLOCK + 7]
+            path = write(tmp_path, "s.jsonl", "".join(lines))
+            assert parse_signals(path) == clean
+            blocks, records = list(deployassure.io.signal_blocks(path)), iter_signals(path)
+        else:  # records built in code, one with the event " 1"
+            sid, *values, _, r_m = expected[BLOCK + 7]
+            records = [*expected[: BLOCK + 7], (sid, *values, " 1", r_m)]
+            records += expected[BLOCK + 8 :]
+            expected[BLOCK + 7] = (sid, *values, True, r_m)
+            blocks = list(deployassure.io.checked_blocks(records))
+        assert [len(block[0]) for block in blocks] == [BLOCK] * 3
+        assert [row for block in blocks for row in zip(*block)] == expected
+        initial, rules, out = DeploymentState.DEPLOYABLE, RulesConfig(), io.StringIO()
+        fold_trace(out, records, initial, rules, "csv")
+        trace = row_trace(expected, initial, rules, "csv")
+        assert out.getvalue().encode("utf-8") == trace
 
-    def test_short_blocks_are_joined_up_to_a_block(self, tmp_path):
-        # A blank line in every block leaves each CSV block a row short.
+    def test_each_block_of_lines_is_handed_on_as_one_block(self, tmp_path):
+        # A blank line in every block leaves each CSV block a row short; it
+        # goes on short, not joined with rows of the next block.
         text = _csv_text("signals", _jsonl_lines("signals", 4 * BLOCK, seed=4))
         rows = text.splitlines(keepends=True)
-        path = write(tmp_path, "s.csv", "".join(
-            row + "\n" * (i % 100 == 5) for i, row in enumerate(rows)
-        ))
+        text = "".join(row + "\n" * (i % 100 == 5) for i, row in enumerate(rows))
+        path = write(tmp_path, "s.csv", text)
+        data = text.splitlines()[1:]
         blocks = list(deployassure.io.signal_blocks(path))
-        assert all(BLOCK <= len(block[0]) < 2 * BLOCK for block in blocks[:-1])
+        assert [len(block[0]) for block in blocks] == [
+            len(list(filter(None, data[i : i + BLOCK]))) for i in range(0, len(data), BLOCK)
+        ]
         assert parse_signals(path) == staged_parse_signals(path)
 
     def test_rows_before_a_bad_row_of_a_doubted_block_are_yielded(self, tmp_path):
@@ -666,7 +684,7 @@ class TestBlockPath:
             os.close(read_end)
         expected = _outcome(dictreader_parse_predictions, path)
         if bad:
-            expected = (expected[0], expected[1].replace(path, pipe), expected[2])
+            expected = (expected[0], expected[1].replace(path, pipe), *expected[2:])
         assert outcome == expected
         # The first block is vouched for; the second is checked row by row
         # up to its bad row, the second one.

@@ -58,7 +58,7 @@ from deployassure.lifecycle import (
     _backfill_column,
     _backfilled_r_m,
     build_assessments,
-    csv_rows,
+    csv_blocks,
     emit_trace,
     fold_trace,
     json_rows,
@@ -558,12 +558,10 @@ def _folded(records, initial, rules, output):
     return out.getvalue().encode("utf-8")
 
 
-@contextlib.contextmanager
 def _block_rows(n):
-    """Blocks of ``n`` rows in the readers, the record check and the writer."""
-    with mock.patch.object(deployassure.io, "_BLOCK_ROWS", n):
-        with mock.patch.object(deployassure.lifecycle, "_BLOCK_ROWS", n):
-            yield
+    """Blocks of ``n`` rows in the readers and the record check, so in the
+    fold and the writer too."""
+    return mock.patch.object(deployassure.io, "_BLOCK_ROWS", n)
 
 
 class TestFoldAcrossBlocks:
@@ -927,10 +925,10 @@ def csv_row_blocks(draw):
     return rows
 
 
-def _csv_written(write_rows, rows) -> tuple[str, str | None]:
+def _csv_written(write) -> tuple[str, str | None]:
     out = io.StringIO()
     try:
-        write_rows(out, TRACE_COLUMNS, iter(rows))
+        write(out)
     except csv.Error as exc:  # a NUL on Python 3.10
         return out.getvalue(), repr(exc)
     return out.getvalue(), None
@@ -941,7 +939,9 @@ def _csv_written(write_rows, rows) -> tuple[str, str | None]:
 @example(rows=[("s0", "")] * _BLOCK_ROWS + [("\0", "x,y"), ("s1", "")])
 @settings(max_examples=150, deadline=None)
 def test_block_csv_rows_match_the_row_writer(rows):
-    expected = _csv_written(oracles.rowwise_csv_rows, rows)
-    assert _csv_written(csv_rows, rows) == expected
+    columns, n = TRACE_COLUMNS, _BLOCK_ROWS
+    expected = _csv_written(lambda out: oracles.rowwise_csv_rows(out, columns, rows))
+    blocks = [list(zip(*rows[i : i + n])) for i in range(0, len(rows), n)]
+    assert _csv_written(lambda out: csv_blocks(out, columns, "%s", blocks)) == expected
     refused = not CSV_WRITES_NUL and any("\0" in sid for sid, _ in rows)
     assert (expected[1] is not None) == refused
