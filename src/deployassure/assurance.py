@@ -160,16 +160,12 @@ DEFAULT_BANDS = DrcBands()
 def compute_das(
     signals: AssuranceSignals, weights: WeightVector = DEFAULT_WEIGHTS
 ) -> float:
-    """Weighted aggregate of signal complements; 1 is perfect assurance."""
+    """Weighted aggregate of signal complements; 1 is perfect assurance.
+
+    It is :func:`das_column` on one row.
+    """
     s = signals
-    return das_of(s.fdi, s.delta_fpr, s.delta_fnr, s.tsz, weights)
-
-
-def das_of(
-    fdi: float, delta_fpr: float, delta_fnr: float, tsz: float, weights: WeightVector
-) -> float:
-    """:func:`compute_das` on plain signal values: :func:`das_column` on one row."""
-    return das_column([(fdi,), (delta_fpr,), (delta_fnr,), (tsz,)], weights)[0]
+    return das_column([[s.fdi], [s.delta_fpr], [s.delta_fnr], [s.tsz]], weights)[0]
 
 
 def das_column(
@@ -205,12 +201,7 @@ def classify_drc(
     """
     if not 0.0 <= das <= 1.0:
         raise DomainError(f"score out of range [0, 1]: {das!r}")
-    return fragility_cap(band_of(das, bands), worst_zone)
-
-
-def band_of(das: float, bands: DrcBands) -> DeploymentState:
-    """:func:`drc_column` on one score."""
-    return drc_column((das,), bands)[0]
+    return fragility_cap(drc_column((das,), bands)[0], worst_zone)
 
 
 def drc_column(das: Sequence[float], bands: DrcBands) -> list[DeploymentState]:
@@ -269,23 +260,11 @@ def compute_ges(
     """Escalation level: max per-signal severity, +1 on failed remediation.
 
     A remediation event whose effectiveness is negative raises the level
-    one step, capped at Critical.
+    one step, capped at Critical. It is :func:`ges_column` on one row.
     """
     s = signals
-    return ges_of(s.fdi, s.delta_fpr, s.delta_fnr, s.tsz, s.r_m, thresholds)
-
-
-def ges_of(
-    fdi: float,
-    delta_fpr: float,
-    delta_fnr: float,
-    tsz: float,
-    r_m: float | None,
-    thresholds: GesThresholds,
-) -> EscalationLevel:
-    """:func:`compute_ges` on plain values: :func:`ges_column` on one row."""
-    signals = [(fdi,), (delta_fpr,), (delta_fnr,), (tsz,)]
-    return ges_column(signals, (r_m,), thresholds)[0]
+    columns = [[s.fdi], [s.delta_fpr], [s.delta_fnr], [s.tsz]]
+    return ges_column(columns, [s.r_m], thresholds)[0]
 
 
 # Levels by severity, and Critical once more for a bump past it.

@@ -17,7 +17,8 @@ stdout, so nothing reaches stdout unless the command succeeds, and the
 bytes do not depend on the locale.
 
 Exit codes: 0 success, 1 validation error (including usage, and a value
-that CSV output cannot write), 2 I/O error.
+that CSV output cannot write), 2 I/O error, among them a stdout that
+closes before all output is written.
 """
 
 from __future__ import annotations
@@ -287,12 +288,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args.handler(args, out)
         output = out.getvalue().encode("utf-8")
-        # A text-only stdout (a StringIO, say) has no buffer; it takes the text.
         stream = getattr(sys.stdout, "buffer", None)
-        if stream is None:
-            stream, output = sys.stdout, output.decode("utf-8")
-        stream.write(output)
-        stream.flush()
+        if stream is None:  # a text-only stdout (a StringIO, say) takes the text
+            sys.stdout.write(output.decode("utf-8"))
+            output = b""
+        sys.stdout.flush()
+        # Past any buffer, so no refused bytes wait for the flush at exit. A
+        # write that a closing reader cuts short returns its count without
+        # raising; a full non-blocking stdout returns None, which slices as 0.
+        stream = getattr(stream, "raw", stream)
+        while output:
+            output = output[stream.write(output):]
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -242,20 +242,6 @@ class ScoreIndex:
             for group, (negatives, positives) in self._groups.items()
         }
 
-    def confusion(self, threshold: float) -> dict[str, ConfusionCounts]:
-        """The one-point case of :meth:`counts_below`, as confusion counts.
-
-        Equal, order included, to ``compute_confusion(samples, threshold)``.
-
-        Raises:
-            DomainError: threshold outside [0, 1].
-        """
-        below = self.counts_below((threshold,)).items()
-        return {
-            group: ConfusionCounts(tp=positives - fn, fp=negatives - tn, tn=tn, fn=fn)
-            for group, (negatives, positives, (tn,), (fn,)) in below
-        }
-
 
 def rate_columns(
     negatives: int, positives: int, tn: Sequence[int], fn: Sequence[int]

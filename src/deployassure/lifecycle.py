@@ -133,13 +133,6 @@ class GovernanceTrace(Record):
     config_fingerprint: str
 
 
-def _backfilled_r_m(
-    remediation_event: bool, r_m: float | None, r_p: float | None
-) -> float | None:
-    """:func:`_backfill_column` on one row."""
-    return _backfill_column((remediation_event,), (r_m,), (r_p,))[0]
-
-
 def _backfill_column(
     events: Sequence[bool], r_ms: Sequence[float | None], r_ps: Sequence[float | None]
 ) -> list[float | None]:
@@ -148,7 +141,7 @@ def _backfill_column(
 
 
 def _backfill_r_m(signals: AssuranceSignals, r_p: float | None) -> AssuranceSignals:
-    r_m = _backfilled_r_m(signals.remediation_event, signals.r_m, r_p)
+    r_m = _backfill_column((signals.remediation_event,), (signals.r_m,), (r_p,))[0]
     return signals if r_m is signals.r_m else replace(signals, r_m=r_m)
 
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from deployassure import Sample
+from deployassure import ConfusionCounts, Sample
 from deployassure.assurance import AssuranceSignals
 
 # Calibration fixture: three lifecycle snapshots (an unmitigated baseline
@@ -82,6 +82,19 @@ def random_samples(rng: random.Random, n: int, n_groups: int) -> list[Sample]:
             subgroup=f"g{rng.randrange(n_groups)}",
         )
         for i in range(n)
+    ]
+
+
+def confusions_below(index, thresholds) -> list[dict[str, ConfusionCounts]]:
+    """Each threshold's confusion counts, from one ``counts_below`` call
+    over the whole list, as ``sweep`` makes it."""
+    below = index.counts_below(thresholds).items()
+    return [
+        {
+            group: ConfusionCounts(tp=pos - fn[i], fp=neg - tn[i], tn=tn[i], fn=fn[i])
+            for group, (neg, pos, tn, fn) in below
+        }
+        for i in range(len(thresholds))
     ]
 
 

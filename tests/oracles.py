@@ -11,7 +11,9 @@ no reader code with the engine.
 ``flagging_sweep`` is the sweep as the engine had it before a gap without
 two eligible subgroups failed it outright: each such grid point was
 flagged, ``fill_flagged`` interpolated the flagged points, and only a
-sweep with more than half its points flagged was degenerate.
+sweep with more than half its points flagged was degenerate. It counts
+each point with ``naive_confusion``, so it shares no counting code with
+``sweep``.
 
 ``staged_trace`` is the staged lifecycle path as the engine had it before
 the one-pass fold: ``AssuranceSignals`` per row, then assessments, replay
@@ -24,7 +26,7 @@ from the same staged rules, each row on its own.
 once per block of rows: every rule called once per row, through the
 scalar bodies ``scalar_das_of``, ``scalar_band_of``, ``scalar_ges_of``,
 ``scalar_progression`` and ``scalar_backfilled_r_m`` that the engine's
-one-row calls replaced. ``row_trace`` writes its rows with the engine's
+column kernels replaced. ``row_trace`` writes its rows with the engine's
 writer, so a comparison with ``fold_trace`` checks the fold alone.
 
 ``rowwise_csv_rows`` is the trace's CSV writer as it was before
@@ -82,7 +84,7 @@ from deployassure.assurance import (
     AssuranceSignals,
     DrcBands,
 )
-from deployassure.evaluation import ScoreIndex, check_threshold
+from deployassure.evaluation import check_threshold
 from deployassure.lifecycle import (
     REASON_DAS_BAND,
     REASON_FAILED_REMEDIATION,
@@ -141,7 +143,6 @@ def naive_confusion(
     }
 
 
-
 def fill_flagged(
     thresholds: Sequence[float],
     values: list[float | None],
@@ -185,12 +186,12 @@ def flagging_sweep(
     check_sweep_range(t_min, t_max, h)
     intervals = int((t_max - t_min) / h + _SPACING_TOLERANCE)
     thresholds = [min(t_min + i * h, t_max) for i in range(intervals + 1)]
-    index = ScoreIndex(samples)
+    samples = list(samples)
     values: list[float | None] = []
     flagged = 0
     for t in thresholds:
         try:
-            _, _, fdi = assess_at_threshold(index.confusion(t), panel_config)
+            _, _, fdi = assess_at_threshold(naive_confusion(samples, t), panel_config)
             values.append(fdi.value)
         except InsufficientSubgroupsError:
             values.append(None)

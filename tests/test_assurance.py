@@ -77,7 +77,7 @@ class TestComputeDas:
 
     def test_float_sum_above_one_is_clamped(self):
         weights = WeightVector(0.2, 0.4, 0.3, 0.1)
-        # Added left to right, as das_of adds them (Python 3.12's sum() is
+        # Added left to right, as das_column adds them (Python 3.12's sum() is
         # compensated and gives 1.0); within the 1e-9 tolerance.
         assert weights.alpha + weights.beta + weights.gamma + weights.delta > 1.0
         assert compute_das(equal_signals(0, 0, 0, 0), weights) == 1.0

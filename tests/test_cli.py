@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -1221,3 +1222,62 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["score"])  # --signals is required
         assert excinfo.value.code == 1
+
+
+# A broken pipe, as the command's one stderr line names it.
+BROKEN_PIPE = f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n".encode()
+
+
+def _lifecycle_over_many_rows(tmp_path):
+    """A lifecycle command whose trace, about 1.6 MB, outgrows a pipe's buffer."""
+    path = tmp_path / "signals.csv"
+    lines = ["snapshot_id,fdi,delta_fpr,delta_fnr,tsz,remediation_event"]
+    lines += [f"s{i},0.{i % 97:02d},0.1,0.2,0.3,{i % 3 == 0:d}" for i in range(20000)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["lifecycle", "--signals", str(path)]
+
+
+def _child_env(buffered):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+class TestClosedStdout:
+    """A stdout whose reader goes before all output is written exits 2, with
+    one line on stderr and nothing from the interpreter's exit."""
+
+    @pytest.mark.parametrize("large", [False, True], ids=["classify", "lifecycle"])
+    def test_closed_before_the_write(self, tmp_path, buffered, large):
+        argv = ["classify", "--das", "0.5"]
+        if large:
+            argv = _lifecycle_over_many_rows(tmp_path)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "deployassure", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=_child_env(buffered),
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (2, BROKEN_PIPE)
+
+    def test_closed_mid_write(self, tmp_path, buffered):
+        argv = _lifecycle_over_many_rows(tmp_path)
+        with subprocess.Popen(
+            [sys.executable, "-m", "deployassure", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+            env=_child_env(buffered),
+        ) as child:
+            assert child.stdout.read(10)  # the write has begun
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=120)
+        assert (code, err) == (2, BROKEN_PIPE)

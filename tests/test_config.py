@@ -293,8 +293,10 @@ class TestFingerprint:
     def test_tolerance_key_order_does_not_matter(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        a.write_text('{"fdi": {"tolerances": {"delta_fpr": 0.1, "delta_sr": 0.2}}}')
-        b.write_text('{"fdi": {"tolerances": {"delta_sr": 0.2, "delta_fpr": 0.1}}}')
+        a_text = '{"fdi": {"tolerances": {"delta_fpr": 0.1, "delta_sr": 0.2}}}'
+        b_text = '{"fdi": {"tolerances": {"delta_sr": 0.2, "delta_fpr": 0.1}}}'
+        a.write_text(a_text, encoding="utf-8")
+        b.write_text(b_text, encoding="utf-8")
         assert load_config(str(a)).fingerprint() == load_config(str(b)).fingerprint()
 
     def test_changes_when_a_value_changes(self, tmp_path):

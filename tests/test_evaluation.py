@@ -27,7 +27,7 @@ from deployassure import (
 )
 from deployassure.evaluation import Predictions, ScoreIndex
 
-from conftest import random_samples
+from conftest import confusions_below, random_samples
 from oracles import naive_confusion
 
 
@@ -109,12 +109,14 @@ def thresholds_at_scores(samples):
 
 
 def assert_index_matches_oracle(samples, thresholds):
-    index = ScoreIndex(samples)
-    for t in thresholds:
+    # One counts_below call over the whole list, as sweep makes it.
+    confusions = confusions_below(ScoreIndex(samples), thresholds)
+    assert len(confusions) == len(thresholds)
+    for t, confusion in zip(thresholds, confusions):
         # items(), not the dicts: the subgroup order must match as well.
-        assert list(index.confusion(t).items()) == list(
-            compute_confusion(samples, t).items()
-        )
+        expected = list(compute_confusion(samples, t).items())
+        assert list(confusion.items()) == expected
+        assert list(naive_confusion(samples, t).items()) == expected
 
 
 class TestScoreIndex:
@@ -143,7 +145,9 @@ class TestScoreIndex:
     def test_threshold_out_of_range(self, threshold):
         index = ScoreIndex([Sample("s1", 0.5, 1, "A")])
         with pytest.raises(DomainError):
-            index.confusion(threshold)
+            index.counts_below([threshold])
+        with pytest.raises(DomainError):  # anywhere in the list
+            index.counts_below([0.0, 0.5, threshold, 1.0])
         with pytest.raises(DomainError):
             compute_confusion([Sample("s1", 0.5, 1, "A")], threshold)
 
@@ -169,12 +173,13 @@ class TestPredictions:
     @settings(max_examples=80, deadline=None)
     def test_counts_match_naive_loop_on_ties(self, samples):
         predictions = Predictions.from_samples(samples)
-        index = ScoreIndex(predictions)
-        for t in thresholds_at_scores(samples):
+        thresholds = thresholds_at_scores(samples)
+        confusions = confusions_below(ScoreIndex(predictions), thresholds)
+        for t, confusion in zip(thresholds, confusions):
             expected = list(naive_confusion(samples, t).items())
             # items(), not the dicts: the subgroup order must match as well.
             assert list(compute_confusion(predictions, t).items()) == expected
-            assert list(index.confusion(t).items()) == expected
+            assert list(confusion.items()) == expected
 
     @given(sample_sets(), st.integers(0, 1000).map(lambda k: k / 1000))
     @settings(max_examples=60, deadline=None)
@@ -216,7 +221,8 @@ class TestPredictions:
         expected = outcome(naive_confusion)
         assert outcome(compute_confusion) == expected
         if threshold <= 1.0:  # the index is built, and checked, before any threshold
-            assert outcome(lambda s, t: ScoreIndex(s).confusion(t)) == expected
+            counted = outcome(lambda s, t: confusions_below(ScoreIndex(s), [t])[0])
+            assert counted == expected
 
 
 class TestComputeConfusion:
@@ -403,10 +409,9 @@ class TestComputeGaps:
     def test_eligibility_is_the_same_at_every_threshold(self, samples, min_support):
         # Sizes and label counts, all that eligibility reads, do not move
         # with the threshold: gaps fail at every threshold or at none.
-        index = ScoreIndex(samples)
         outcomes = set()
-        for t in thresholds_at_scores(samples):
-            confusion = index.confusion(t)
+        thresholds = thresholds_at_scores(samples)
+        for confusion in confusions_below(ScoreIndex(samples), thresholds):
             rates = {g: compute_rates(c) for g, c in confusion.items()}
             try:
                 gaps = compute_gaps(rates, subgroup_sizes(confusion), min_support)

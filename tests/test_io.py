@@ -1324,13 +1324,15 @@ class TestBlockPathCollections:
 
     def test_clean_csv_predictions(self, default_gc, tmp_path):
         path = tmp_path / "p.csv"
-        path.write_text("\n".join([HEADER, *_clean_rows(self.ROWS)]) + "\n")
+        text = "\n".join([HEADER, *_clean_rows(self.ROWS)]) + "\n"
+        path.write_text(text, encoding="utf-8")
         count = _gen0_collections(lambda: parse_predictions(str(path)))
         assert count <= self.ROWS // BLOCK // 8
 
     def test_clean_jsonl_signals(self, default_gc, tmp_path):
         path = tmp_path / "s.jsonl"
-        path.write_text("".join(_jsonl_lines("signals", self.ROWS, seed=12)))
+        text = "".join(_jsonl_lines("signals", self.ROWS, seed=12))
+        path.write_text(text, encoding="utf-8")
 
         def read():  # each row is let go as it comes, as the lifecycle fold does
             collections.deque(iter_signals(str(path)), maxlen=0)
@@ -1339,7 +1341,8 @@ class TestBlockPathCollections:
 
     def test_clean_csv_trace(self, default_gc, tmp_path):
         path = tmp_path / "s.jsonl"
-        path.write_text("".join(_jsonl_lines("signals", self.ROWS, seed=12)))
+        text = "".join(_jsonl_lines("signals", self.ROWS, seed=12))
+        path.write_text(text, encoding="utf-8")
         initial = DeploymentState.REASSESSMENT_REQUIRED
 
         def fold():  # read, fold and write, each a block of rows at a time

@@ -32,13 +32,11 @@ import deployassure.io
 import deployassure.lifecycle
 from deployassure.assurance import (
     AssuranceSignals,
-    band_of,
+    compute_das,
     compute_ges,
     das_column,
-    das_of,
     drc_column,
     ges_column,
-    ges_of,
     progression_column,
     remediation_progression,
 )
@@ -56,7 +54,7 @@ from deployassure.lifecycle import (
     TraceEntry,
     TransitionRecord,
     _backfill_column,
-    _backfilled_r_m,
+    _backfill_r_m,
     build_assessments,
     csv_blocks,
     emit_trace,
@@ -642,7 +640,7 @@ r_ms = st.none() | st.floats(-1, 1)
 
 
 class TestKernelsMatchTheScalarBodies:
-    """Each rule's column kernel, and its one-row call, give what the
+    """Each rule's column kernel, and its door on one row, give what the
     per-row body it replaced gave."""
 
     @given(
@@ -655,14 +653,18 @@ class TestKernelsMatchTheScalarBodies:
             rules = load_config(_write_inputs(tmp, [], config, True)[1]).rules
         weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
         signals = [list(column) for column in zip(*rows)][:4]
+        records = [
+            AssuranceSignals(*row[:4], remediation_event=row[4] is not None, r_m=row[4])
+            for row in rows
+        ]
         das = [oracles.scalar_das_of(*row[:4], weights) for row in rows]
-        assert [das_of(*row[:4], weights) for row in rows] == das
+        assert [compute_das(record, weights) for record in records] == das
         assert das_column(signals, weights) == das
         drc = [oracles.scalar_band_of(score, bands) for score in das]
-        assert [band_of(score, bands) for score in das] == drc
+        assert [classify_drc(score, bands) for score in das] == drc
         assert drc_column(das, bands) == drc
         ges = [oracles.scalar_ges_of(*row, cuts) for row in rows]
-        assert [ges_of(*row, cuts) for row in rows] == ges
+        assert [compute_ges(record, cuts) for record in records] == ges
         assert ges_column(signals, [row[4] for row in rows], cuts) == ges
 
     @given(
@@ -694,8 +696,14 @@ class TestKernelsMatchTheScalarBodies:
             return
         rows = list(zip(events, r_m, r_p))
         backfilled = [oracles.scalar_backfilled_r_m(*row) for row in rows]
-        assert [_backfilled_r_m(*row) for row in rows] == backfilled
         assert _backfill_column(*zip(*rows)) == backfilled
+        # A record holds an r_m only on a remediation event.
+        for (event, m, p), expected in zip(rows, backfilled):
+            if event or m is None:
+                record = AssuranceSignals(
+                    0.5, 0.5, 0.5, 0.5, remediation_event=event, r_m=m
+                )
+                assert _backfill_r_m(record, p).r_m == expected
 
 
 GOOD_RECORD = ("s", 0.1, 0.2, 0.3, 0.4, False, None)

@@ -40,7 +40,7 @@ from deployassure.stability import (
     classify_zone,
 )
 
-from conftest import make_dataset
+from conftest import confusions_below, make_dataset
 from oracles import fill_flagged, flagging_sweep, naive_confusion
 
 H = 0.05
@@ -201,7 +201,8 @@ class TestSweep:
         assert built["ConfusionCounts"] <= 3 and built["RatePanel"] <= 3
         # The patches are live: one point of the record path builds one of each.
         built.clear()
-        assess_at_threshold(ScoreIndex(samples).confusion(0.5), PanelConfig())
+        [confusion] = confusions_below(ScoreIndex(samples), [0.5])
+        assess_at_threshold(confusion, PanelConfig())
         assert built == {"ConfusionCounts": 3, "RatePanel": 3}
 
 
