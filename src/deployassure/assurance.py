@@ -300,6 +300,9 @@ def remediation_progression(das_prev: float, das_next: float) -> float:
     Raises:
         DomainError: either score outside [0, 1].
     """
+    for name, das in (("das_prev", das_prev), ("das_next", das_next)):
+        if not 0.0 <= das <= 1.0:
+            raise DomainError(f"{name} out of range [0, 1]: {das!r}")
     return progression_column(das_prev, (das_next,))[0]
 
 
@@ -307,19 +310,8 @@ def progression_column(prev: float | None, das: Sequence[float]) -> list[float |
     """Each score's ``r_p``: its change from the score before it.
 
     ``prev`` is the score before the first; where it is None, so is the
-    first ``r_p``.
-
-    Raises:
-        DomainError: a score outside [0, 1] that an ``r_p`` needs, named as
-            :func:`remediation_progression` names the first one.
+    first ``r_p``. The scores are :func:`das_column` output, so in [0, 1].
     """
     scores = das if prev is None else [prev, *das]
-    # A NaN can pass min and max; it does not pass the sum.
-    if len(scores) > 1 and not (
-        0.0 <= min(scores) and max(scores) <= 1.0 and not math.isnan(sum(scores))
-    ):
-        i = next(i for i, s in enumerate(scores) if not 0.0 <= s <= 1.0)
-        name = "das_next" if i else "das_prev"
-        raise DomainError(f"{name} out of range [0, 1]: {scores[i]!r}")
     steps = list(map(sub, scores[1:], scores))
     return [None, *steps] if prev is None else steps

@@ -1,13 +1,19 @@
-"""Shared fixtures: reference signal rows and dataset builders."""
+"""Shared fixtures: reference signal rows, dataset builders and the command."""
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import deployassure
 from deployassure import ConfusionCounts, Sample
 from deployassure.assurance import AssuranceSignals
 
@@ -19,6 +25,24 @@ REFERENCE_ROWS = (
     ("mitigation_b", AssuranceSignals(0.62, 0.304, 0.701, 0.39, remediation_event=True)),
 )
 REFERENCE_DAS = (0.48, 0.71, 0.52)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_deployassure(*argv, start=subprocess.run, env=None, **kwargs):
+    """``start`` (``subprocess.run`` or ``Popen``) on the command with ``argv``:
+    ``-m deployassure`` from ``src/`` if the package was imported from there,
+    else the installed script on ``PATH``. A locale-encoding fallback errs."""
+    env = dict(os.environ if env is None else env)
+    if Path(deployassure.__file__).resolve().parent.parent == SRC:
+        command = [sys.executable, "-m", "deployassure"]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    else:
+        command = [shutil.which("deployassure") or pytest.fail("no deployassure on PATH")]
+    warnings = filter(None, [env.get("PYTHONWARNINGS"), "error::EncodingWarning"])
+    env |= {"PYTHONWARNDEFAULTENCODING": "1", "PYTHONWARNINGS": ",".join(warnings)}
+    return start([*command, *argv], env=env, **kwargs)
 
 
 def _csv_writes_nul() -> bool:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import subprocess
-import sys
 import time
 from collections import Counter
 
@@ -31,7 +29,7 @@ from deployassure import (
 from deployassure.assurance import AssuranceSignals, compute_das, compute_ges
 from deployassure.lifecycle import SnapshotAssessment, build_assessments, replay
 
-from conftest import REFERENCE_DAS, REFERENCE_ROWS
+from conftest import REFERENCE_DAS, REFERENCE_ROWS, run_deployassure
 
 D = DeploymentState
 
@@ -255,11 +253,7 @@ def test_c8_das_gradient_check():
 
 def test_c9_cli_runs_are_byte_identical(signals_file):
     def run(*argv):
-        result = subprocess.run(
-            [sys.executable, "-m", "deployassure", *argv],
-            capture_output=True,
-            check=False,
-        )
+        result = run_deployassure(*argv, capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
         return result.stdout
 

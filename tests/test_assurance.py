@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -269,6 +271,8 @@ class TestRemediationProgression:
             remediation_progression(-0.1, 0.5)
         with pytest.raises(ValueError, match=r"das_next out of range \[0, 1\]: 1.5"):
             remediation_progression(0.5, 1.5)
+        with pytest.raises(ValueError, match=r"das_prev out of range \[0, 1\]: nan"):
+            remediation_progression(math.nan, 0.5)
 
     @given(unit, unit)
     def test_antisymmetric(self, a, b):

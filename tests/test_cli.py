@@ -41,7 +41,7 @@ from deployassure.lifecycle import (
 )
 from deployassure.record import replace
 
-from conftest import CSV_WRITES_NUL, SIGNALS_CSV, make_dataset
+from conftest import CSV_WRITES_NUL, SIGNALS_CSV, make_dataset, run_deployassure
 from oracles import dictreader_parse_predictions
 
 
@@ -1029,11 +1029,11 @@ def test_output_is_utf8_whatever_the_stdout_encoding(tmp_path, command):
     formats = [[]] if command == "classify" else [["--format", f] for f in FORMATS]
     for output in formats:
         results = [
-            subprocess.run(
-                [sys.executable, "-m", "deployassure", *argv, *output],
+            run_deployassure(
+                *argv,
+                *output,
                 capture_output=True,
                 env={**os.environ, "PYTHONIOENCODING": encoding},
-                check=False,
             )
             for encoding in ("utf-8", "latin-1")
         ]
@@ -1256,8 +1256,8 @@ class TestClosedStdout:
         read, write = os.pipe()
         os.close(read)
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "deployassure", *argv],
+            result = run_deployassure(
+                *argv,
                 stdout=write,
                 stderr=subprocess.PIPE,
                 env=_child_env(buffered),
@@ -1269,8 +1269,9 @@ class TestClosedStdout:
 
     def test_closed_mid_write(self, tmp_path, buffered):
         argv = _lifecycle_over_many_rows(tmp_path)
-        with subprocess.Popen(
-            [sys.executable, "-m", "deployassure", *argv],
+        with run_deployassure(
+            *argv,
+            start=subprocess.Popen,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             bufsize=0,

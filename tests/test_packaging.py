@@ -62,4 +62,4 @@ def test_exports_and_config_fields_stay_within_their_bounds():
 def test_source_lines_stay_within_their_bound():
     # Physical lines, as ``wc -l src/deployassure/*.py`` counts them.
     lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
-    assert lines <= 3111, lines
+    assert lines <= 3103, lines

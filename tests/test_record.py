@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import pickle
@@ -192,6 +193,7 @@ def test_replace_matches_the_dataclass_and_checks_again(drawn, data):
     twin_changes = {name: oracles.to_twin(value) for name, value in changes.items()}
     expected = outcome(lambda: dataclasses.replace(twin, **twin_changes))
     assert outcome(lambda: replace(record, **changes)) == expected
+    assert outcome(lambda: record.__replace__(**changes)) == expected
     if hasattr(copy, "replace"):  # Python 3.13+
         assert outcome(lambda: copy.replace(record, **changes)) == expected
 
@@ -208,6 +210,16 @@ def test_replace_runs_post_init():
         replace(RulesConfig(), hysteresis=-1.0)
     with pytest.raises(ValueError, match="tp must be >= 0"):
         replace(ConfusionCounts(), tp=-1)
+
+
+@pytest.mark.parametrize("body", [
+    {"__annotations__": {f"f{i}": "int" for i in range(9)}},
+    {"__annotations__": {"first": "int", "second": "int"}, "first": 0},
+], ids=["nine-fields", "undefaulted-after-defaulted"])
+def test_a_record_has_1_to_8_fields_defaults_last(body):
+    with pytest.raises(TypeError, match="^Bad: a record has 1 to 8 fields, defaults last$"):
+        type("Bad", (Record,), body)
+    gc.collect()  # the class that failed stays a subclass of Record until collected
 
 
 @given(arguments())
