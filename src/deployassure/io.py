@@ -201,14 +201,10 @@ def _blocks(records: Iterator[Any]) -> Iterator[list]:
 
 def _split(text: str, width: int) -> tuple[list[str], ...]:
     """A block of CSV lines' ``width`` (> 1) columns, as the csv module reads them,
-    if it holds no quote, ``\\r`` or NUL, each line is shorter than the field
-    size limit and holds ``width - 1`` commas; else :class:`_Doubt`. Only a
-    block at or past the limit is looked at line by line."""
+    if it holds no quote, ``\\r`` or NUL, is shorter than the field size limit
+    and each line holds ``width - 1`` commas; else :class:`_Doubt`."""
     text += "\n" * (not text.endswith("\n"))  # the file's last line may have none
-    if any(map(text.__contains__, '"\r\0')):
-        raise _Doubt
-    limit = csv.field_size_limit()
-    if len(text) >= limit and max(map(len, text.split("\n"))) >= limit:
+    if len(text) >= csv.field_size_limit() or any(map(text.__contains__, '"\r\0')):
         raise _Doubt
     ruled = text.encode().translate(None, _NOT_SEPARATORS)  # its commas and \n
     if ruled != (b"," * (width - 1) + b"\n") * (len(ruled) // width):
@@ -303,21 +299,15 @@ def _decode_block(lines: list[str], names: tuple[str, ...]) -> list[list[Any]]:
 
     Its items are the lines' own records if the block has no ``[`` (else
     ``{"a":[{"x":1}`` and ``{"z":1}]}, {"b":1}`` give two), each line starts
-    with ``{`` after any whitespace and there is one item per line: a string
-    holds no raw line break and no object takes the inserted ``,`` before a
-    ``{``, so none spans two lines, and a line with two values adds an item.
-    Else it raises ``ValueError`` (or the decoder's ``RecursionError``). A
-    line led by whitespace that JSON does not allow (``\\x0c``, say) fails
-    the decoder, as it fails alone. Only a block with a line that does not
-    start with ``{`` pays for stripping its lines.
+    with ``{`` and there is one item per line: a string holds no raw line
+    break and no object takes the inserted ``,`` before a ``{``, so none
+    spans two lines, and a line with two values adds an item. Else it
+    raises ``ValueError`` (or the decoder's ``RecursionError``).
     """
     text = "[" + ",".join(lines) + "]"
-    if text.find("[", 1) >= 0:
+    starts = map(str.startswith, lines, itertools.repeat("{"))
+    if text.find("[", 1) >= 0 or not all(starts):
         raise _Doubt
-    brace = itertools.repeat("{")
-    if not all(map(str.startswith, lines, brace)):
-        if not all(map(str.startswith, map(str.lstrip, lines), brace)):
-            raise _Doubt
     records = json.loads(text)
     if len(records) != len(lines):
         raise _Doubt

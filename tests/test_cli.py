@@ -823,14 +823,13 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
     signals = {"fdi": 0.1, "delta_fpr": 0.2, "delta_fnr": 0.3, "tsz": 0.4}
     path = tmp_path / "signals.jsonl"
 
-    def signals_command(snapshot_ids, doubted=()):
-        # A doubted line holds its event as " 0", which the block check
-        # doubts and the row check reads as 0.
+    def signals_command(snapshot_ids, padded=()):
         records = (
-            {"snapshot_id": s, **signals, "remediation_event": " 0" if i in doubted else 0}
-            for i, s in enumerate(snapshot_ids)
+            {"snapshot_id": s, **signals, "remediation_event": 0} for s in snapshot_ids
         )
-        lines = (json.dumps(r) + "\n" for r in records)
+        lines = (
+            " " * (i in padded) + json.dumps(r) + "\n" for i, r in enumerate(records)
+        )
         path.write_text("".join(lines), encoding="utf-8")
         for counts in (written, loaded):
             counts.clear()
@@ -845,16 +844,15 @@ def test_lifecycle_fast_paths_skip_csv_writer_and_json_loads(
     signals_command(many)
     assert (len(written), len(loaded)) == (1, 3)
     assert all(text.startswith("[") for text in loaded)
-    # A doubted line in the second block: each block is decoded whole, and
-    # each line of the second, which its block check doubts, on its own.
-    signals_command(many, doubted={block + 5})
-    assert len(loaded) == 3 + block
-    assert [text[0] for text in loaded] == ["[", "[", *"{" * block, "["]
-    assert ['" 0"' in text for text in loaded[2:-1]] == [i == 5 for i in range(block)]
+    # A padded line in the second block: the first and third blocks are
+    # decoded whole, and each line of the second on its own.
+    signals_command(many, padded={block + 5})
+    assert len(loaded) == 2 + block
+    assert [text[0] for text in loaded] == ["[", *"{" * 5, " ", *"{" * (block - 6), "["]
     # The patches are live: the quoted ids go through the csv writer, the
-    # clean ids do not, and doubted lines go through json.loads.
-    signals_command(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], doubted=range(6))
-    assert (len(written), len(loaded)) == (5, 1 + 6)
+    # clean ids do not, and padded lines go through json.loads.
+    signals_command(["s0", "a,b", 'q"', "x\ny", "x\ry", "s5"], padded=range(6))
+    assert (len(written), len(loaded)) == (5, 6)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -862,15 +860,13 @@ def test_lifecycle_reads_a_pipe_as_it_reads_the_file(capsys, tmp_path):
     # More than a pipe buffer, and a doubted block, so that both the block
     # path and the line path read from the pipe as it fills.
     rng = random.Random(12)
-    lines, n = [], 3 * deployassure.io._BLOCK_ROWS
-    for i in range(n):
-        event = int(rng.random() < 0.3)
-        if i == n - 100:  # " 0" or " 1" doubts the block
-            event = f" {event}"
-        record = {"snapshot_id": f"s{i}", "remediation_event": event}
+    lines = []
+    for i in range(3 * deployassure.io._BLOCK_ROWS):
+        record = {"snapshot_id": f"s{i}", "remediation_event": int(rng.random() < 0.3)}
         record.update((k, rng.randint(0, 1000) / 1000) for k in ("fdi", "tsz"))
         record.update(delta_fpr=rng.random() / 2, delta_fnr=rng.random() / 2)
         lines.append(json.dumps(record) + "\n")
+    lines[-100] = " " + lines[-100]
     text = "".join(lines)
     path = tmp_path / "signals.jsonl"
     path.write_text(text, encoding="utf-8")

@@ -45,9 +45,7 @@ def inputs(tmp_path, monkeypatch):
         "signals.jsonl": ['{"snapshot_id": "%s", %s, "remediation_event": %d}'
                           % (sid, SIGNAL, event) for event, sid in enumerate("ab")],
         "mixed.jsonl": mixed,
-        # Row 700's event " 1" doubts its block; the row check reads 1.
-        "doubted.jsonl": [*mixed[:699], json.dumps({**json.loads(mixed[699]),
-                          "remediation_event": " 1"}), *mixed[700:]],
+        "padded.jsonl": [*mixed[:699], " " + mixed[699], *mixed[700:]],
         # A signals header and 600 blank lines: more than one 512-row block.
         "blank.csv": ["snapshot_id,fdi,delta_fpr,delta_fnr,tsz,remediation_event" + "\n" * 600],
         "predictions.csv": [HEADER, *predictions],
@@ -84,8 +82,8 @@ def test_exit_code_stdout_and_stderr(argv, code, out, err):
     (EVALUATE, "late-lf.csv", "late-crlf.csv"),  # CRLF: all read by the csv module
     (EVALUATE, "late-lf.csv", "late-quoted.csv"),  # "A": handed to it at the quote
     (EVALUATE, "rows-clean.jsonl", "rows-doubted.jsonl"),  # " 1": rows checked
-    ("lifecycle --signals {}", "mixed.jsonl", "doubted.jsonl"),  # rows checked
-], ids=["crlf", "quoted", "doubted-label", "doubted-event"])
+    ("lifecycle --signals {}", "mixed.jsonl", "padded.jsonl"),  # rows checked
+], ids=["crlf", "quoted", "doubted-label", "padded-line"])
 def test_twin_inputs_give_the_same_stdout(argv, first, second):
     assert run(argv.format(first)) == run(argv.format(second))
 

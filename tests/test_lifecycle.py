@@ -414,23 +414,17 @@ def score_configs(draw):
     return config
 
 
-def _doubted(record):
-    """A record whose event is a padded string (``" 0"``, ``" 1"``): the block
-    check doubts its JSON line and the row check reads the same value."""
-    return {**record, "remediation_event": f" {record['remediation_event']}"}
-
-
-def _write_inputs(tmp, records, config, jsonl, doubted=()):
+def _write_inputs(tmp, records, config, jsonl, padded=()):
     """Write a signals file and a config file; return their paths.
 
-    A JSON line whose index is in ``doubted`` is written by :func:`_doubted`.
+    A JSON line whose index is in ``padded`` starts with a space, which
+    the block check doubts.
     """
     path = os.path.join(tmp, "signals.jsonl" if jsonl else "signals.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if jsonl:
             fh.writelines(
-                json.dumps(_doubted(r) if i in doubted else r) + "\n"
-                for i, r in enumerate(records)
+                " " * (i in padded) + json.dumps(r) + "\n" for i, r in enumerate(records)
             )
         else:
             columns = [*oracles.SIGNALS_COLUMNS, "r_m"]
@@ -574,7 +568,7 @@ class TestFoldAcrossBlocks:
     @given(
         records=signal_records(),
         rows_per_block=st.integers(1, 6),
-        doubted=st.sets(st.integers(0, 24), max_size=3),
+        padded=st.sets(st.integers(0, 24), max_size=3),
         config=rule_configs(),
         gating=st.sampled_from([None, "on", "off"]),
         initial=st.sampled_from(list(D)),
@@ -583,11 +577,11 @@ class TestFoldAcrossBlocks:
     )
     @settings(max_examples=150, deadline=None)
     def test_small_blocks(
-        self, records, rows_per_block, doubted, config, gating, initial, jsonl, output
+        self, records, rows_per_block, padded, config, gating, initial, jsonl, output
     ):
-        # Doubted lines are rows mid-file that are each read on their own.
+        # Padded lines are doubted rows mid-file: each is read on its own.
         with _block_rows(rows_per_block), tempfile.TemporaryDirectory() as tmp:
-            path, config_path = _write_inputs(tmp, records, config, jsonl, doubted)
+            path, config_path = _write_inputs(tmp, records, config, jsonl, padded)
             argv = ["--signals", path, "--config", config_path, "--format", output]
             trace = ["lifecycle", *argv, "--initial", initial.value]
             trace += [] if gating is None else ["--gating", gating]
@@ -611,7 +605,7 @@ class TestFoldAcrossBlocks:
     @pytest.mark.parametrize("output", ["csv", "json"])
     @pytest.mark.parametrize("gating", ["on", "off"])
     def test_three_full_blocks(self, tmp_path, output, gating):
-        # 1,100 rows: an id needing quotes at row 600, a padded event (a
+        # 1,100 rows: an id needing quotes at row 600, a padded line (a
         # doubted block) at row 700, integer signal values at row 800.
         rng = random.Random(23)
         lines = []
@@ -623,7 +617,7 @@ class TestFoldAcrossBlocks:
                 record["r_m"] = rng.uniform(-0.3, 0.3)
             if i == 799:
                 record.update(fdi=0, tsz=1)
-            lines.append(json.dumps(_doubted(record) if i == 699 else record) + "\n")
+            lines.append(" " * (i == 699) + json.dumps(record) + "\n")
         path = tmp_path / "signals.jsonl"
         path.write_text("".join(lines), encoding="utf-8")
         argv = ["lifecycle", "--signals", str(path), "--format", output]
