@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from enum import Enum
-from itertools import repeat
-from operator import sub
+from itertools import compress, repeat
+from operator import is_not, sub
 from typing import Sequence
 
 from .errors import (
@@ -215,16 +215,11 @@ def drc_column(das: Sequence[float], bands: DrcBands) -> list[DeploymentState]:
     return list(map(BY_FAVORABILITY.__getitem__, ranks))
 
 
-# A module constant: reading the member off its Enum class costs about
-# 200 ns on CPython 3.11, and the lifecycle fold caps every row.
-_FRAGILITY = ZoneLabel.GOVERNANCE_FRAGILITY
-
-
 def fragility_cap(
     state: DeploymentState, worst_zone: ZoneLabel | None
 ) -> DeploymentState:
     """Cap a state at EscalatedGovernance when the sweep hit GovernanceFragility."""
-    if worst_zone is _FRAGILITY:
+    if worst_zone is ZoneLabel.GOVERNANCE_FRAGILITY:
         cap = DeploymentState.ESCALATED_GOVERNANCE
         return state if state.favorability <= cap.favorability else cap
     return state
@@ -269,6 +264,9 @@ def compute_ges(
 
 # Levels by severity, and Critical once more for a bump past it.
 _LEVEL_BY_BUMPED = (*_LEVEL_BY_SEVERITY, EscalationLevel.CRITICAL)
+# A severity as thermometer bits, and back: the OR of a row's bits is its max.
+_BITS = bytes([0, 1, 3, 7]).ljust(256, b"\0")
+_SEVERITY_OF_BITS = bytes([0, 1, 0, 2, 0, 0, 0, 3]).ljust(256, b"\0")
 
 
 def ges_column(
@@ -282,13 +280,17 @@ def ges_column(
     is the highest of its four, one more on a negative ``r_m`` (set only on
     an event).
     """
-    cuts = thresholds._values()
-    severity = map(
-        max, *[map(bisect_right, repeat(c), column) for c, column in zip(cuts, signals)]
-    )
-    return [
-        _LEVEL_BY_BUMPED[s + (r is not None and r < 0)] for s, r in zip(severity, r_m)
-    ]
+    # A severity is at most 3, as GesThresholds holds three cuts per signal.
+    bits = 0
+    for cuts, column in zip(thresholds._values(), signals):
+        ranks = bytes(map(bisect_right, repeat(cuts), column))
+        bits |= int.from_bytes(ranks.translate(_BITS), "little")
+    severity = bits.to_bytes(len(r_m), "little").translate(_SEVERITY_OF_BITS)
+    levels = list(map(_LEVEL_BY_SEVERITY.__getitem__, severity))
+    for i in compress(range(len(levels)), map(is_not, r_m, repeat(None))):
+        if r_m[i] < 0:
+            levels[i] = _LEVEL_BY_BUMPED[severity[i] + 1]
+    return levels
 
 
 def remediation_progression(das_prev: float, das_next: float) -> float:

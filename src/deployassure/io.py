@@ -338,12 +338,15 @@ def _prediction_block(columns: list[list[Any]]) -> tuple[array, bytes, list[str]
     return scores, bytes(_bounded(_typed(labels, _BINARY))), subgroups
 
 
-def _reals(column: list[Any]) -> list[float]:
+def _reals(column: Sequence[Any]) -> Sequence[float]:
     """A column of numbers in [0, 1] as floats, or :class:`_Doubt`.
 
-    ``float.__float__`` takes an exact float and refuses a bool or an int:
-    a column of floats passes as it is; only one holding ints is converted.
+    A column of exact floats, as ``json.loads`` makes it, passes uncopied.
+    ``float.__float__`` makes a float subclass exact and refuses a bool or an
+    int, so only a column holding ints is converted.
     """
+    if set(map(type, column)) == {float}:
+        return _bounded(column)
     try:
         return _bounded(list(map(float.__float__, column)))
     except TypeError:

@@ -18,8 +18,7 @@ assurance-score delta between consecutive snapshots, and serialise to a
 fixed-column CSV or JSON trace whose bytes are reproducible.
 :func:`fold_trace` applies the same rules to checked signal rows a block
 of rows at a time, with no per-snapshot objects, and gives the same bytes:
-each rule runs once per block, over the block's columns, and only the
-state walk steps row by row.
+each rule, the state walk too, runs once per block over its columns.
 """
 
 from __future__ import annotations
@@ -176,45 +175,58 @@ def build_assessments(
     return assessments
 
 
-def _advance(
-    current: DeploymentState,
-    band_state: DeploymentState,
-    worst_zone: ZoneLabel | None,
-    remediation_event: bool,
-    r_m: float | None,
-    das: float,
-    rules: RulesConfig,
-) -> tuple[DeploymentState, tuple[str, ...]]:
-    """The transition rule on plain values: the new state and its reasons.
+def _advance_column(
+    current: DeploymentState, bands: Sequence[DeploymentState],
+    targets: Sequence[DeploymentState], events: Sequence[bool], r_ms: Sequence,
+    das: Sequence[float], r_ps: Sequence, rules: RulesConfig,
+) -> tuple[list[DeploymentState], list[tuple | None]]:
+    """The transition rule, walked from ``current`` over a block's columns.
 
-    The reasons are empty exactly when the state holds.
+    ``bands`` are the rows' stateless states and ``targets`` the same,
+    fragility-capped. Returns each row's new state and its move: None where
+    the state holds, else ``(from_state, to_state, reasons, r_p)``.
+    """
+    floor, margin, gating = rules.bands.floor, rules.hysteresis, rules.recovery_gating
+    recovered = (REASON_RECOVERY_GATED if gating else REASON_DAS_BAND,)
+    states, moves = [], []
+    state, move = states.append, moves.append
+    rows = zip(bands, targets, events, r_ms, das, r_ps)
+    for band, target, event, r_m, score, r_p in rows:
+        new, reasons = current, ()
+        if target is current:
+            pass
+        elif target.favorability < current.favorability:
+            new = target
+            if band.favorability < current.favorability:
+                reasons += (REASON_DAS_BAND,)
+            if target is not band:
+                reasons += (REASON_FRAGILITY,)
+            if r_m is not None and r_m < 0:
+                reasons += (REASON_FAILED_REMEDIATION,)
+        elif event:
+            # One level up from BlockedDeployment is EscalatedGovernance, so a
+            # gated first move out of it stays below ReassessmentRequired too.
+            up = BY_FAVORABILITY[current.favorability + 1] if gating else target
+            if not score < floor(up) + margin:
+                new, reasons = up, recovered
+        move((current, new, reasons, r_p) if reasons else None)
+        state(current := new)
+    return states, moves
+
+
+def _advance(
+    current: DeploymentState, band_state: DeploymentState, worst_zone: ZoneLabel | None,
+    remediation_event: bool, r_m: float | None, das: float, rules: RulesConfig,
+) -> tuple[DeploymentState, tuple[str, ...]]:
+    """The new state and its reasons, empty exactly when the state holds.
+
+    It caps ``band_state`` with :func:`fragility_cap`, then runs
+    :func:`_advance_column` on one row.
     """
     target = fragility_cap(band_state, worst_zone)
-    if target is current:
-        return current, ()
-
-    if target.favorability < current.favorability:
-        reasons: tuple[str, ...] = ()
-        if band_state.favorability < current.favorability:
-            reasons += (REASON_DAS_BAND,)
-        if target is not band_state:
-            reasons += (REASON_FRAGILITY,)
-        if r_m is not None and r_m < 0:
-            reasons += (REASON_FAILED_REMEDIATION,)
-        return target, reasons
-
-    if not remediation_event:
-        return current, ()
-    # One level up from BlockedDeployment is EscalatedGovernance, so a gated
-    # first move out of it stays below ReassessmentRequired too.
-    destination = target
-    if rules.recovery_gating:
-        destination = BY_FAVORABILITY[current.favorability + 1]
-    if das < rules.bands.floor(destination) + rules.hysteresis:
-        return current, ()
-    if rules.recovery_gating:
-        return destination, (REASON_RECOVERY_GATED,)
-    return destination, (REASON_DAS_BAND,)
+    row = (band_state,), (target,), (remediation_event,), (r_m,), (das,), (None,)
+    states, moves = _advance_column(current, *row, rules)
+    return states[0], () if moves[0] is None else moves[0][2]
 
 
 def step(
@@ -222,10 +234,11 @@ def step(
     assessment: SnapshotAssessment,
     rules: RulesConfig = RulesConfig(),
 ) -> tuple[DeploymentState, TransitionRecord | None]:
-    """Advance the governed state by one snapshot.
+    """Advance the governed state by one snapshot, through :func:`_advance`.
 
     Returns the new state and a transition record, or ``(current, None)``
-    when the state holds (same band, or an ungated/unearned recovery).
+    when the state holds (same band, or an ungated/unearned recovery). Only
+    here, with a record's ``worst_zone``, can ``fragility_override`` apply.
     A failed remediation is read from ``signals.r_m`` alone: the ``r_p``
     backfill of a missing ``r_m`` (see :func:`replay`) happens before
     ``step`` is called.
@@ -513,10 +526,10 @@ def _fold(
     Per block, each rule runs once over the block's columns: DAS, then
     ``r_p`` (carried over from the block before) and the ``r_m`` backfill,
     the stateless DRC and GES; the same rules :func:`build_assessments`
-    applies. Then the state walk calls :func:`_advance` row by row, as
-    :func:`replay` does. No record is built. A file has no ``worst_zone``,
-    so the fragility cap never binds. A trace row holds its transition
-    unformatted: only the writer formats it, and only on a transition row.
+    applies. Then the state walk runs once, :func:`_advance_column` with
+    the DRC column as both the bands and the targets: a file has no
+    ``worst_zone``, so the fragility cap never binds. No record is built. A
+    trace row holds its transition unformatted: only the writer formats it.
     """
     weights, bands, cuts = rules.weights, rules.bands, rules.ges_thresholds
     current, prev_das = initial_state, None
@@ -526,13 +539,10 @@ def _fold(
         r_ms = _backfill_column(events, r_ms, r_ps)
         drc = drc_column(das, bands)
         ges = ges_column(signals, r_ms, cuts)
-        states, moves = [], []
-        state, move = states.append, moves.append
-        for score, band, event, r_m, r_p in zip(das, drc, events, r_ms, r_ps):
-            new, reasons = _advance(current, band, None, event, r_m, score, rules)
-            move((current, new, reasons, r_p) if reasons else None)
-            state(new)
-            current = new
+        states, moves = _advance_column(
+            current, drc, drc, events, r_ms, das, r_ps, rules
+        )
+        current = states[-1]
         yield ids, *signals, das, ges, drc, states, moves, r_ps
         prev_das = das[-1]
 

@@ -25,8 +25,8 @@ from the same staged rules, each row on its own.
 ``row_fold`` is the lifecycle fold as it was before it ran each rule
 once per block of rows: every rule called once per row, through the
 scalar bodies ``scalar_das_of``, ``scalar_band_of``, ``scalar_ges_of``,
-``scalar_progression`` and ``scalar_backfilled_r_m`` that the engine's
-column kernels replaced. ``row_trace`` writes its rows with the engine's
+``scalar_progression``, ``scalar_backfilled_r_m`` and ``scalar_advance``
+that the engine's column kernels replaced. ``row_trace`` writes its rows with the engine's
 writer, so a comparison with ``fold_trace`` checks the fold alone.
 
 ``rowwise_csv_rows`` is the trace's CSV writer as it was before
@@ -95,7 +95,6 @@ from deployassure.lifecycle import (
     SnapshotAssessment,
     TraceEntry,
     TransitionRecord,
-    _advance,
     _serialise,
     csv_writer,
 )
@@ -703,6 +702,45 @@ def scalar_backfilled_r_m(event: bool, r_m: float | None, r_p: float | None):
     return r_p if event and r_m is None else r_m
 
 
+def scalar_advance(
+    current: DeploymentState,
+    band_state: DeploymentState,
+    worst_zone: ZoneLabel | None,
+    remediation_event: bool,
+    r_m: float | None,
+    das: float,
+    rules: RulesConfig,
+) -> tuple[DeploymentState, tuple[str, ...]]:
+    """The transition rule on one row: the new state and its reasons.
+
+    The reasons are empty exactly when the state holds.
+    """
+    target = staged_fragility_cap(band_state, worst_zone)
+    if target is current:
+        return current, ()
+
+    if target.favorability < current.favorability:
+        reasons: tuple[str, ...] = ()
+        if band_state.favorability < current.favorability:
+            reasons += (REASON_DAS_BAND,)
+        if target is not band_state:
+            reasons += (REASON_FRAGILITY,)
+        if r_m is not None and r_m < 0:
+            reasons += (REASON_FAILED_REMEDIATION,)
+        return target, reasons
+
+    if not remediation_event:
+        return current, ()
+    destination = target
+    if rules.recovery_gating:
+        destination = BY_FAVORABILITY[current.favorability + 1]
+    if das < rules.bands.floor(destination) + rules.hysteresis:
+        return current, ()
+    if rules.recovery_gating:
+        return destination, (REASON_RECOVERY_GATED,)
+    return destination, (REASON_DAS_BAND,)
+
+
 def row_fold(
     records: Iterable[tuple], initial_state: DeploymentState, rules: RulesConfig
 ) -> Iterator[tuple]:
@@ -715,7 +753,7 @@ def row_fold(
         r_p = None if prev_das is None else scalar_progression(prev_das, das)
         r_m = scalar_backfilled_r_m(event, r_m, r_p)
         drc = scalar_band_of(das, bands)
-        new, reasons = _advance(current, drc, None, event, r_m, das, rules)
+        new, reasons = scalar_advance(current, drc, None, event, r_m, das, rules)
         ges = scalar_ges_of(fdi, dfpr, dfnr, tsz, r_m, cuts)
         transition = (current, new, reasons, r_p) if reasons else None
         yield snapshot_id, fdi, dfpr, dfnr, tsz, das, ges, drc, new, transition, r_p

@@ -32,6 +32,7 @@ import deployassure.io
 import deployassure.lifecycle
 from deployassure.assurance import (
     AssuranceSignals,
+    DrcBands,
     compute_das,
     compute_ges,
     das_column,
@@ -42,7 +43,7 @@ from deployassure.assurance import (
 )
 from deployassure.cli import main
 from deployassure.errors import DomainError
-from deployassure.io import _BLOCK_ROWS, iter_signals
+from deployassure.io import _BLOCK_ROWS, checked_blocks, iter_signals
 from deployassure.lifecycle import (
     REASON_DAS_BAND,
     REASON_FAILED_REMEDIATION,
@@ -53,6 +54,8 @@ from deployassure.lifecycle import (
     SnapshotAssessment,
     TraceEntry,
     TransitionRecord,
+    _advance,
+    _advance_column,
     _backfill_column,
     _backfill_r_m,
     build_assessments,
@@ -632,11 +635,75 @@ class TestFoldAcrossBlocks:
         assert (code, out, err) == (0, expected, "")
         assert _folded(records, D.REASSESSMENT_REQUIRED, rules, output) == expected
 
+    def test_the_walk_is_one_kernel_call_per_block(self, monkeypatch, tmp_path):
+        rng = random.Random(29)
+        path = tmp_path / "signals.jsonl"
+        path.write_text("".join(
+            json.dumps({"snapshot_id": f"s{i}", "remediation_event": i % 3 == 0}
+                       | {k: rng.random() for k in oracles.SIGNALS_COLUMNS[1:5]}) + "\n"
+            for i in range(1100)
+        ), encoding="utf-8")
+        calls = {"_advance": 0, "_advance_column": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(deployassure.lifecycle, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(deployassure.lifecycle, name, counted)
+        code, out, err = _run_cli(["lifecycle", "--signals", str(path)])
+        assert (code, out.count(b"\n"), err) == (0, 1 + 1100, "")
+        assert calls == {"_advance": 0, "_advance_column": -(-1100 // _BLOCK_ROWS)}
+
+    def test_float_subclass_records_fold_as_floats(self, monkeypatch):
+        class Real(float):  # as numpy.float64 is
+            pass
+
+        rng = random.Random(31)
+        records = [
+            (f"s{i}", *(rng.random() for _ in range(4)), i % 3 == 0,
+             rng.uniform(-0.2, 0.2) if i % 6 == 0 else None)
+            for i in range(_BLOCK_ROWS + 9)
+        ]
+        subclassed = [(sid, *map(Real, reals), event, r_m)
+                      for sid, *reals, event, r_m in records]
+        rows_checked = []
+        real = deployassure.io._signal_row
+        monkeypatch.setattr(
+            deployassure.io, "_signal_row", lambda v: rows_checked.append(v) or real(v)
+        )
+        for output in ("csv", "json"):
+            expected = _folded(records, D.DEPLOYABLE, RulesConfig(), output)
+            assert _folded(subclassed, D.DEPLOYABLE, RulesConfig(), output) == expected
+        assert rows_checked == []
+        # Exact floats are handed on as the check got them: here as tuples,
+        # so a fold that wrote into a signals column would raise.
+        block = next(checked_blocks(records))
+        assert {type(column) for column in block[1:5]} == {tuple}
+        assert {type(v) for v in next(checked_blocks(subclassed))[1]} == {float}
+
 
 # Scores on and around the default band floors, and out of [0, 1].
 scores = st.sampled_from([0.0, 0.3, 0.5, 0.65, 0.85, 1.0]) | st.floats(0, 1)
 bad_scores = scores | st.sampled_from([-0.1, 1.5, math.nan, math.inf])
 r_ms = st.none() | st.floats(-1, 1)
+
+
+# GES edge rows on the default cuts: each signal on each of its cuts, the
+# others at 0; severity 3 from one signal; a failed remediation on a
+# Critical and on a Low row.
+_CUTS = GesThresholds()._values()
+_ON_THE_CUTS = [
+    (*(cut if i == signal else 0.0 for i in range(4)), None)
+    for signal, cuts in enumerate(_CUTS) for cut in cuts
+]
+_SEVERITY_3 = [(*(1.0 if i == signal else 0.0 for i in range(4)), None)
+               for signal in range(4)]
+_BUMPS = [(0.9, 0.0, 0.0, 0.0, -0.5), (0.0, 0.0, 0.0, 0.0, -0.5)]
+# 600 rows: the severities' bytes run past 256 rows and past a block.
+_LONG = [
+    (i % 11 / 10, i % 7 / 6, i % 5 / 4, i % 3 / 2, (i % 13 - 6) / 6 if i % 4 else None)
+    for i in range(600)
+]
 
 
 class TestKernelsMatchTheScalarBodies:
@@ -647,6 +714,10 @@ class TestKernelsMatchTheScalarBodies:
         rows=st.lists(st.tuples(scores, scores, scores, scores, r_ms), min_size=1),
         config=score_configs(),
     )
+    @example(rows=_ON_THE_CUTS, config={})
+    @example(rows=_SEVERITY_3, config={})
+    @example(rows=_BUMPS, config={})
+    @example(rows=_LONG, config={})
     @settings(max_examples=200, deadline=None)
     def test_das_drc_and_ges(self, rows, config):
         with tempfile.TemporaryDirectory() as tmp:
@@ -702,6 +773,40 @@ class TestKernelsMatchTheScalarBodies:
                     0.5, 0.5, 0.5, 0.5, remediation_event=event, r_m=m
                 )
                 assert _backfill_r_m(record, p).r_m == expected
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(list(D)), zones, st.booleans(), r_ms, scores, r_ms),
+            max_size=30,
+        ),
+        bands=st.sampled_from([DrcBands(), DrcBands(0.9, 0.7, 0.55, 0.25)]),
+        gating=st.booleans(),
+        hysteresis=st.sampled_from([0.0, 0.02]) | st.floats(0, 0.3),
+        initial=st.sampled_from(list(D)),
+        split=st.integers(0, 30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_state_walk(self, rows, bands, gating, hysteresis, initial, split):
+        rules = RulesConfig(bands=bands, recovery_gating=gating, hysteresis=hysteresis)
+        states, moves, current = [], [], initial
+        for band, zone, event, r_m, das, r_p in rows:
+            new, reasons = oracles.scalar_advance(
+                current, band, zone, event, r_m, das, rules
+            )
+            assert _advance(current, band, zone, event, r_m, das, rules) == (new, reasons)
+            moves.append((current, new, reasons, r_p) if reasons else None)
+            states.append(current := new)
+
+        def walk(current, rows):
+            targets = [oracles.staged_fragility_cap(row[0], row[1]) for row in rows]
+            band, _, event, r_m, das, r_p = ([row[i] for row in rows] for i in range(6))
+            return _advance_column(current, band, targets, event, r_m, das, r_p, rules)
+
+        assert walk(initial, rows) == (states, moves)
+        # Split at a row, the state carried across as the fold carries it.
+        first = walk(initial, rows[:split])
+        rest = walk(first[0][-1] if first[0] else initial, rows[split:])
+        assert (first[0] + rest[0], first[1] + rest[1]) == (states, moves)
 
 
 GOOD_RECORD = ("s", 0.1, 0.2, 0.3, 0.4, False, None)
