@@ -7,12 +7,13 @@ everything. All functions here are pure; none touch shared state.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import repeat
-from operator import attrgetter, sub
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from operator import attrgetter, ge, sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -108,24 +109,50 @@ def _check_sample(sample: Sample) -> None:
         raise MalformedSampleError(sample.sample_id, "subgroup is empty")
 
 
+class _Codes(dict):
+    """Subgroup name -> code; a name not seen before takes the next code and
+    joins ``names``, so ``names[code]`` is the code's name."""
+
+    def __init__(self, names: list[str]) -> None:
+        self.names = names
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = len(self)
+        self.names.append(name)
+        return code
+
+
 class Predictions:
     """Validated predictions held in columns, in input order.
 
-    :func:`deployassure.io.parse_predictions` fills the columns as it
-    checks the file, and :meth:`from_samples` checks each :class:`Sample`
-    as it copies it in; nothing downstream checks a row again. Sample ids
-    are checked on the way in but not kept: no result reads them.
+    A row's subgroup is held as its code in ``codes``, which indexes
+    ``names``, the subgroups in first-seen order: 4 bytes a row, and one
+    string per subgroup. :func:`deployassure.io.parse_predictions` fills
+    the columns as it checks the file, and :meth:`from_samples` checks
+    each :class:`Sample` as it copies it in; nothing downstream checks a
+    row again. Sample ids are checked on the way in but not kept: no
+    result reads them.
     """
 
-    __slots__ = ("scores", "labels", "subgroups")
+    __slots__ = ("scores", "labels", "codes", "names", "_codes")
 
     def __init__(self) -> None:
         self.scores = array("d")
         self.labels = bytearray()
-        self.subgroups: list[str] = []
+        self.codes = array("I")
+        self.names: list[str] = []
+        self._codes = _Codes(self.names)
 
     def __len__(self) -> int:
         return len(self.scores)
+
+    def extend(
+        self, scores: Iterable[float], labels: Iterable[int], subgroups: Iterable[str]
+    ) -> None:
+        """Append checked columns, coding each subgroup in the same pass."""
+        self.scores.extend(scores)
+        self.labels.extend(labels)
+        self.codes.extend(map(self._codes.__getitem__, subgroups))
 
     @classmethod
     def from_samples(cls, samples: Iterable[Sample]) -> Predictions:
@@ -142,7 +169,7 @@ class Predictions:
             _check_sample(sample)
             out.scores.append(sample.score)
             out.labels.append(sample.label == 1)
-            out.subgroups.append(sample.subgroup)
+            out.codes.append(out._codes[sample.subgroup])
         return out
 
 
@@ -152,8 +179,42 @@ def check_threshold(threshold: float) -> None:
         raise DomainError(f"threshold must lie in [0, 1], got {threshold!r}")
 
 
-# (label, predicted) -> index of the cell in [tp, fp, tn, fn]
-_CELL = {(1, True): 0, (0, True): 1, (0, False): 2, (1, False): 3}
+# Rows per chunk of row_keys. Its ints and byte copies take 4 bytes a row
+# each: over a whole 10^6-row column they took evaluate to 57 MB, from 32.
+_KEY_ROWS = 1 << 16
+
+
+def row_keys(
+    codes: array, flags: Sequence[bytes], byteorder: str = sys.byteorder
+) -> Iterator[array]:
+    """Each row's code with its 0/1 ``flags`` appended as low bits, as an
+    ``array('I')`` per ``_KEY_ROWS`` rows: ``code * 4 + label * 2 +
+    predicted`` for the flags ``(labels, predicted)``.
+
+    A chunk is worked whole, with no Python code per row: its codes'
+    bytes (4-byte lanes, read in ``byteorder``) are one int, shifted up a
+    bit per flag, and each flag column, spread into the lanes' low bytes
+    by a stride slice assignment, is or-ed in. No lane carries into the
+    next while every code is below ``2**(32 - len(flags))``.
+    """
+    width = codes.itemsize
+    low = slice(width - 1 if byteorder == "big" else 0, None, width)
+    for start in range(0, len(codes), _KEY_ROWS):
+        rows = slice(start, start + _KEY_ROWS)
+        part = codes[rows]
+        keys = int.from_bytes(part, byteorder)
+        lanes = bytearray(width * len(part))
+        for flag in flags:
+            lanes[low] = flag[rows]
+            keys = keys << 1 | int.from_bytes(lanes, byteorder)
+        part = array("I", keys.to_bytes(len(lanes), byteorder))
+        if byteorder != sys.byteorder:
+            part.byteswap()
+        yield part
+
+
+# A row's cell as label * 2 + predicted, in ConfusionCounts' field order.
+_CELLS = (3, 1, 0, 2)  # tp, fp, tn, fn
 
 
 def compute_confusion(
@@ -164,7 +225,8 @@ def compute_confusion(
     Every sample lands in exactly one cell of its subgroup's matrix;
     subgroups appear in first-seen order. A :class:`Predictions` is
     counted as it is; other samples pass through
-    :meth:`Predictions.from_samples` first.
+    :meth:`Predictions.from_samples` first. One ``Counter`` tallies each
+    row's :func:`row_keys` key, which names its subgroup and its cell.
 
     Raises:
         EmptyInputError: the sample set is empty.
@@ -176,15 +238,12 @@ def compute_confusion(
     if not predictions:
         raise EmptyInputError("sample set is empty")
 
-    # float.__le__ so that an int threshold compares too: t <= score.
-    predicted = map(float(threshold).__le__, predictions.scores)
-    tally = Counter(zip(predictions.subgroups, predictions.labels, predicted))
-    cells: dict[str, list[int]] = {}
-    for (group, label, positive), n in tally.items():
-        cells.setdefault(group, [0, 0, 0, 0])[_CELL[label, positive]] += n
+    predicted = bytes(map(ge, predictions.scores, repeat(threshold)))
+    flags = (predictions.labels, predicted)
+    tally = Counter(chain.from_iterable(row_keys(predictions.codes, flags)))
     return {
-        group: ConfusionCounts(tp=c[0], fp=c[1], tn=c[2], fn=c[3])
-        for group, c in cells.items()
+        group: ConfusionCounts(*(tally[4 * code + cell] for cell in _CELLS))
+        for code, group in enumerate(predictions.names)
     }
 
 
@@ -210,20 +269,20 @@ class ScoreIndex:
 
     def __init__(self, samples: Predictions | Iterable[Sample]) -> None:
         predictions = Predictions.from_samples(samples)
-        # subgroup -> (negative scores, positive scores), indexed by label
-        groups: dict[str, tuple[array, array]] = {}
-        columns = (predictions.subgroups, predictions.labels, predictions.scores)
-        for group, label, score in zip(*columns):
-            by_label = groups.get(group)
-            if by_label is None:
-                by_label = groups[group] = (array("d"), array("d"))
-            by_label[label].append(score)
-        if not groups:
+        if not predictions:
             raise EmptyInputError("sample set is empty")
-        # One subgroup's scores are boxed at a time, to sort them.
-        for group, by_label in groups.items():
-            groups[group] = tuple(array("d", sorted(scores)) for scores in by_label)
-        self._groups = groups
+        # Bucket code * 2 + label: a subgroup's negative, then positive scores.
+        buckets = [array("d") for _ in range(2 * len(predictions.names))]
+        keys = chain.from_iterable(row_keys(predictions.codes, (predictions.labels,)))
+        for key, score in zip(keys, predictions.scores):
+            buckets[key].append(score)
+        # One bucket's scores are boxed at a time, to sort them.
+        for key, bucket in enumerate(buckets):
+            buckets[key] = array("d", sorted(bucket))
+        self._groups = {
+            group: (buckets[2 * code], buckets[2 * code + 1])
+            for code, group in enumerate(predictions.names)
+        }
 
     def counts_below(
         self, thresholds: Sequence[float]

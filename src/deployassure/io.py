@@ -286,6 +286,8 @@ _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 # The 0/1 cells the CSV block path takes, stripped as _parse_binary strips
 # them; any other ("2", "") is doubt.
 _LABELS = {"0": 0, "1": 1}
+# "0" and "1" (bytes 48 and 49) as label bytes, and any other byte as 255.
+_DIGITS = b"\xff" * 48 + b"\0\1" + b"\xff" * 206
 # Exact JSON types: a bool is no number; _BINARY in [0, 1] is 0, 1 or a bool.
 _NUMBERS, _BINARY = {int, float}, {int, bool}
 
@@ -370,11 +372,19 @@ def _signal_rows(columns: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
 
 
 def _binary_cells(cells: Sequence[str]) -> bytes:
-    """A CSV column of 0/1 cells; only a column with a padded cell is stripped."""
-    try:
-        return bytes(map(_LABELS.__getitem__, cells))
-    except KeyError:
-        return bytes(map(_LABELS.__getitem__, map(str.strip, cells)))
+    """A CSV column of 0/1 cells, each stripped as :func:`_parse_binary` strips it.
+
+    A column of exact ``0`` and ``1`` cells is read whole. Where the cells
+    joined by commas hold a 0 or 1 at every even place and a comma at every
+    odd one, n - 1 in all, each comma is a joining one, so each cell is one
+    digit. Any other column is mapped cell by cell.
+    """
+    joined = ",".join(cells)
+    digits = joined[::2].encode().translate(_DIGITS)
+    if (len(joined) == 2 * len(cells) - 1 and 255 not in digits
+            and joined[1::2] == "," * (len(cells) - 1)):
+        return digits
+    return bytes(map(_LABELS.__getitem__, map(str.strip, cells)))
 
 
 def _prediction_cells(columns: tuple) -> tuple[array, bytes, Sequence[str]]:
@@ -448,12 +458,8 @@ def parse_predictions(path: str) -> Predictions:
     columns = PREDICTIONS_COLUMNS
     checks = (_prediction_cells, _prediction_block, _prediction_row)
     out = Predictions()
-    # One string object per distinct subgroup, not one per row.
-    subgroups: dict[str, str] = {}
-    for scores, labels, names in _iter_records(path, columns, len(columns), checks):
-        out.scores.extend(scores)
-        out.labels.extend(labels)
-        out.subgroups += map(subgroups.setdefault, names, names)
+    for block in _iter_records(path, columns, len(columns), checks):
+        out.extend(*block)
     return out
 
 

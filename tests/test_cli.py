@@ -1124,7 +1124,7 @@ def test_cli_predictions_hold_no_ids(monkeypatch, capsys, predictions_file, argv
     assert code == 0 and out
     (predictions,) = parsed
     assert len(predictions) == 80
-    assert predictions.__slots__ == ("scores", "labels", "subgroups")
+    assert predictions.__slots__ == ("scores", "labels", "codes", "names", "_codes")
     with pytest.raises(TypeError, match="not iterable"):
         iter(predictions)
 

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from collections import Counter
+from itertools import chain
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deployassure import (
@@ -23,9 +27,11 @@ from deployassure import (
     compute_gaps,
     compute_rates,
     macro_mean,
+    parse_predictions,
     subgroup_sizes,
 )
-from deployassure.evaluation import Predictions, ScoreIndex
+import deployassure.evaluation
+from deployassure.evaluation import Predictions, ScoreIndex, row_keys
 
 from conftest import confusions_below, random_samples
 from oracles import naive_confusion
@@ -185,12 +191,13 @@ class TestPredictions:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_and_samples_path(self, samples, threshold):
         predictions = Predictions.from_samples(samples)
-        columns = (predictions.scores, predictions.labels, predictions.subgroups)
-        assert [list(column) for column in columns] == [
+        subgroups = [predictions.names[code] for code in predictions.codes]
+        assert [list(predictions.scores), list(predictions.labels), subgroups] == [
             [s.score for s in samples],
             [s.label for s in samples],
             [s.subgroup for s in samples],
         ]
+        assert predictions.names == list(dict.fromkeys(subgroups))
         assert len(predictions) == len(samples)
         assert Predictions.from_samples(predictions) is predictions
         assert list(compute_confusion(samples, threshold).items()) == list(
@@ -223,6 +230,72 @@ class TestPredictions:
         if threshold <= 1.0:  # the index is built, and checked, before any threshold
             counted = outcome(lambda s, t: confusions_below(ScoreIndex(s), [t])[0])
             assert counted == expected
+
+
+@st.composite
+def many_subgroup_sets(draw):
+    """Up to 300 subgroups, each first seen at a random row: past one byte
+    of code, and past 64, where a key's code * 4 outgrows a byte."""
+    n_groups = draw(st.integers(1, 300))
+    rng = draw(st.randoms(use_true_random=False))
+    groups = [*range(n_groups), *rng.choices(range(n_groups), k=rng.randrange(300))]
+    rng.shuffle(groups)
+    return [
+        Sample(f"s{i}", rng.randrange(1001) / 1000, rng.randint(0, 1), f"g{g}")
+        for i, g in enumerate(groups)
+    ]
+
+
+class TestManySubgroups:
+    @given(many_subgroup_sets(), st.lists(three_decimal_scores, min_size=1, max_size=4))
+    @example(
+        [Sample(f"s{i}", i % 7 / 7, i % 2, f"g{299 - i % 300}") for i in range(900)],
+        [0.0, 0.5, 1.0],
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_and_codes_match_the_naive_loop(
+        self, tmp_path_factory, samples, thresholds
+    ):
+        path = tmp_path_factory.mktemp("many") / "p.csv"
+        path.write_text("sample_id,score,label,subgroup\n" + "".join(
+            f"{s.sample_id},{s.score!r},{s.label},{s.subgroup}\n" for s in samples
+        ), encoding="utf-8")
+        parsed, built = parse_predictions(str(path)), Predictions.from_samples(samples)
+        assert (parsed.codes, parsed.names) == (built.codes, built.names)
+        # Keys made in chunks that split the rows, as past 65,536 rows.
+        with mock.patch.object(deployassure.evaluation, "_KEY_ROWS", 97):
+            confusions = confusions_below(ScoreIndex(parsed), thresholds)
+            counted = [compute_confusion(parsed, t) for t in thresholds]
+        for t, confusion, counts in zip(thresholds, confusions, counted):
+            # items(), not the dicts: the subgroup order must match as well.
+            expected = list(naive_confusion(samples, t).items())
+            assert list(counts.items()) == expected
+            assert list(confusion.items()) == expected
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**30 - 1), st.integers(0, 1), st.integers(0, 1)),
+        min_size=1,
+    ),
+    st.integers(1, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_keys_read_codes_in_either_byte_order(rows, chunk_rows):
+    codes, labels, predicted = zip(*rows)
+    codes, labels, predicted = array("I", codes), bytes(labels), bytes(predicted)
+
+    def keys(codes, flags, *byteorder):
+        return list(chain.from_iterable(row_keys(codes, flags, *byteorder)))
+
+    with mock.patch.object(deployassure.evaluation, "_KEY_ROWS", chunk_rows):
+        assert keys(codes, (labels, predicted)) == [c * 4 + l * 2 + p for c, l, p in rows]
+        assert keys(codes, (labels,)) == [c * 2 + l for c, l, _ in rows]
+        # The order this host does not use, with the codes' bytes swapped to it.
+        swapped = array("I", codes)
+        swapped.byteswap()
+        other = "big" if sys.byteorder == "little" else "little"
+        assert keys(swapped, (labels, predicted), other) == keys(codes, (labels, predicted))
 
 
 class TestComputeConfusion:

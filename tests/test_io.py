@@ -13,7 +13,7 @@ import threading
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from deployassure import (
@@ -46,7 +46,8 @@ def columns(parsed):
     """Scores, labels and subgroups as lists, of predictions or of samples."""
     if isinstance(parsed, list):
         return [[getattr(s, c) for s in parsed] for c in PREDICTIONS_COLUMNS[1:]]
-    return [list(parsed.scores), list(parsed.labels), list(parsed.subgroups)]
+    subgroups = [parsed.names[code] for code in parsed.codes]
+    return [list(parsed.scores), list(parsed.labels), subgroups]
 
 
 def write(tmp_path, name, text):
@@ -304,7 +305,8 @@ JSON_VALUES = {
         st.sampled_from((2, 1.0, None, "x")),
     ),
     "subgroup": _mostly(
-        st.sampled_from(("A", "B", "a,b")), st.sampled_from(("", 3, None))
+        st.sampled_from(("A", "B", "a,b")),
+        st.sampled_from(("", 3, None, [1], {"a": 1}, True)),
     ),
 }
 BLANK_LINES = ("\n", "\r\n", "  \n")
@@ -1127,6 +1129,27 @@ def test_exact_float_columns_match_the_typed_check(data):
     block = deployassure.io._signal_rows  # a block's columns: zipped, its rows
     assert _vouched_rows(lambda c: zip(*block(c)), columns) == expected
     event("doubt" if expected == "doubt" else "rows")
+
+
+def _mapped_cells(cells):
+    """A 0/1 column read cell by cell: each cell stripped, then looked up."""
+    try:
+        return bytes(deployassure.io._LABELS[cell.strip()] for cell in cells)
+    except KeyError as exc:
+        return type(exc)
+
+
+@given(st.lists(st.sampled_from(("0", "1", "", "01", " 1", "1 ", "2", "0,"))))
+# Both join to as many characters as there are cells, as exact cells do.
+@example(["", "01"])
+@example(["01", ""])
+@settings(max_examples=300, deadline=None)
+def test_binary_cells_read_a_column_as_each_cell_is_mapped(cells):
+    try:
+        got = deployassure.io._binary_cells(cells)
+    except KeyError as exc:
+        got = type(exc)
+    assert got == _mapped_cells(cells)
 
 
 # CSV rows after the header, on which a doubted block must number its
